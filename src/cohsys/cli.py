@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from .classification import AlphaInterval, Status, Verdict, classify, cross_check
 from .delta import delta_bruteforce, delta_closure, delta_formula, sample_delta_input
@@ -42,6 +43,14 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def _parse_fractions(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 @dataclass
@@ -374,8 +383,15 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
     return 0 if report.all_agree else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits with code 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohsys",
         description="Exact weight-stability of section pairs on the projective line",
     )
@@ -399,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--q", type=int, default=101)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--alpha-rule",
@@ -417,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--q", type=int, default=101)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_delta_check)
 

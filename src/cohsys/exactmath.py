@@ -13,7 +13,9 @@ Conventions used throughout the package:
 
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
 pivoting; over an exact field there is no stability concern and the pivot
-rule keeps runs reproducible.
+rule keeps runs reproducible.  Matrices of binary forms go through one
+fraction-free elimination over F_q[x, y], which gives both their generic rank
+and their determinant.
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ class PrimeField:
     q: int
 
     def __post_init__(self) -> None:
+        if self.q >= 2**31:
+            # int64 row operations hold products of two residues; checked
+            # first so that a huge modulus never reaches trial division
+            raise ValueError("modulus too large for exact int64 elimination")
         if not _is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
-        if self.q >= 2**31:
-            # int64 row operations hold products of two residues
-            raise ValueError("modulus too large for exact int64 elimination")
-
-    def normalize(self, v: int) -> int:
-        return v % self.q
 
     def inv(self, v: int) -> int:
         v %= self.q
@@ -64,47 +64,8 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in prime field")
         return pow(v, self.q - 2, self.q)
 
-    def element(self, v: int) -> "PrimeFieldElement":
-        return PrimeFieldElement(v % self.q, self)
-
     def __repr__(self) -> str:
         return f"F_{self.q}"
-
-
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """A residue in [0, q) tied to its field."""
-
-    residue: int
-    field: PrimeField
-
-    def _check(self, other: "PrimeFieldElement") -> None:
-        if self.field.q != other.field.q:
-            raise ValueError("field mismatch")
-
-    def __add__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement((self.residue + other.residue) % self.field.q, self.field)
-
-    def __sub__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement((self.residue - other.residue) % self.field.q, self.field)
-
-    def __mul__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(self.residue * other.residue % self.field.q, self.field)
-
-    def __truediv__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(
-            self.residue * self.field.inv(other.residue) % self.field.q, self.field
-        )
-
-    def __neg__(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(-self.residue % self.field.q, self.field)
-
-    def __int__(self) -> int:
-        return self.residue
 
 
 @dataclass(frozen=True)
@@ -210,10 +171,6 @@ class BinaryForm:
                 return i
         raise AssertionError("unreachable: nonzero form with all-zero coefficients")
 
-    def dehomogenize(self) -> tuple[int, ...]:
-        """Coefficients of f(t, 1) in ascending powers of t."""
-        return tuple(reversed(self.coeffs))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -251,14 +208,6 @@ class FieldMatrix:
             return cls(field, np.array(rows, dtype=np.int64))
         return cls(field, np.zeros((0, 0), dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -293,191 +242,193 @@ class FieldMatrix:
     def kernel_dimension(self) -> int:
         return self.cols - self.rank()
 
-    def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return FieldMatrix(self.field, (self.data @ other.data) % self.field.q)
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.data.T.copy())
-
-    def to_lists(self) -> list[list[int]]:
-        return self.data.tolist()
-
-
-def kernel_dimension(m: FieldMatrix) -> int:
-    """cols(m) - rank(m), by exact elimination over F_q."""
-    return m.kernel_dimension()
-
-
-def multiplication_matrix(f: BinaryForm, j: int, slot_degree: int | None = None) -> FieldMatrix:
+def multiplication_matrix(f: BinaryForm, j: int) -> FieldMatrix:
     """Matrix of multiplication-by-f from forms of degree j to degree j + deg f.
 
     Bases are the monomials ordered big-endian in x (index i of degree-e forms
-    is x**(e-i) y**i).  ``slot_degree`` fixes the target shift when f is the
-    zero form, and must equal deg f otherwise; matrices of forms need fixed
-    row/column degree profiles even at zero entries.
+    is x**(e-i) y**i).  The zero form has no degree, hence no target shape.
     """
     if f.is_zero:
-        if slot_degree is None:
-            raise ValueError("zero form needs an explicit slot degree to fix the shape")
-        d = slot_degree
-    else:
-        if slot_degree is not None and slot_degree != f.degree:
-            raise ValueError(f"form degree {f.degree} does not match slot degree {slot_degree}")
-        d = f.degree
+        raise ValueError("the zero form has no degree to fix the target shape")
     cols = max(0, j + 1)
-    rows = max(0, j + d + 1)
+    rows = max(0, j + f.degree + 1)
     data = np.zeros((rows, cols), dtype=np.int64)
-    if not f.is_zero and cols and rows:
+    if cols and rows:
         for u, cu in enumerate(f.coeffs):
             if cu:
                 np.fill_diagonal(data[u : u + cols, :], cu)
     return FieldMatrix(f.field, data)
 
 
-# -- univariate polynomials over F_q (ascending coefficient lists) -----------
-
-def _ptrim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# -- polynomials over F_q as big-endian coefficient lists --------------------
+#
+# A form's coefficient tuple, read as f(t, 1), is a big-endian polynomial in t
+# whose leading zeros count the power of y dividing f.
 
 
-def _poly_rem(a: list[int], b: list[int], q: int) -> list[int]:
-    a = _ptrim([x % q for x in a])
-    db = len(b) - 1
-    inv = pow(b[-1], q - 2, q)
-    while a and len(a) - 1 >= db:
-        fct = a[-1] * inv % q
-        da = len(a) - 1
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - fct * b[i]) % q
-        _ptrim(a)
-    return a
+def _poly_divmod(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b; a is reduced mod q and b[0] != 0."""
+    rem = list(a)
+    inv = pow(b[0], q - 2, q)
+    quot = []
+    for i in range(len(rem) - len(b) + 1):
+        c = rem[i] * inv % q
+        quot.append(c)
+        if c:
+            for j in range(1, len(b)):
+                rem[i + j] = (rem[i + j] - c * b[j]) % q
+    return quot, rem[len(quot) :]
 
 
-def _poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a = _ptrim([x % q for x in a])
-    b = _ptrim([x % q for x in b])
-    while b:
-        a, b = b, _poly_rem(a, b, q)
-    return a
-
-
-def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
+def _poly_mul_sub(
+    a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int], q: int
+) -> list[int]:
+    """a*b - c*d reduced mod q, or [] when it vanishes; both products share a degree."""
+    ab = bool(a) and bool(b)
+    cd = bool(c) and bool(d)
+    if not (ab or cd):
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return _ptrim(out)
+    out = [0] * (len(a) + len(b) - 1 if ab else len(c) + len(d) - 1)
+    if ab:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+    if cd:
+        for i, x in enumerate(c):
+            if x:
+                for j, y in enumerate(d):
+                    out[i + j] -= x * y
+    out = [v % q for v in out]
+    return out if any(out) else []
 
 
-def _poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % q
-    return _ptrim(out)
+def _leading_zeros(p: Sequence[int]) -> int:
+    i = 0
+    while i < len(p) and not p[i]:
+        i += 1
+    return i
 
 
 def vanishing_divisor_degree(forms: Iterable[BinaryForm]) -> int:
     """Degree of the common vanishing divisor of the forms, over the closure.
 
     Equals the degree of their homogeneous gcd: the common power of y plus the
-    degree of the gcd of the dehomogenizations f(t, 1).  Zero forms are
-    ignored; an all-zero input has no well-defined divisor.
+    degree of the gcd of the polynomials f(t, 1).  Zero forms are ignored; an
+    all-zero input has no well-defined divisor.
     """
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         raise ValueError("indeterminate divisor: all forms are zero")
     q = nonzero[0].field.q
     y_part = min(f.y_valuation() for f in nonzero)
-    g: list[int] = []
+    g: Sequence[int] = ()
     for f in nonzero:
-        g = _poly_gcd(g, list(f.dehomogenize()), q)
+        a, b = f.coeffs[f.y_valuation() :], g
+        while b:
+            r = _poly_divmod(a, b, q)[1]
+            a, b = b, r[_leading_zeros(r) :]
+        g = a
         if len(g) == 1:
             return y_part
     return y_part + len(g) - 1
 
 
-def generic_rank(entries: Sequence[Sequence[BinaryForm]]) -> int:
-    """Rank of a matrix of binary forms over the function field F_q(t).
+def _check_profile(rows: Sequence[Sequence[Sequence[int]]]) -> None:
+    """Raise unless some r_i, c_j give deg entry(i, j) = r_i + c_j at nonzero entries.
 
-    Computed by cross-multiplication elimination on the dehomogenized entries;
-    the chart y != 0 is dense, so this is the rank of the associated sheaf map
-    at the generic point.
+    Walks each connected component of the nonzero pattern from one row fixed
+    at r = 0, so every cycle of entries is checked once.
     """
-    if not entries or not entries[0]:
-        return 0
-    q = None
-    rows: list[list[list[int]]] = []
-    for row in entries:
-        prow = []
-        for f in row:
-            if q is None and not f.is_zero:
-                q = f.field.q
-            prow.append(_ptrim(list(f.dehomogenize())))
-        rows.append(prow)
-    if q is None:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("matrix rows have different lengths")
+    row_deg: list[int | None] = [None] * len(rows)
+    col_deg: list[int | None] = [None] * ncols
+    for start in range(len(rows)):
+        if row_deg[start] is not None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        row_deg[start] = 0
+        todo = [start]
+        while todo:
+            i = todo.pop()
+            for j, f in enumerate(rows[i]):
+                if not f:
+                    continue
+                c = len(f) - 1 - row_deg[i]
+                if col_deg[j] is None:
+                    col_deg[j] = c
+                    for k, row in enumerate(rows):
+                        if row[j] and row_deg[k] is None:
+                            row_deg[k] = len(row[j]) - 1 - c
+                            todo.append(k)
+                if col_deg[j] != c:
+                    raise ValueError("matrix entries have no degree profile r_i + c_j")
+
+
+def _bareiss(entries: Sequence[Sequence[BinaryForm]], q: int) -> tuple[int, Sequence[int], int]:
+    """Fraction-free elimination of a matrix of binary forms (Bareiss 1968).
+
+    First-nonzero pivoting with column skipping; each step replaces the
+    entries below and right of the pivot p by (p*a - b*c) / previous pivot,
+    an exact division, so every entry stays a minor of the input and, under
+    a degree profile, a binary form.  Returns the rank, the last pivot and
+    the sign of the row permutation; for a square matrix of full rank the
+    determinant is sign * last pivot.
+    """
+    rows = [[f.coeffs for f in row] for row in entries]
+    if not rows or not rows[0]:
+        return 0, (1,), 1
+    if len(rows) > 1:  # a single row always has a profile
+        _check_profile(rows)
+    nrows, ncols = len(rows), len(rows[0])
+    rank, sign, prev = 0, 1, (1,)
+    for col in range(ncols):
+        for piv in range(rank, nrows):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        p = top[col]
+        shift = _leading_zeros(prev)
+        divisor = prev[shift:]
         for r in range(rank + 1, nrows):
-            if rows[r][col]:
-                lead = rows[r][col]
-                rows[r] = [
-                    _poly_sub(_poly_mul(prow[col], rows[r][c], q), _poly_mul(lead, prow[c], q), q)
-                    for c in range(ncols)
-                ]
+            row = rows[r]
+            lead = row[col]
+            for c in range(col + 1, ncols):
+                num = _poly_mul_sub(p, row[c], lead, top[c], q)
+                if num and rank:  # the first step divides by the constant 1
+                    num = _poly_divmod(num[shift:], divisor, q)[0]
+                row[c] = num
+        prev = p
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, prev, sign
+
+
+def generic_rank(entries: Sequence[Sequence[BinaryForm]]) -> int:
+    """Rank of a matrix of binary forms over the function field F_q(t).
+
+    The entries must have a degree profile (deg entry(i, j) = r_i + c_j at
+    nonzero entries), which keeps every minor a binary form.
+    """
+    if not entries or not entries[0]:
+        return 0
+    return _bareiss(entries, entries[0][0].field.q)[0]
 
 
 def form_determinant(entries: Sequence[Sequence[BinaryForm]], field: PrimeField) -> BinaryForm:
-    """Determinant of a square matrix of binary forms, by Laplace expansion."""
+    """Determinant of a square matrix of binary forms with a degree profile."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return BinaryForm(field, (1,))
-
-    def expand(rows: tuple[int, ...], cols: tuple[int, ...]) -> BinaryForm:
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        acc = BinaryForm.zero(field)
-        r = rows[0]
-        rest = rows[1:]
-        for idx, c in enumerate(cols):
-            e = entries[r][c]
-            if e.is_zero:
-                continue
-            minor = expand(rest, cols[:idx] + cols[idx + 1 :])
-            if minor.is_zero:
-                continue
-            term = e.mul(minor)
-            if idx % 2:
-                term = term.scale(field.q - 1)
-            if acc.is_zero:
-                acc = term
-            else:
-                acc = acc.add(term)
-        return acc
-
-    return expand(tuple(range(n)), tuple(range(n)))
+    rank, pivot, sign = _bareiss(entries, field.q)
+    if rank < n:
+        return BinaryForm.zero(field)
+    return BinaryForm(field, tuple(pivot) if sign > 0 else tuple(-c for c in pivot))

@@ -140,24 +140,35 @@ class SystemInstance:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SystemInstance":
-        field = PrimeField(int(data["q"]))
-        splitting = SplittingType(tuple(int(a) for a in data["splitting"]))
+    def from_json_dict(cls, data: object) -> "SystemInstance":
+        """Parse the instance-file format; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("instance must be a JSON object")
+        if set(data) != {"q", "splitting", "sections"}:
+            raise ValueError(f"instance keys must be q, splitting, sections; got {sorted(data)}")
+        field = PrimeField(_json_int(data["q"], "q"))
+        degrees = _json_list(data["splitting"], "splitting")
+        splitting = SplittingType(tuple(_json_int(a, "splitting degree") for a in degrees))
         sections = []
-        for sec in data["sections"]:
+        for sec in _json_list(data["sections"], "sections"):
             comps = []
-            for a, coeffs in zip(splitting, sec):
-                form = BinaryForm(field, tuple(int(c) for c in coeffs))
-                if not form.is_zero and form.degree != a:
-                    raise ValueError(
-                        f"component coefficient list of length {len(coeffs)} "
-                        f"does not match degree {a}"
-                    )
-                comps.append(form)
-            if len(comps) != splitting.rank:
-                raise ValueError("section component count mismatch")
+            for comp in _json_list(sec, "section"):
+                coeffs = _json_list(comp, "component")
+                comps.append(BinaryForm(field, tuple(_json_int(c, "coefficient") for c in coeffs)))
             sections.append(tuple(comps))
         return cls(field, splitting, tuple(sections))
+
+
+def _json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def _json_int(value: object, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a JSON integer, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,19 @@ from cohsys.stability import sample_instance
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert "error:" in line
 
 
 class TestClassifyCommand:
@@ -117,6 +127,13 @@ class TestVerifyCommand:
         (cell,) = report["cells"]
         assert all(s["expect"] == "stable" and s["agree"] for s in cell["samples"])
 
+    def test_zero_trials_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--n", "2", "--d", "2", "--k", "1", "--trials", "0"
+        )
+        assert_one_line_error(code, err)
+        assert "--trials" in err
+
     def test_containment_rule(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -139,6 +156,11 @@ class TestDeltaCheckCommand:
         assert report["formula"] == expected
         assert report["observed_max"] == expected
         assert report["match_fraction"] >= 0.9
+
+    def test_zero_trials_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "delta-check", "3", "2", "--trials", "0")
+        assert_one_line_error(code, err)
+        assert "--trials" in err
 
 
 class TestCheckInstanceCommand:
@@ -180,6 +202,31 @@ class TestCheckInstanceCommand:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "check-instance", str(path), "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # one component more than the splitting type has
+            {"q": 101, "splitting": [1, 1], "sections": [[[1, 0], [0, 1], [5, 5]]]},
+            {"q": 101, "splitting": [1, 1], "sections": [[[1, 0]]]},
+            {"q": 101, "splitting": [1, 1], "sections": 5},
+            {"q": 101, "splitting": [1, 1], "sections": [5]},
+            {"q": 101, "splitting": [1, 1], "sections": [[[1, 0], [0, None]]]},
+            {"q": 101, "splitting": [1, 1], "sections": [[[1, 0], [0, 1]]], "alpha": 1},
+            {"q": 101, "splitting": [1, 1]},
+            {"q": "101", "splitting": [1, 1], "sections": []},
+            # a prime far above the int64 limit: rejected before any trial division
+            {"q": 2**61 - 1, "splitting": [1, 1], "sections": []},
+            {"q": 101, "splitting": [1, 1], "sections": [[[1, 0], [0, 1, 1]]]},
+            [1, 2],
+        ],
+    )
+    def test_malformed_instance_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-instance", str(path), "1")
+        assert out == ""
+        assert_one_line_error(code, err)
 
 
 class TestCrossCheckCommand:
