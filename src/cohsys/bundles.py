@@ -11,11 +11,18 @@ shows up as a kernel or quotient even though ambient bundles have rank >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-from .exactmath import BinaryForm, FieldMatrix, generic_rank, multiplication_matrix
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .exactmath import (
+    BinaryForm,
+    FieldMatrix,
+    PrimeField,
+    generic_rank,
+    multiplication_matrix,
+    stacked_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -155,20 +162,13 @@ def _validate_profile(
                 )
 
 
-def _twist_kernel_dimension(
+def _twist_matrix(
     source: SplittingType, target: SplittingType, entries: Sequence[Sequence[BinaryForm]], j: int
-) -> int:
-    """dim ker of the induced map on global sections after twisting by O(j)."""
+) -> np.ndarray:
+    """Matrix of the induced map on global sections after twisting by O(j)."""
     col_dims = [max(0, s + j + 1) for s in source]
     row_dims = [max(0, t + j + 1) for t in target]
-    cols = sum(col_dims)
-    rows = sum(row_dims)
-    if cols == 0:
-        return 0
-    if rows == 0:
-        return cols
-    field = entries[0][0].field
-    data = np.zeros((rows, cols), dtype=np.int64)
+    data = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.int64)
     r0 = 0
     for i in range(target.rank):
         c0 = 0
@@ -179,7 +179,58 @@ def _twist_kernel_dimension(
                 data[r0 : r0 + row_dims[i], c0 : c0 + col_dims[jdx]] = block.data
             c0 += col_dims[jdx]
         r0 += row_dims[i]
-    return FieldMatrix(field, data).kernel_dimension()
+    return data
+
+
+def _twist_kernel_dimension(field: PrimeField | None, stack: np.ndarray) -> np.ndarray:
+    """dim ker of each twist matrix in a stack of shape (N, rows, cols).
+
+    A stack of one goes through ``FieldMatrix.rank``, which is faster alone;
+    the field may be None when the matrices have no rows or no columns.
+    """
+    count, rows, cols = stack.shape
+    if not (rows and cols):
+        return np.full(count, cols, dtype=np.int64)
+    if count == 1:
+        return np.array([cols - FieldMatrix(field, stack[0]).rank()])
+    return cols - stacked_rank(field, stack)
+
+
+def _count_scan(
+    source: SplittingType,
+    target: SplittingType,
+    rhos: Sequence[int],
+    probe: Callable[[list[int], int], np.ndarray],
+) -> list[list[int]]:
+    """Kernel summand degrees of a stack of maps source -> target.
+
+    ``probe(live, j)`` gives h(j), the kernel dimension on global sections at
+    twist j, for the maps indexed by ``live``.  The first difference
+    c(j) = h(j) - h(j-1) counts the kernel summands of degree >= -j.  Counts
+    start at zero below -max(source), are monotone, and end at the kernel
+    rank rho, so a map leaves the stack once its counts reach its rho.  The
+    window bound is a tripwire only; reaching it would signal a bug, not bad
+    input.
+    """
+    bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
+    window_hi = 2 * bound + 2
+    j = -max(source.degrees) - 1
+    degrees: list[list[int]] = [[] for _ in rhos]
+    prev_h = [0] * len(rhos)
+    prev_c = [0] * len(rhos)
+    live = [m for m, rho in enumerate(rhos) if rho > 0]
+    while live:
+        j += 1
+        if j > window_hi:
+            raise RuntimeError("kernel probe counts failed to stabilize inside the safe window")
+        for m, h in zip(live, probe(live, j).tolist()):
+            c = h - prev_h[m]
+            if c < prev_c[m]:
+                raise RuntimeError("kernel probe counts are not monotone; elimination bug")
+            degrees[m] += [-j] * (c - prev_c[m])
+            prev_h[m], prev_c[m] = h, c
+        live = [m for m in live if prev_c[m] < rhos[m]]
+    return degrees
 
 
 def kernel_splitting(
@@ -188,38 +239,20 @@ def kernel_splitting(
     """Splitting type of the kernel subbundle of a map given by a form matrix.
 
     Entry (i, j) must be a form of degree target_i - source_j (or zero).  The
-    kernel N = O(b_1) + ... + O(b_r) is recovered from the section counts of
-    its twists: with h(j) = dim ker on global sections at twist j, the first
-    difference h(j) - h(j-1) counts the summands with b_i >= -j.  Counts are
-    monotone in j, start at zero below -max(source), and reach the kernel rank
-    (known independently from the generic rank over F_q(t)), so the scan stops
-    as soon as every summand is accounted for.  The window bound is a tripwire
-    only; reaching it would signal a bug, not bad input.
+    kernel N = O(b_1) + ... + O(b_r) is recovered by ``_count_scan`` from the
+    section counts of its twists; its rank is known independently from the
+    generic rank over F_q(t).
     """
     _validate_profile(source, target, entries)
     if source.rank == 0:
         return SplittingType(())
     rho = source.rank - generic_rank(entries)
-    if rho == 0:
-        return SplittingType(())
-    bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
-    window_hi = 2 * bound + 2
-    max_s = max(source.degrees)
-    degrees: list[int] = []
-    prev_h = 0  # h(-max_s - 1) = 0: every summand degree is <= max_s
-    prev_c = 0
-    j = -max_s - 1
-    while prev_c < rho:
-        j += 1
-        if j > window_hi:
-            raise RuntimeError("kernel probe counts failed to stabilize inside the safe window")
-        h = _twist_kernel_dimension(source, target, entries, j)
-        c = h - prev_h
-        if c < prev_c:
-            raise RuntimeError("kernel probe counts are not monotone; elimination bug")
-        degrees.extend([-j] * (c - prev_c))
-        prev_h = h
-        prev_c = c
+    field = entries[0][0].field if entries else None
+
+    def probe(live: list[int], j: int) -> np.ndarray:
+        return _twist_kernel_dimension(field, _twist_matrix(source, target, entries, j)[None])
+
+    (degrees,) = _count_scan(source, target, [rho], probe)
     return SplittingType(tuple(degrees))
 
 
@@ -250,9 +283,120 @@ def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> Satu
     target = SplittingType((0,) * w)
     # source index j corresponds to original component n-1-j (dual reverses order)
     entries = [[live[i][n - 1 - jdx] for jdx in range(n)] for i in range(w)]
-    kern = kernel_splitting(source, target, entries)
+    return _saturation(e, kernel_splitting(source, target, entries))
+
+
+def combine_sections(
+    field: PrimeField, rank: int, sections: Sequence[Sequence[BinaryForm]], coeffs: Sequence[int]
+) -> tuple[BinaryForm, ...]:
+    """The section sum(coeffs[l] * sections[l]) of a bundle of the given rank."""
+    out = []
+    for i in range(rank):
+        acc = BinaryForm.zero(field)
+        for c, s in zip(coeffs, sections):
+            if c % field.q:
+                acc = acc.add(s[i].scale(c))
+        out.append(acc)
+    return tuple(out)
+
+
+def _saturation(e: SplittingType, kern: SplittingType) -> SaturationResult:
+    """The saturation F with E/F = N*, from the kernel N of the dual pairing."""
     return SaturationResult(
-        rank=n - kern.rank,
+        rank=e.rank - kern.rank,
         degree=e.degree + kern.degree,
         quotient_type=kern.dual(),
     )
+
+
+def _combine(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
+    """sum over l of bases[..., l] * mats[l], mod q, for a stack of bases.
+
+    Each product is reduced before the sum, since k * q**2 overflows int64
+    for q near 2**31.
+    """
+    spread = (Ellipsis,) + (None,) * (mats.ndim - 1)
+    out = np.zeros(bases.shape[:-1] + mats.shape[1:], dtype=np.int64)
+    term = np.empty_like(out)
+    for idx, mat in enumerate(mats):
+        np.multiply(bases[..., idx][spread], mat, out=term)
+        out += np.remainder(term, q, out=term)
+    return np.remainder(out, q, out=out)
+
+
+class SectionPairing:
+    """Saturations of the subspaces W of a section space V, a stack at a time.
+
+    ``saturate`` finds the saturation of W through the kernel of the pairing
+    E* -> O^w against the sections of W, probed on global sections of each
+    twist j.  That twist matrix is linear in the sections: for W spanned by
+    the rows of B V, M_j(W) = (B (x) I_{j+1}) M_j(V).  So M_j(V) is built once
+    per twist, and all W of one dimension are ranked in one stacked
+    elimination.
+    """
+
+    def __init__(
+        self, field: PrimeField, e: SplittingType, sections: Sequence[Sequence[BinaryForm]]
+    ) -> None:
+        self.field = field
+        self.e = e
+        self.sections = [tuple(s) for s in sections]
+        self._pairings: dict[int, np.ndarray] = {}
+        # component values of each section at (1 : 0), (0 : 1) and (1 : 1)
+        self._point_values = [
+            np.array([[f.evaluate(b, c) for f in s] for s in sections], dtype=np.int64)
+            .reshape(len(sections), e.rank)
+            for b, c in ((1, 0), (0, 1), (1, 1))
+        ]
+
+    def at(self, j: int) -> np.ndarray:
+        """M_j(V), shape (k, j + 1, cols): section l's twist matrix in slice l."""
+        if j not in self._pairings:
+            one = SplittingType((0,))
+            # saturate's column order: the dual reverses the components
+            self._pairings[j] = np.stack(
+                [_twist_matrix(self.e.dual(), one, [s[::-1]], j) for s in self.sections]
+            )
+        return self._pairings[j]
+
+    def _generic_ranks(self, bases: np.ndarray) -> list[int]:
+        """Generic rank of the w x n form matrix of each span.
+
+        The values of a span at a point of P^1(F_q) have rank at most its
+        generic rank, itself at most min(w, n).  So values of full rank at
+        (1 : 0), (0 : 1) or (1 : 1) settle it; ``generic_rank`` decides the rest.
+        """
+        full = min(bases.shape[1], self.e.rank)
+        ranks = np.zeros(len(bases), dtype=np.int64)
+        for values in self._point_values:
+            spans = _combine(bases, values, self.field.q)
+            ranks = np.maximum(ranks, stacked_rank(self.field, spans))
+        ranks = ranks.tolist()
+        for m, basis in enumerate(bases.tolist()):
+            if ranks[m] < full:
+                rows = [combine_sections(self.field, self.e.rank, self.sections, b) for b in basis]
+                ranks[m] = generic_rank(rows)
+        return ranks
+
+    def saturate_stack(self, bases: np.ndarray) -> list[SaturationResult]:
+        """``saturate`` of the span of B V, for each w x k basis B in the stack.
+
+        For w = 1 the section must be nonzero: its kernel rank rho is n - 1.
+        For w >= 2, rho is n minus the generic rank of the span.  The stack is
+        ranked whole, so its size bounds the memory held.
+        """
+        bases = np.asarray(bases, dtype=np.int64)
+        count, w, _ = bases.shape
+        n, q = self.e.rank, self.field.q
+        if w == 1:
+            rhos = [n - 1] * count
+        else:
+            rhos = [n - g for g in self._generic_ranks(bases)]
+
+        def probe(live: list[int], j: int) -> np.ndarray:
+            _, rows, cols = self.at(j).shape
+            stack = _combine(bases[live], self.at(j), q).reshape(len(live), w * rows, cols)
+            return _twist_kernel_dimension(self.field, stack)
+
+        kernels = _count_scan(self.e.dual(), SplittingType((0,) * w), rhos, probe)
+        return [_saturation(self.e, SplittingType(tuple(kern))) for kern in kernels]

@@ -17,6 +17,7 @@ from typing import NoReturn
 
 from .classification import AlphaInterval, Status, Verdict, classify, cross_check
 from .delta import delta_bruteforce, delta_closure, delta_formula, sample_delta_input
+from .exactmath import PrimeField
 from .numerology import decompose
 from .stability import (
     SystemInstance,
@@ -41,8 +42,17 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
-def _parse_fractions(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+def fraction(text: str) -> Fraction:
+    """argparse type for an exact rational such as 5/2; a zero denominator is refused."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
+
+
+def fractions(text: str) -> tuple[Fraction, ...]:
+    """argparse type for a comma-separated list of fractions."""
+    return tuple(fraction(part) for part in text.split(",") if part.strip())
 
 
 def positive_int(text: str) -> int:
@@ -51,6 +61,22 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+def prime_modulus(text: str) -> int:
+    """argparse type for a field modulus: a prime below 2**31."""
+    try:
+        return PrimeField(int(text)).q
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
 @dataclass
@@ -330,8 +356,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         alpha_rule=args.alpha_rule,
-        alphas=_parse_fractions(args.alphas) if args.alphas else (),
-        min_stable_frac=Fraction(args.min_stable_frac),
+        alphas=args.alphas,
+        min_stable_frac=args.min_stable_frac,
         empty_samples=args.empty_samples,
         force_large=args.force_large,
         require_generation=args.require_generation,
@@ -372,7 +398,7 @@ def _cmd_check_instance(args: argparse.Namespace) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     inst = SystemInstance.from_json_dict(data)
-    report = is_alpha_stable(inst, Fraction(args.alpha), args.force_large)
+    report = is_alpha_stable(inst, args.alpha, args.force_large)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
@@ -414,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--q", type=int, default=101)
+    p.add_argument("--q", type=prime_modulus, default=101)
     p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -422,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["interval-midpoint", "cell-midpoints", "explicit"],
         default="interval-midpoint",
     )
-    p.add_argument("--alphas", default="", help="comma-separated exact fractions")
-    p.add_argument("--min-stable-frac", default="4/5")
-    p.add_argument("--empty-samples", type=int, default=10)
+    p.add_argument("--alphas", type=fractions, default=(), help="comma-separated exact fractions")
+    p.add_argument("--min-stable-frac", type=fraction, default=Fraction(4, 5))
+    p.add_argument("--empty-samples", type=nonnegative_int, default=10)
     p.add_argument("--force-large", action="store_true")
     p.add_argument("--require-generation", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -432,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-check", help="pencil-rank formula vs oracle")
     p.add_argument("a", type=int)
     p.add_argument("t", type=int)
-    p.add_argument("--q", type=int, default=101)
+    p.add_argument("--q", type=prime_modulus, default=101)
     p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_delta_check)
 
     p = sub.add_parser("check-instance", help="stability report for an instance file")
     p.add_argument("path")
-    p.add_argument("alpha")
+    p.add_argument("alpha", type=fraction)
     p.add_argument("--force-large", action="store_true")
     p.set_defaults(func=_cmd_check_instance)
 

@@ -13,7 +13,8 @@ Conventions used throughout the package:
 
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
 pivoting; over an exact field there is no stability concern and the pivot
-rule keeps runs reproducible.  Matrices of binary forms go through one
+rule keeps runs reproducible; ``stacked_rank`` runs one such elimination for
+a whole stack of matrices of one shape.  Matrices of binary forms go through one
 fraction-free elimination over F_q[x, y], which gives both their generic rank
 and their determinant.
 """
@@ -241,6 +242,53 @@ class FieldMatrix:
 
     def kernel_dimension(self) -> int:
         return self.cols - self.rank()
+
+
+def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of matrices over F_q, shape (N, rows, cols), in one elimination.
+
+    Each matrix keeps its own row counter, which is its rank so far, and picks
+    its own pivot: the first row at or below the counter that is nonzero in
+    the current column.  Rows below the pivot are cleared by the
+    cross-multiplication row := p * row - row[col] * pivot_row, which needs no
+    inverse and keeps every product below q**2 < 2**62.  One matrix alone is
+    faster through ``FieldMatrix.rank``.
+    """
+    q = field.q
+    if np.ndim(stack) != 3:
+        raise ValueError("a stack of matrices must be 3-dimensional")
+    a = np.asarray(stack, dtype=np.int64) % q
+    count, nrows, ncols = a.shape
+    rank = np.zeros(count, dtype=np.int64)
+    if not (count and nrows and ncols):
+        return rank
+    rows = np.arange(nrows)
+    mats = np.arange(count)
+    for col in range(ncols):
+        # rows above the smallest counter hold finished pivots in every matrix
+        low = int(rank.min())
+        block = a[:, low:, col:]
+        local = rows[: nrows - low]
+        offset = rank[:, None] - low
+        found = (block[:, :, 0] != 0) & (local >= offset)
+        has = found.any(axis=1)
+        if not has.any():
+            continue
+        top = np.minimum(offset[:, 0], nrows - low - 1)
+        piv = np.where(has, found.argmax(axis=1), top)
+        pivot_row = block[mats, piv]
+        block[mats, piv] = block[mats, top]
+        block[mats, top] = pivot_row
+        below = (local > offset) & has[:, None]
+        mult = np.where(below, block[:, :, 0], 0)[:, :, None]
+        scale = np.where(below, pivot_row[:, :1], 1)[:, :, None]
+        block *= scale
+        block -= mult * pivot_row[:, None, :]
+        np.remainder(block, q, out=block)
+        rank += has
+        if rank.min() == nrows:
+            break
+    return rank
 
 
 def multiplication_matrix(f: BinaryForm, j: int) -> FieldMatrix:

@@ -37,9 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .bundles import (
+    SaturationResult,
+    SectionPairing,
     SplittingType,
     cohomology,
+    combine_sections,
     generic_splitting,
     kernel_splitting,
     max_subbundle_degree,
@@ -53,6 +58,9 @@ from .exactmath import BinaryForm, FieldMatrix, PrimeField
 # q^(w(k-w)) reduced-echelon representatives.
 COST_GUARD_MAX_K = 3
 COST_GUARD_MAX_Q = 31
+# Subspaces of one dimension are saturated in stacks of at most this many,
+# which bounds the memory one stacked elimination holds.
+STACK_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -120,14 +128,7 @@ class SystemInstance:
 
     def combine(self, coeffs: Sequence[int]) -> tuple[BinaryForm, ...]:
         """The section sum(coeffs[j] * sections[j]) componentwise."""
-        out = []
-        for i in range(self.n):
-            acc = BinaryForm.zero(self.field)
-            for c, s in zip(coeffs, self.sections):
-                if c % self.q:
-                    acc = acc.add(s[i].scale(c))
-            out.append(acc)
-        return tuple(out)
+        return combine_sections(self.field, self.n, self.sections, coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,14 +262,26 @@ def _check_cost_guard(inst: SystemInstance, allow_large: bool) -> None:
         )
 
 
+def _saturations(
+    inst: SystemInstance, pairing: SectionPairing, w: int
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], SaturationResult]]:
+    """(basis, saturation) for every w-subspace, in enumeration order."""
+    bases = echelon_bases(inst.k, w, inst.q)
+    if w in (0, inst.k):  # one subspace: its single matrix is ranked alone
+        (basis,) = bases
+        yield basis, saturate(inst.splitting, [inst.combine(row) for row in basis])
+        return
+    while chunk := list(itertools.islice(bases, STACK_CAP)):
+        yield from zip(chunk, pairing.saturate_stack(np.array(chunk)))
+
+
 @functools.lru_cache(maxsize=4096)
 def _rational_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     n, k = inst.n, inst.k
+    pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
     best: dict[tuple[int, int], Candidate] = {}
     for w in range(k + 1):
-        for basis in echelon_bases(k, w, inst.q):
-            combos = [inst.combine(row) for row in basis]
-            sat = saturate(inst.splitting, combos)
+        for basis, sat in _saturations(inst, pairing, w):
             for r in range(max(sat.rank, 1), n + 1):
                 if (r, w) == (n, k):
                     continue

@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsys.bundles import (
     HNPolygon,
+    _combine,
+    _twist_matrix,
+    SectionPairing,
     SplittingType,
     cohomology,
     endomorphism_type,
@@ -15,7 +19,11 @@ from cohsys.bundles import (
     saturate,
     shatz_embedding_exists,
 )
-from cohsys.exactmath import BinaryForm, PrimeField, vanishing_divisor_degree
+from cohsys.exactmath import (
+    BinaryForm,
+    PrimeField,
+    vanishing_divisor_degree,
+)
 from cohsys.numerology import decompose
 
 F = PrimeField(101)
@@ -219,3 +227,71 @@ class TestSaturate:
             cur = (res.rank, res.degree)
             assert cur >= prev
             prev = cur
+
+
+def span_sections(field, t, vectors, basis):
+    """The sections sum_l basis[i][l] * vectors[l], split into components."""
+    q = field.q
+    out = []
+    for row in basis:
+        vec = [sum(c * v[i] for c, v in zip(row, vectors)) % q for i in range(len(vectors[0]))]
+        comps, pos = [], 0
+        for a in t:
+            dim = max(0, a + 1)
+            comps.append(BinaryForm(field, tuple(vec[pos : pos + dim])))
+            pos += dim
+        out.append(tuple(comps))
+    return out
+
+
+class TestSectionPairing:
+    """The stacked saturation against ``saturate`` of each span on its own."""
+
+    @given(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=4),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_saturate(self, degrees, q, k, w, seed):
+        field = PrimeField(q)
+        t = SplittingType(tuple(sorted(degrees, reverse=True)))
+        rng = random.Random(seed)
+        h0 = sum(max(0, a + 1) for a in t)
+        vectors = [[rng.randrange(q) for _ in range(h0)] for _ in range(k)]
+        # arbitrary coefficient rows, dependent ones included; at q = 2**31 - 1
+        # their large residues exercise the overflow rule of the combination
+        bases = [[[rng.randrange(q) for _ in range(k)] for _ in range(w)] for _ in range(6)]
+        spans = [span_sections(field, t, vectors, basis) for basis in bases]
+        if w == 1:  # rho = n - 1 needs a nonzero section
+            keep = [i for i, (sec,) in enumerate(spans) if any(not f.is_zero for f in sec)]
+            bases = [bases[i] for i in keep]
+            spans = [spans[i] for i in keep]
+        if not bases:
+            return
+        sections = span_sections(field, t, vectors, np.eye(k, dtype=int).tolist())
+        got = SectionPairing(field, t, sections).saturate_stack(np.array(bases))
+        assert got == [saturate(t, secs) for secs in spans]
+
+    @pytest.mark.parametrize("q", [3, 2**31 - 1])
+    def test_twist_matrix_is_linear_in_the_sections(self, q):
+        # M_j(W) = (B (x) I_{j+1}) M_j(V), the identity the stack rests on
+        field = PrimeField(q)
+        rng = random.Random(q)
+        t = SplittingType.of(3, 1, 0, -1)
+        h0 = sum(max(0, a + 1) for a in t)
+        vectors = [[rng.randrange(q) for _ in range(h0)] for _ in range(3)]
+        sections = span_sections(field, t, vectors, np.eye(3, dtype=int).tolist())
+        pairing = SectionPairing(field, t, sections)
+        basis = [[rng.randrange(q) for _ in range(3)] for _ in range(2)]
+        one = SplittingType.of(0)
+        for j in range(-2, 6):
+            m = pairing.at(j)
+            got = _combine(np.array([basis]), m, q).reshape(2 * m.shape[1], m.shape[2])
+            want = [
+                _twist_matrix(t.dual(), one, [list(reversed(sec))], j)
+                for sec in span_sections(field, t, vectors, basis)
+            ]
+            assert (got == np.vstack(want)).all()

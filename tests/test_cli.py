@@ -134,6 +134,32 @@ class TestVerifyCommand:
         assert_one_line_error(code, err)
         assert "--trials" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--alpha-rule", "explicit", "--alphas", "1/0"],
+            ["--alpha-rule", "explicit", "--alphas", "1/2,1/0"],
+            ["--min-stable-frac", "1/0"],
+            # a composite modulus used to skip every cell and pass vacuously
+            ["--q", "4"],
+            ["--q", "2147483648"],
+            ["--empty-samples", "-3"],
+        ],
+    )
+    def test_bad_argument_exits_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--d", "2", "--k", "1", *extra)
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert extra[-2] in err
+
+    def test_zero_empty_samples_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--d", "2", "--k", "1", "--trials", "1",
+            "--empty-samples", "0",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["empty_samples"] == 0
+
     def test_containment_rule(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -161,6 +187,11 @@ class TestDeltaCheckCommand:
         code, _, err = run_cli(capsys, "delta-check", "3", "2", "--trials", "0")
         assert_one_line_error(code, err)
         assert "--trials" in err
+
+    def test_composite_modulus_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "delta-check", "3", "2", "--q", "9")
+        assert_one_line_error(code, err)
+        assert "--q" in err
 
 
 class TestCheckInstanceCommand:
@@ -196,6 +227,13 @@ class TestCheckInstanceCommand:
         for alpha in ("1/2", "1", "4"):
             _, out, _ = run_cli(capsys, "check-instance", str(path), alpha)
             assert not json.loads(out)["stable"]
+
+    @pytest.mark.parametrize("alpha", ["1/0", "0/0", "abc"])
+    def test_bad_weight_exits_2(self, capsys, fixture_path, alpha):
+        code, out, err = run_cli(capsys, "check-instance", fixture_path, alpha)
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert "alpha" in err
 
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

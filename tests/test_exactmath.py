@@ -17,6 +17,7 @@ from cohsys.exactmath import (
     form_determinant,
     generic_rank,
     multiplication_matrix,
+    stacked_rank,
     vanishing_divisor_degree,
 )
 
@@ -179,6 +180,63 @@ class TestKernelDimension:
                 F101, [[rng.randrange(101) for _ in range(5)] for _ in range(3)]
             )
             assert m.rank() == FieldMatrix(F101, m.data.T).rank()
+
+
+def per_matrix_ranks(field, stack):
+    return [FieldMatrix(field, m).rank() for m in stack]
+
+
+class TestStackedRank:
+    @given(
+        st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1]),
+        st.integers(0, 5),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_field_matrix_rank(self, q, count, rows, cols, seed):
+        field = PrimeField(q)
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(0, q, size=(count, rows, cols), dtype=np.int64)
+        stack[rng.random(stack.shape) < rng.random()] = 0  # sparse to all-zero
+        if rows >= 2:
+            # rank-deficient matrices: the last row combines the first two
+            dependent = rng.random(count) < 0.5
+            combo = (stack[:, 0] * 3 % q + stack[:, 1] * (q - 1) % q) % q
+            stack[dependent, -1] = combo[dependent]
+        assert stacked_rank(field, stack).tolist() == per_matrix_ranks(field, stack)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 0, 4), (3, 4, 0), (0, 4, 4), (2, 3, 3), (4, 9, 2), (4, 2, 9)]
+    )
+    def test_shapes(self, shape):
+        # empty rows, empty columns, an empty stack, square, tall and wide
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.integers(0, 7, size=shape, dtype=np.int64)
+        assert stacked_rank(F7, stack).tolist() == per_matrix_ranks(F7, stack)
+
+    def test_all_zero_and_full_rank_side_by_side(self):
+        stack = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)])
+        assert stacked_rank(F7, stack).tolist() == [0, 3]
+
+    def test_q2_rank_deficient(self):
+        f2 = PrimeField(2)
+        stack = np.array([[[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]])
+        assert stacked_rank(f2, stack).tolist() == [2, 2]
+
+    def test_largest_modulus_does_not_overflow(self):
+        # residues q - 1 make every cross product (q - 1)**2, just below 2**62
+        q = 2**31 - 1
+        field = PrimeField(q)
+        top = np.full((4, 4), q - 1, dtype=np.int64)
+        top[np.arange(4), np.arange(4)] = q - 2
+        stack = np.stack([top, np.full((4, 4), q - 1, dtype=np.int64)])
+        assert stacked_rank(field, stack).tolist() == per_matrix_ranks(field, stack) == [4, 1]
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError):
+            stacked_rank(F7, np.eye(3, dtype=np.int64))
 
 
 class TestMultiplicationMatrix:

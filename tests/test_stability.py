@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohsys.bundles import SplittingType, saturate
+from cohsys.bundles import SplittingType, max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import BinaryForm, PrimeField, vanishing_divisor_degree
 from cohsys.stability import (
+    Candidate,
     SystemInstance,
+    _rational_candidates,
     check_global_generation,
     critical_alphas,
     echelon_bases,
@@ -276,3 +280,62 @@ class TestCandidates:
             if (res.rank, res.degree) == (2, 0):
                 hits += 1
         assert hits >= 8
+
+
+def per_subspace_candidates(inst):
+    """Reference enumeration: combine and saturate each subspace on its own."""
+    n, k = inst.n, inst.k
+    best = {}
+    for w in range(k + 1):
+        for basis in echelon_bases(k, w, inst.q):
+            sat = saturate(inst.splitting, [inst.combine(row) for row in basis])
+            for r in range(max(sat.rank, 1), n + 1):
+                if (r, w) == (n, k):
+                    continue
+                e = sat.degree + max_subbundle_degree(sat.quotient_type, r - sat.rank)
+                cur = best.get((r, w))
+                if cur is None or e > cur.degree:
+                    best[(r, w)] = Candidate(r, e, w, basis)
+    return tuple(best[key] for key in sorted(best))
+
+
+def random_instance(degrees, k, q, seed):
+    """Independent random sections of the given type, or None if none turn up."""
+    field = PrimeField(q)
+    t = SplittingType(tuple(sorted(degrees, reverse=True)))
+    rng = random.Random(seed)
+    for _ in range(20):
+        secs = tuple(
+            tuple(
+                BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
+                for a in t
+            )
+            for _ in range(k)
+        )
+        try:
+            return SystemInstance(field, t, secs)
+        except ValueError:  # dependent sections, or k > h0
+            continue
+    return None
+
+
+class TestStackedEnumeration:
+    @given(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=4),
+        st.integers(1, 3),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_subspace_loop(self, degrees, k, q, seed):
+        inst = random_instance(degrees, k, q, seed)
+        if inst is None:
+            return
+        # bypass the cache: a hit would not run the enumeration under test
+        assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
+
+    @pytest.mark.parametrize("n,d,k,q", [(4, 14, 2, 101), (3, 3, 4, 5), (2, 2, 3, 31)])
+    def test_matches_on_benchmark_shapes(self, n, d, k, q):
+        # (2, 2, 3) over F_31 has 993 subspaces of dimension 1, several stacks
+        inst = sample_instance(n, d, k, q, 1)
+        assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
