@@ -10,6 +10,7 @@ shows up as a kernel or quotient even though ambient bundles have rank >= 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,14 +51,6 @@ class SplittingType:
     def dual(self) -> "SplittingType":
         return SplittingType(tuple(-a for a in reversed(self.degrees)))
 
-    def hn_polygon(self) -> "HNPolygon":
-        prefix = []
-        acc = 0
-        for a in self.degrees:
-            acc += a
-            prefix.append(acc)
-        return HNPolygon(tuple(prefix))
-
     def __iter__(self):
         return iter(self.degrees)
 
@@ -66,28 +59,6 @@ class SplittingType:
 
     def __getitem__(self, i):
         return self.degrees[i]
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(a) for a in self.degrees) + ")"
-
-
-@dataclass(frozen=True)
-class HNPolygon:
-    """Prefix sums of a sorted degree tuple; concave by construction."""
-
-    prefix_sums: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.prefix_sums
-        for i in range(1, len(p) - 1):
-            if p[i + 1] - p[i] > p[i] - p[i - 1]:
-                raise ValueError("prefix sums are not concave")
-
-    def dominates(self, other: "HNPolygon") -> bool:
-        """Pointwise >= comparison against a polygon of the same rank."""
-        if len(self.prefix_sums) != len(other.prefix_sums):
-            raise ValueError("polygons of different ranks are not comparable")
-        return all(a >= b for a, b in zip(self.prefix_sums, other.prefix_sums))
 
 
 @dataclass(frozen=True)
@@ -139,7 +110,7 @@ def shatz_embedding_exists(e: SplittingType, g: SplittingType, k: int) -> bool:
     if g.rank + k != n:
         raise ValueError(f"rank mismatch: {g.rank} + {k} != {n}")
     f = SplittingType(tuple(sorted(g.degrees + (0,) * k, reverse=True)))
-    if not f.hn_polygon().dominates(e.hn_polygon()):
+    if any(pf < pe for pf, pe in zip(itertools.accumulate(f), itertools.accumulate(e))):
         return False
     return all((f[i] > e[i]) == (i < n - k) for i in range(n))
 
@@ -256,6 +227,16 @@ def kernel_splitting(
     return SplittingType(tuple(degrees))
 
 
+def check_section_degrees(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> None:
+    """Raise unless each section has one component per summand O(a), zero or of degree a."""
+    for s in sections:
+        if len(s) != e.rank:
+            raise ValueError(f"section has {len(s)} components, expected {e.rank}")
+        for i, f in enumerate(s):
+            if not f.is_zero and f.degree != e[i]:
+                raise ValueError(f"section component {i} has degree {f.degree}, expected {e[i]}")
+
+
 def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> SaturationResult:
     """Invariants of the minimal subbundle whose sections contain the span.
 
@@ -264,18 +245,9 @@ def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> Satu
     saturation, of rank n - rk N and degree deg E + deg N, with E/F = N*.
     Zero sections are ignored.
     """
+    check_section_degrees(e, sections)
     n = e.rank
-    live = []
-    for s in sections:
-        if len(s) != n:
-            raise ValueError(f"section has {len(s)} components, expected {n}")
-        for i, f in enumerate(s):
-            if not f.is_zero and f.degree != e[i]:
-                raise ValueError(
-                    f"section component {i} has degree {f.degree}, expected {e[i]}"
-                )
-        if any(not f.is_zero for f in s):
-            live.append(s)
+    live = [s for s in sections if any(not f.is_zero for f in s)]
     if not live:
         return SaturationResult(0, 0, e)
     w = len(live)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .numerology import Numerology, beta_nonnegative_threshold, brill_noether, decompose
+from .numerology import beta_nonnegative_threshold, brill_noether, decompose
 
 
 @dataclass(frozen=True)
@@ -159,39 +159,35 @@ class Verdict:
         }
 
 
-def necessary_region(n: int, d: int, k: int) -> AlphaInterval:
-    """Intersection of all necessary conditions on the weight.
+def slope_bounds(n: int, d: int, k: int) -> AlphaInterval:
+    """The open region cut out by the slope bounds alone.
 
-    alpha > max(0, t/k) always; alpha < d/(n-k) - mn/(k(n-k)) when k < n.
-    Empty when d <= 0, beta < 0, or (k < n and the bounds cross, which is
-    exactly l <= 0).
+    t/k < alpha < d/(n-k) - mn/(k(n-k)) when k < n, which is empty exactly
+    when l <= 0 since the width is n*l/k; alpha > t/k when k >= n, empty
+    when d <= 0.
     """
     if n < 2:
         raise ValueError("rank n must be >= 2")
     if k < 1:
         raise ValueError("section count k must be >= 1")
     num = decompose(n, d, k)
-    if d <= 0 or num.beta < 0:
-        return AlphaInterval.EMPTY
-    lower = max(Fraction(0), Fraction(num.t, k))
+    lower = Fraction(num.t, k)
     if k < n:
-        if num.l <= 0:
-            return AlphaInterval.EMPTY
-        upper = Fraction(d, n - k) - Fraction(num.m * n, k * (n - k))
-        return AlphaInterval.open_interval(lower, upper)
-    return AlphaInterval.open_interval(lower, None)
+        return AlphaInterval.open_interval(
+            lower, Fraction(d, n - k) - Fraction(num.m * n, k * (n - k))
+        )
+    return AlphaInterval.EMPTY if d <= 0 else AlphaInterval.open_interval(lower, None)
 
 
-def _k1_interval(num: Numerology) -> AlphaInterval:
-    n = num.n
-    upper = Fraction(num.d, n - 1) - Fraction(num.m * n, n - 1)
-    return AlphaInterval.open_interval(Fraction(num.t), upper)
+def necessary_region(n: int, d: int, k: int) -> AlphaInterval:
+    """Intersection of all necessary conditions on the weight.
 
-
-def _k2_interval(num: Numerology) -> AlphaInterval:
-    n = num.n
-    upper = Fraction(num.d, n - 2) - Fraction(num.m * n, 2 * (n - 2))
-    return AlphaInterval.open_interval(Fraction(num.t, 2), upper)
+    Empty when d <= 0 or beta < 0, otherwise the slope bounds.
+    """
+    bounds = slope_bounds(n, d, k)
+    if d <= 0 or brill_noether(n, d, k) < 0:
+        return AlphaInterval.EMPTY
+    return bounds
 
 
 def k2_degree_bound(n: int) -> Fraction:
@@ -229,35 +225,22 @@ def _semistable_notes_k2(n: int, d: int) -> tuple[tuple[AlphaInterval, str], ...
 
 def classify(n: int, d: int, k: int) -> Verdict:
     """Decision procedure for non-emptiness of the stable-pair moduli."""
-    if n < 2:
-        raise ValueError("rank n must be >= 2")
-    if k < 1:
-        raise ValueError("section count k must be >= 1")
-    num = decompose(n, d, k)
     necessary = necessary_region(n, d, k)
-    beta = num.beta
+    num = decompose(n, d, k)
 
     def verdict(status, stable, notes=(), remarks=()):
-        return Verdict(n, d, k, status, stable, necessary, beta, tuple(notes), tuple(remarks))
+        return Verdict(n, d, k, status, stable, necessary, num.beta, tuple(notes), tuple(remarks))
 
-    if k == 1:
-        interval = _k1_interval(num)
-        if interval.empty:
-            return verdict(Status.EMPTY, AlphaInterval.EMPTY)
-        return verdict(Status.EXACT, interval)
-
-    if k == 2 and n >= 3:
-        interval = _k2_interval(num) if num.l > 0 else AlphaInterval.EMPTY
-        bn_ok = Fraction(d) >= k2_degree_bound(n)
-        if not interval.empty and bn_ok and (n, d) != (4, 6):
-            return verdict(Status.EXACT, interval)
-        return verdict(Status.EMPTY, AlphaInterval.EMPTY, notes=_semistable_notes_k2(n, d))
+    if k == 1 or (k == 2 and n >= 3):
+        # the necessary conditions are sufficient here, (4, 6) excepted
+        if not necessary.empty and (k, n, d) != (2, 4, 6):
+            return verdict(Status.EXACT, necessary)
+        notes = _semistable_notes_k2(n, d) if k == 2 else ()
+        return verdict(Status.EMPTY, AlphaInterval.EMPTY, notes=notes)
 
     if k == 2 and n == 2:
         if d > 2:
-            return verdict(
-                Status.EXACT, AlphaInterval.open_interval(Fraction(num.t, 2), None)
-            )
+            return verdict(Status.EXACT, slope_bounds(n, d, k))
         return verdict(Status.EMPTY, AlphaInterval.EMPTY)
 
     if k == n - 1 and k >= 3:
@@ -344,10 +327,10 @@ class CrossCheckReport:
 def cross_check(n: int, d: int) -> CrossCheckReport:
     """Consistency of the overlapping case rules on a fixed (n, d).
 
-    Where the exact k = 2 rule overlaps the k = n - 1 family (n = 3), their
-    upper bounds must coincide at d; the degree thresholds of the dimension
-    count and the k = 2 rule are one identity in disguise; (4, 6) is flagged
-    as the exceptional pair.
+    Where the exact k = 1 and k = 2 rules overlap the k = n - 1 family
+    (n = 2 and n = 3), both must be non-empty exactly when d >= n, with upper
+    bound d; the degree thresholds of the dimension count and the k = 2 rule
+    are one identity in disguise; (4, 6) is flagged as the exceptional pair.
     """
     if n < 2:
         raise ValueError("rank n must be >= 2")
@@ -357,20 +340,11 @@ def cross_check(n: int, d: int) -> CrossCheckReport:
     entries.append(
         CheckEntry("k2-degree-thresholds", str(lhs), str(rhs), lhs == rhs)
     )
-    if n == 3:
-        num = decompose(3, d, 2)
-        upper = Fraction(d, 1) - Fraction(num.m * 3, 2)
+    if n in (2, 3):
+        exact = classify(n, d, n - 1).stable_interval
+        left = "empty" if exact.empty else str(exact.upper)
+        right = str(d) if d >= n else "empty"
         entries.append(
-            CheckEntry(
-                "k2-upper-vs-k-eq-n-minus-1", str(upper), str(Fraction(d)), upper == Fraction(d)
-            )
-        )
-    if n == 2:
-        num = decompose(2, d, 1)
-        upper = Fraction(d) - Fraction(num.m * 2, 1)
-        entries.append(
-            CheckEntry(
-                "k1-upper-vs-k-eq-n-minus-1", str(upper), str(Fraction(d)), upper == Fraction(d)
-            )
+            CheckEntry(f"k{n - 1}-upper-vs-k-eq-n-minus-1", left, right, left == right)
         )
     return CrossCheckReport(n, d, tuple(entries), exceptional_pair=(n, d) == (4, 6))

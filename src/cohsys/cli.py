@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
 
-from .classification import AlphaInterval, Status, Verdict, classify, cross_check
+from .classification import AlphaInterval, Status, Verdict, classify, cross_check, slope_bounds
 from .delta import delta_bruteforce, delta_closure, delta_formula, sample_delta_input
 from .exactmath import PrimeField
 from .numerology import decompose
@@ -141,16 +140,13 @@ def _plan_samples(verdict: Verdict, cfg: VerifyCampaignConfig) -> list[tuple[Fra
             samples.append((iv.upper + Fraction(1, 2), "above"))
         return samples
     if verdict.status is Status.EMPTY:
-        region = verdict.necessary_region
-        kind = "inside-necessary"
-        if region.empty:
-            # the slope bounds alone may still cut out a region even when the
-            # dimension count already rules the cell out; sample inside it
-            region = _bounds_only_region(verdict.n, verdict.d, verdict.k)
-            kind = "inside-bounds"
+        # the slope bounds alone may still cut out a region even when the
+        # dimension count already rules the cell out; sample inside it
+        region = slope_bounds(verdict.n, verdict.d, verdict.k)
+        kind = "inside-bounds" if verdict.necessary_region.empty else "inside-necessary"
         m = cfg.empty_samples
         if not region.empty:
-            lo = region.lower if region.lower is not None else Fraction(0)
+            lo = region.lower  # t/k: the slope bounds always have a lower end
             if region.upper is not None:
                 width = region.upper - lo
                 return [(lo + width * i / (m + 1), kind) for i in range(1, m + 1)]
@@ -158,20 +154,6 @@ def _plan_samples(verdict: Verdict, cfg: VerifyCampaignConfig) -> list[tuple[Fra
         t = decompose(verdict.n, verdict.d, verdict.k).t
         return [(Fraction(t) + Fraction(1, 2), "anywhere"), (Fraction(t) + Fraction(3, 2), "anywhere")]
     return []
-
-
-def _bounds_only_region(n: int, d: int, k: int) -> AlphaInterval:
-    """The region cut out by the slope bounds alone, ignoring other gates."""
-    num = decompose(n, d, k)
-    lower = max(Fraction(0), Fraction(num.t, k))
-    if k < n:
-        if num.l is None or num.l <= 0:
-            return AlphaInterval.EMPTY
-        upper = Fraction(d, n - k) - Fraction(num.m * n, k * (n - k))
-        return AlphaInterval.open_interval(lower, upper)
-    if d <= 0:
-        return AlphaInterval.EMPTY
-    return AlphaInterval.open_interval(lower, None)
 
 
 def _nudge_alpha(alpha: Fraction, crits: list[Fraction], verdict: Verdict) -> Fraction:
@@ -331,19 +313,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(rows, indent=2))
         return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(TABLE_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row["n"], row["d"], row["k"], row["beta"], row["a"], row["t"],
-                "" if row["l"] is None else row["l"],
-                "" if row["m"] is None else row["m"],
-                row["lower"], row["upper"], row["status"],
-            ]
-        )
-    sys.stdout.write(buf.getvalue())
+    writer = csv.DictWriter(sys.stdout, fieldnames=TABLE_HEADER)
+    writer.writeheader()
+    writer.writerows(rows)
     return 0
 
 

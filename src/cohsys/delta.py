@@ -124,7 +124,7 @@ def pencil_min_rank(
     A, B = _pencil_coefficient_matrices(first, second, slot_degree)
     nrows, ncols = A.shape
     entries = [
-        [BinaryForm(field, (int(A[r][c]), int(B[r][c]))) for c in range(ncols)]
+        [BinaryForm(field, (A[r, c], B[r, c])) for c in range(ncols)]
         for r in range(nrows)
     ]
     for size in range(1, min(nrows, ncols) + 1):

@@ -21,13 +21,11 @@ and their determinant.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-
-Rational = Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -59,12 +57,6 @@ class PrimeField:
         if not _is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
 
-    def inv(self, v: int) -> int:
-        v %= self.q
-        if v == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(v, self.q - 2, self.q)
-
     def __repr__(self) -> str:
         return f"F_{self.q}"
 
@@ -82,7 +74,8 @@ class BinaryForm:
 
     def __post_init__(self) -> None:
         q = self.field.q
-        reduced = tuple(c % q for c in self.coeffs)
+        # plain ints: numpy integers would wrap in the products of the eliminations
+        reduced = tuple(operator.index(c) % q for c in self.coeffs)
         if all(c == 0 for c in reduced):
             reduced = ()
         object.__setattr__(self, "coeffs", reduced)
@@ -172,23 +165,6 @@ class BinaryForm:
                 return i
         raise AssertionError("unreachable: nonzero form with all-zero coefficients")
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        d = self.degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mon = []
-            if d - i:
-                mon.append("x" if d - i == 1 else f"x^{d - i}")
-            if i:
-                mon.append("y" if i == 1 else f"y^{i}")
-            body = "*".join(mon)
-            parts.append(f"{c}*{body}" if body and c != 1 else (body or str(c)))
-        return " + ".join(parts)
-
 
 @dataclass(eq=False)
 class FieldMatrix:
@@ -208,14 +184,6 @@ class FieldMatrix:
         if rows:
             return cls(field, np.array(rows, dtype=np.int64))
         return cls(field, np.zeros((0, 0), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
 
     def rank(self) -> int:
         a = self.data.copy()
@@ -239,9 +207,6 @@ class FieldMatrix:
                 a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % q
             r += 1
         return r
-
-    def kernel_dimension(self) -> int:
-        return self.cols - self.rank()
 
 
 def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:

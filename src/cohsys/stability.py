@@ -43,6 +43,7 @@ from .bundles import (
     SaturationResult,
     SectionPairing,
     SplittingType,
+    check_section_degrees,
     cohomology,
     combine_sections,
     generic_splitting,
@@ -72,25 +73,14 @@ class SystemInstance:
     sections: tuple[tuple[BinaryForm, ...], ...]
 
     def __post_init__(self) -> None:
-        n = self.splitting.rank
-        for s in self.sections:
-            if len(s) != n:
-                raise ValueError(f"section has {len(s)} components, expected {n}")
-            for i, f in enumerate(s):
-                expected = self.splitting[i]
-                if f.is_zero:
-                    continue
-                if expected < 0:
-                    raise ValueError(f"component {i} must vanish: negative degree slot")
-                if f.degree != expected:
-                    raise ValueError(
-                        f"component {i} has degree {f.degree}, profile requires {expected}"
-                    )
+        if self.splitting.rank == 0:
+            raise ValueError("the bundle must have rank >= 1")
+        check_section_degrees(self.splitting, self.sections)
         k = len(self.sections)
         h0 = cohomology(self.splitting, 0)[0]
         if k > h0:
             raise ValueError(f"{k} sections exceed h0 = {h0}")
-        if k and self.section_matrix().rank() != k:
+        if not _independent(self.field, self.splitting, self.sections):
             raise ValueError("sections are linearly dependent")
 
     @property
@@ -109,23 +99,6 @@ class SystemInstance:
     def q(self) -> int:
         return self.field.q
 
-    def section_vector(self, section: Sequence[BinaryForm]) -> list[int]:
-        """Coefficients of a section in the monomial basis of the section space."""
-        vec: list[int] = []
-        for i, a in enumerate(self.splitting):
-            dim = max(0, a + 1)
-            f = section[i]
-            if f.is_zero:
-                vec.extend([0] * dim)
-            else:
-                vec.extend(f.coeffs)
-        return vec
-
-    def section_matrix(self) -> FieldMatrix:
-        return FieldMatrix.from_rows(
-            self.field, [self.section_vector(s) for s in self.sections]
-        )
-
     def combine(self, coeffs: Sequence[int]) -> tuple[BinaryForm, ...]:
         """The section sum(coeffs[j] * sections[j]) componentwise."""
         return combine_sections(self.field, self.n, self.sections, coeffs)
@@ -134,10 +107,7 @@ class SystemInstance:
         return {
             "q": self.q,
             "splitting": list(self.splitting.degrees),
-            "sections": [
-                [list(f.coeffs) if not f.is_zero else [0] * max(0, a + 1) for f, a in zip(s, self.splitting)]
-                for s in self.sections
-            ],
+            "sections": [_padded(self.splitting, s) for s in self.sections],
         }
 
     @classmethod
@@ -158,6 +128,19 @@ class SystemInstance:
                 comps.append(BinaryForm(field, tuple(_json_int(c, "coefficient") for c in coeffs)))
             sections.append(tuple(comps))
         return cls(field, splitting, tuple(sections))
+
+
+def _padded(splitting: SplittingType, section: Sequence[BinaryForm]) -> list[list[int]]:
+    """The a + 1 coefficients of each component in its O(a) slot; a zero form gives zeros."""
+    return [[0] * max(0, a + 1) if f.is_zero else list(f.coeffs) for f, a in zip(section, splitting)]
+
+
+def _independent(
+    field: PrimeField, splitting: SplittingType, sections: Sequence[Sequence[BinaryForm]]
+) -> bool:
+    """Whether the sections are linearly independent in the monomial basis of H^0."""
+    rows = [list(itertools.chain(*_padded(splitting, s))) for s in sections]
+    return FieldMatrix.from_rows(field, rows).rank() == len(sections)
 
 
 def _json_list(value: object, what: str) -> list:
@@ -456,20 +439,16 @@ def sample_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance
     h0 = cohomology(splitting, 0)[0]
     if k > h0:
         raise ValueError(f"cannot draw {k} independent sections: h0 = {h0}")
-    dims = [max(0, a + 1) for a in splitting]
     for attempt in range(1000):
         rng = random.Random(mix_seed(n, d, k, q, seed, attempt))
-        sections = []
-        for _ in range(k):
-            comps = []
-            for a, dim in zip(splitting, dims):
-                comps.append(BinaryForm(field, tuple(rng.randrange(q) for _ in range(dim))))
-            sections.append(tuple(comps))
-        mat = FieldMatrix.from_rows(field, [
-            [c for f, dim in zip(s, dims) for c in (f.coeffs if not f.is_zero else (0,) * dim)]
-            for s in sections
-        ])
-        if mat.rank() == k:
+        sections = [
+            tuple(
+                BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
+                for a in splitting
+            )
+            for _ in range(k)
+        ]
+        if _independent(field, splitting, sections):
             return SystemInstance(field, splitting, tuple(sections))
     raise RuntimeError("failed to draw independent sections; is h0 >= k?")
 

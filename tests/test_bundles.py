@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsys.bundles import (
-    HNPolygon,
     _combine,
     _twist_matrix,
     SectionPairing,
@@ -48,12 +47,6 @@ class TestSplittingType:
 
     def test_dual(self):
         assert SplittingType.of(3, 1, -2).dual() == SplittingType.of(2, -1, -3)
-
-    @given(types)
-    @settings(max_examples=100)
-    def test_hn_polygon_concave(self, t):
-        p = t.hn_polygon()
-        assert p.prefix_sums[-1] == t.degree
 
 
 class TestGenericSplitting:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsys.classification import (
     AlphaInterval,
@@ -8,6 +10,7 @@ from cohsys.classification import (
     classify,
     cross_check,
     necessary_region,
+    slope_bounds,
 )
 from cohsys.numerology import decompose, valid_degrees_k1
 
@@ -68,6 +71,36 @@ class TestNecessaryRegion:
                     if num.beta < 0:
                         continue
                     assert necessary_region(n, d, k).empty == (num.l <= 0)
+
+
+class TestSlopeBounds:
+    @given(st.integers(3, 40), st.integers(-200, 2000), st.data())
+    @settings(max_examples=300)
+    def test_below_rank_width_is_n_l_over_k(self, n, d, data):
+        k = data.draw(st.integers(1, n - 1))
+        num = decompose(n, d, k)
+        iv = slope_bounds(n, d, k)
+        assert iv.empty == (num.l <= 0)
+        if not iv.empty:
+            assert iv.lower == Fraction(num.t, k)
+            assert iv.upper - iv.lower == Fraction(n * num.l, k)
+            assert iv.lower_open and iv.upper_open
+
+    @given(st.integers(2, 40), st.integers(-200, 2000), st.data())
+    @settings(max_examples=300)
+    def test_at_or_above_rank_no_upper_bound(self, n, d, data):
+        k = data.draw(st.integers(n, n + 10))
+        iv = slope_bounds(n, d, k)
+        assert iv.empty == (d <= 0)
+        if not iv.empty:
+            assert iv.lower == Fraction(decompose(n, d, k).t, k)
+            assert iv.upper is None
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            slope_bounds(1, 5, 1)
+        with pytest.raises(ValueError):
+            slope_bounds(3, 5, 0)
 
 
 class TestClassify:

@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohsys.cli import (
     TABLE_HEADER,
@@ -257,6 +262,8 @@ class TestCheckInstanceCommand:
             {"q": 2**61 - 1, "splitting": [1, 1], "sections": []},
             {"q": 101, "splitting": [1, 1], "sections": [[[1, 0], [0, 1, 1]]]},
             [1, 2],
+            # rank 0: the total slope d/n has no meaning
+            {"q": 2, "splitting": [], "sections": []},
         ],
     )
     def test_malformed_instance_exits_2(self, capsys, tmp_path, data):
@@ -304,3 +311,113 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--d", "2", "--k", "1",
                                "--alpha-rule", "explicit")
         assert code == 2
+
+
+def run_cli_captured(argv):
+    """main() on argv with stdout and stderr captured, without pytest fixtures.
+
+    An exception escaping main() would print a traceback from the console
+    script; here it propagates and fails the calling test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert_one_line_error(code, err)
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.integers(-(10**20), 10**20),
+    st.just([]),
+    st.just({}),
+)
+
+
+def weighted(*pairs):
+    """Draw from each strategy in proportion to its weight."""
+    return st.sampled_from([s for weight, s in pairs for _ in range(weight)]).flatmap(lambda s: s)
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance files: half well formed, the rest with junk swapped in at any level."""
+    clean = draw(st.booleans())
+
+    def junk_or(value):
+        return value if clean or draw(st.integers(0, 5)) else draw(JUNK)
+
+    def component(a):
+        size = max(0, a + 1)
+        if not clean and draw(st.booleans()):
+            size = draw(st.integers(0, 5))
+        return junk_or(draw(st.lists(st.integers(-3, 9), min_size=size, max_size=size)))
+
+    q = draw(st.sampled_from([2, 3, 7] if clean else [0, 2, 3, 4, 7]))
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=int(clean), max_size=3))
+    if clean or draw(st.booleans()):
+        degrees.sort(reverse=True)
+    sections = [junk_or([component(a) for a in degrees]) for _ in range(draw(st.integers(0, 3)))]
+    doc = {"q": junk_or(q), "splitting": junk_or(degrees), "sections": junk_or(sections)}
+    if not clean and draw(st.booleans()):
+        doc["extra"] = draw(JUNK)
+    return junk_or(doc)
+
+
+def span(lo, hi):
+    """A range argument lo'..hi' inside [lo, hi], or a junk string."""
+    bounds = st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(sorted)
+    return weighted((6, bounds.map(lambda p: f"{p[0]}..{p[1]}")), (1, st.text(max_size=4)))
+
+
+SMALL = st.integers(-1, 8).map(str)
+ARGVS = weighted(
+    (2, st.tuples(st.just("classify"), SMALL, st.integers(-30, 60).map(str), SMALL).map(list)),
+    (
+        2,
+        st.tuples(
+            st.just("table"), st.just("--n"), span(2, 6), st.just("--d"), span(-5, 30),
+            st.just("--k"), span(1, 7), st.just("--format"), st.sampled_from(["csv", "json", "x"]),
+        ).map(list),
+    ),
+    (1, st.tuples(st.just("cross-check"), SMALL, st.integers(-30, 60).map(str)).map(list)),
+    (
+        2,
+        st.tuples(
+            st.just("delta-check"), st.integers(-1, 3).map(str), st.integers(-1, 3).map(str),
+            st.just("--trials"), st.integers(-1, 2).map(str),
+            st.just("--q"), st.sampled_from(["2", "3", "7", "101", "4", "x"]),
+        ).map(list),
+    ),
+    (1, st.lists(st.text(max_size=6), max_size=4)),
+)
+
+
+class TestFuzz:
+    @given(instance_documents(), st.sampled_from(["0", "1/2", "1", "3", "-1", "1/0"]))
+    @example({"q": 2, "splitting": [], "sections": []}, "1")
+    @settings(max_examples=300, deadline=None)
+    def test_instance_files(self, doc, alpha):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance.json"
+            path.write_text(json.dumps(doc))
+            code, _, err = run_cli_captured(["check-instance", str(path), alpha])
+        assert_clean_exit(code, err)
+
+    @given(ARGVS)
+    @settings(max_examples=300, deadline=None)
+    def test_argv(self, argv):
+        code, _, err = run_cli_captured(argv)
+        assert_clean_exit(code, err)

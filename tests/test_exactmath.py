@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from cohsys.exactmath import (
     BinaryForm,
     FieldMatrix,
     PrimeField,
-    Rational,
     form_determinant,
     generic_rank,
     multiplication_matrix,
@@ -90,10 +90,6 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(100)
 
-    def test_inverse(self):
-        for v in range(1, 101):
-            assert F101.inv(v) * v % 101 == 1
-
 
 class TestBinaryForm:
     def test_zero_normalization(self):
@@ -128,37 +124,60 @@ class TestBinaryForm:
                 else:
                     assert g.evaluate(b, c) == f.evaluate(xb, yb)
 
+    @pytest.mark.parametrize("q", [7, 2**31 - 1])
+    def test_numpy_coefficients_give_int_results(self, q):
+        field = PrimeField(q)
+        rng = random.Random(q)
+        for _ in range(10):
+            coeffs = [[[rng.randrange(q) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+            plain = [[BinaryForm(field, tuple(c)) for c in row] for row in coeffs]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                wide = [
+                    [BinaryForm(field, tuple(np.array(c, dtype=np.int64))) for c in row]
+                    for row in coeffs
+                ]
+                det = form_determinant(wide, field)
+                rank = generic_rank(wide)
+            assert all(type(c) is int for row in wide for f in row for c in f.coeffs)
+            assert all(type(c) is int for c in det.coeffs)
+            assert det.coeffs == form_determinant(plain, field).coeffs
+            assert rank == generic_rank(plain)
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            BinaryForm(F7, (1.0, 2))
+
 
 class TestRational:
     @given(st.integers(-10**9, 10**9), st.integers(1, 10**9))
     @settings(max_examples=200)
     def test_parse_print_round_trip(self, p, q):
-        r = Rational(p, q)
-        assert Rational(str(r)) == r
+        r = Fraction(p, q)
+        assert Fraction(str(r)) == r
 
     def test_round_trip_bulk(self):
         rng = random.Random(0)
         for _ in range(10**4):
-            r = Rational(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12))
-            assert Rational(str(r)) == r
+            r = Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12))
+            assert Fraction(str(r)) == r
             assert r.denominator > 0
 
     def test_exact_reduction(self):
-        assert Rational(2, 4) + Rational(1, 4) == Fraction(3, 4)
+        assert Fraction(2, 4) + Fraction(1, 4) == Fraction(3, 4)
         assert (Fraction(7, 2) - Fraction(1, 2)).denominator == 1
 
 
 class TestKernelDimension:
     def test_identity(self):
-        assert FieldMatrix(F101, np.eye(2, dtype=np.int64)).kernel_dimension() == 0
+        assert FieldMatrix(F101, np.eye(2, dtype=np.int64)).rank() == 2
 
     def test_zero_map(self):
-        assert FieldMatrix(F101, np.zeros((1, 3), dtype=np.int64)).kernel_dimension() == 3
+        assert FieldMatrix(F101, np.zeros((1, 3), dtype=np.int64)).rank() == 0
 
     def test_dependent_rows(self):
         m = FieldMatrix.from_rows(F101, [[1, 2], [2, 4]])
         assert m.rank() == 1
-        assert m.kernel_dimension() == 1
 
     @given(
         st.integers(1, 6),
@@ -168,10 +187,9 @@ class TestKernelDimension:
     @settings(max_examples=100)
     def test_rank_nullity(self, rows, cols, seed):
         rng = random.Random(seed)
-        m = FieldMatrix.from_rows(
-            F7, [[rng.randrange(7) for _ in range(cols)] for _ in range(rows)]
-        )
-        assert m.rank() + m.kernel_dimension() == cols
+        data = [[rng.randrange(7) for _ in range(cols)] for _ in range(rows)]
+        kernel = DomainMatrix([[GF(7)(v) for v in row] for row in data], (rows, cols), GF(7))
+        assert FieldMatrix.from_rows(F7, data).rank() + kernel.nullspace().shape[0] == cols
 
     def test_rank_transpose_invariant(self):
         rng = random.Random(3)
