@@ -11,6 +11,7 @@ import sys
 
 sys.path.insert(0, "src")
 
+from cohsys.cli import positive_int, prime_modulus
 from cohsys.delta import (
     delta_bruteforce,
     delta_closure,
@@ -21,10 +22,10 @@ from cohsys.delta import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--a-max", type=int, default=6)
-    parser.add_argument("--t-max", type=int, default=6)
-    parser.add_argument("--q", type=int, default=101)
-    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument("--a-max", type=positive_int, default=6)
+    parser.add_argument("--t-max", type=positive_int, default=6)
+    parser.add_argument("--q", type=prime_modulus, default=101)
+    parser.add_argument("--trials", type=positive_int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

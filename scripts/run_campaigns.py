@@ -13,7 +13,7 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from cohsys.cli import VerifyCampaignConfig, run_verify_campaign
+from cohsys.cli import VerifyCampaignConfig, positive_int, prime_modulus, run_verify_campaign
 
 
 def run(cfg: VerifyCampaignConfig, label: str) -> bool:
@@ -34,10 +34,10 @@ def run(cfg: VerifyCampaignConfig, label: str) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=20)
+    parser.add_argument("--trials", type=positive_int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--d-max", type=int, default=24)
-    parser.add_argument("--q", type=int, default=101)
+    parser.add_argument("--q", type=prime_modulus, default=101)
     args = parser.parse_args()
 
     ok = True

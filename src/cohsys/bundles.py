@@ -115,24 +115,6 @@ def shatz_embedding_exists(e: SplittingType, g: SplittingType, k: int) -> bool:
     return all((f[i] > e[i]) == (i < n - k) for i in range(n))
 
 
-def _validate_profile(
-    source: SplittingType, target: SplittingType, entries: Sequence[Sequence[BinaryForm]]
-) -> None:
-    if len(entries) != target.rank or any(len(row) != source.rank for row in entries):
-        raise ValueError("matrix shape does not match source/target ranks")
-    for i, row in enumerate(entries):
-        for j, f in enumerate(row):
-            slot = target[i] - source[j]
-            if f.is_zero:
-                continue
-            if slot < 0:
-                raise ValueError(f"entry ({i},{j}) must be zero: negative slot degree {slot}")
-            if f.degree != slot:
-                raise ValueError(
-                    f"entry ({i},{j}) has degree {f.degree}, profile requires {slot}"
-                )
-
-
 def _twist_matrix(
     source: SplittingType, target: SplittingType, entries: Sequence[Sequence[BinaryForm]], j: int
 ) -> np.ndarray:
@@ -214,10 +196,9 @@ def kernel_splitting(
     section counts of its twists; its rank is known independently from the
     generic rank over F_q(t).
     """
-    _validate_profile(source, target, entries)
+    rho = source.rank - generic_rank(entries, target.degrees, [-s for s in source])
     if source.rank == 0:
         return SplittingType(())
-    rho = source.rank - generic_rank(entries)
     field = entries[0][0].field if entries else None
 
     def probe(live: list[int], j: int) -> np.ndarray:
@@ -347,7 +328,7 @@ class SectionPairing:
         for m, basis in enumerate(bases.tolist()):
             if ranks[m] < full:
                 rows = [combine_sections(self.field, self.e.rank, self.sections, b) for b in basis]
-                ranks[m] = generic_rank(rows)
+                ranks[m] = generic_rank(rows, [0] * len(rows), self.e.degrees)
         return ranks
 
     def saturate_stack(self, bases: np.ndarray) -> list[SaturationResult]:

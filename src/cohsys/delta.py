@@ -27,6 +27,7 @@ from .exactmath import (
     FieldMatrix,
     PrimeField,
     form_determinant,
+    generic_rank,
     vanishing_divisor_degree,
 )
 
@@ -118,6 +119,8 @@ def pencil_min_rank(
     family members, rows = the slot_degree + 1 coefficient slots).  Rank drops
     below s at some point iff every s x s minor, a degree-s binary form in
     (b, c), vanishes there; minors sharing a projective zero is a gcd test.
+    Sizes up to the generic rank have a nonzero minor, and each size's minors
+    are computed only until their gcd is settled.
     """
     if len(first) != len(second):
         raise ValueError("families must have equal length")
@@ -127,20 +130,18 @@ def pencil_min_rank(
         [BinaryForm(field, (A[r, c], B[r, c])) for c in range(ncols)]
         for r in range(nrows)
     ]
-    for size in range(1, min(nrows, ncols) + 1):
-        minors = []
-        for rsel in itertools.combinations(range(nrows), size):
-            for csel in itertools.combinations(range(ncols), size):
-                det = form_determinant(
-                    [[entries[r][c] for c in csel] for r in rsel], field
-                )
-                if not det.is_zero:
-                    minors.append(det)
-        if not minors:
-            return size - 1
+    rank = generic_rank(entries, [0] * nrows, [1] * ncols)
+    for size in range(1, rank + 1):
+        minors = (
+            form_determinant(
+                [[entries[r][c] for c in csel] for r in rsel], field, [0] * size, [1] * size
+            )
+            for rsel in itertools.combinations(range(nrows), size)
+            for csel in itertools.combinations(range(ncols), size)
+        )
         if vanishing_divisor_degree(minors) >= 1:
             return size - 1
-    return min(nrows, ncols)
+    return rank
 
 
 def delta_closure(inp: DeltaInput) -> int:

@@ -14,9 +14,9 @@ Conventions used throughout the package:
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
 pivoting; over an exact field there is no stability concern and the pivot
 rule keeps runs reproducible; ``stacked_rank`` runs one such elimination for
-a whole stack of matrices of one shape.  Matrices of binary forms go through one
-fraction-free elimination over F_q[x, y], which gives both their generic rank
-and their determinant.
+a whole stack of matrices of one shape.  Matrices of binary forms, with the
+degree profile their caller states, go through one fraction-free elimination
+over F_q[x, y], which gives both their generic rank and their determinant.
 """
 
 from __future__ import annotations
@@ -160,10 +160,7 @@ class BinaryForm:
         """Largest power of y dividing the form (None-free: zero form rejected)."""
         if self.is_zero:
             raise ValueError("zero form has no y-valuation")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable: nonzero form with all-zero coefficients")
+        return _leading_zeros(self.coeffs)
 
 
 @dataclass(eq=False)
@@ -329,73 +326,63 @@ def vanishing_divisor_degree(forms: Iterable[BinaryForm]) -> int:
 
     Equals the degree of their homogeneous gcd: the common power of y plus the
     degree of the gcd of the polynomials f(t, 1).  Zero forms are ignored; an
-    all-zero input has no well-defined divisor.
+    all-zero input has no well-defined divisor.  Reading stops at the answer 0.
     """
-    nonzero = [f for f in forms if not f.is_zero]
-    if not nonzero:
-        raise ValueError("indeterminate divisor: all forms are zero")
-    q = nonzero[0].field.q
-    y_part = min(f.y_valuation() for f in nonzero)
+    y_part: int | None = None
     g: Sequence[int] = ()
-    for f in nonzero:
-        a, b = f.coeffs[f.y_valuation() :], g
+    for f in forms:
+        if f.is_zero:
+            continue
+        v = f.y_valuation()
+        y_part = v if y_part is None else min(y_part, v)
+        a, b = f.coeffs[v:], g
         while b:
-            r = _poly_divmod(a, b, q)[1]
+            r = _poly_divmod(a, b, f.field.q)[1]
             a, b = b, r[_leading_zeros(r) :]
         g = a
-        if len(g) == 1:
-            return y_part
+        if len(g) == 1 and y_part == 0:
+            return 0
+    if y_part is None:
+        raise ValueError("indeterminate divisor: all forms are zero")
     return y_part + len(g) - 1
 
 
-def _check_profile(rows: Sequence[Sequence[Sequence[int]]]) -> None:
-    """Raise unless some r_i, c_j give deg entry(i, j) = r_i + c_j at nonzero entries.
+def check_profile(
+    entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
+) -> None:
+    """Raise unless entries is a form matrix with the stated degree profile.
 
-    Walks each connected component of the nonzero pattern from one row fixed
-    at r = 0, so every cycle of entries is checked once.
+    The shape must be len(row_degrees) x len(col_degrees), and each nonzero
+    entry (i, j) must have degree row_degrees[i] + col_degrees[j]; zero
+    entries are allowed anywhere.
     """
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("matrix rows have different lengths")
-    row_deg: list[int | None] = [None] * len(rows)
-    col_deg: list[int | None] = [None] * ncols
-    for start in range(len(rows)):
-        if row_deg[start] is not None:
-            continue
-        row_deg[start] = 0
-        todo = [start]
-        while todo:
-            i = todo.pop()
-            for j, f in enumerate(rows[i]):
-                if not f:
-                    continue
-                c = len(f) - 1 - row_deg[i]
-                if col_deg[j] is None:
-                    col_deg[j] = c
-                    for k, row in enumerate(rows):
-                        if row[j] and row_deg[k] is None:
-                            row_deg[k] = len(row[j]) - 1 - c
-                            todo.append(k)
-                if col_deg[j] != c:
-                    raise ValueError("matrix entries have no degree profile r_i + c_j")
+    if len(entries) != len(row_degrees) or any(len(row) != len(col_degrees) for row in entries):
+        raise ValueError("matrix shape does not match its degree profile")
+    for i, row in enumerate(entries):
+        for j, f in enumerate(row):
+            slot = row_degrees[i] + col_degrees[j]
+            if not f.is_zero and f.degree != slot:
+                raise ValueError(f"entry ({i},{j}) has degree {f.degree}, expected {slot}")
 
 
-def _bareiss(entries: Sequence[Sequence[BinaryForm]], q: int) -> tuple[int, Sequence[int], int]:
-    """Fraction-free elimination of a matrix of binary forms (Bareiss 1968).
+def _bareiss(
+    entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
+) -> tuple[int, Sequence[int], int]:
+    """Fraction-free elimination of a form matrix with the stated profile (Bareiss 1968).
 
     First-nonzero pivoting with column skipping; each step replaces the
     entries below and right of the pivot p by (p*a - b*c) / previous pivot,
     an exact division, so every entry stays a minor of the input and, under
-    a degree profile, a binary form.  Returns the rank, the last pivot and
+    the degree profile, a binary form.  Returns the rank, the last pivot and
     the sign of the row permutation; for a square matrix of full rank the
     determinant is sign * last pivot.
     """
-    rows = [[f.coeffs for f in row] for row in entries]
-    if not rows or not rows[0]:
+    check_profile(entries, row_degrees, col_degrees)
+    nrows, ncols = len(row_degrees), len(col_degrees)
+    if not (nrows and ncols):
         return 0, (1,), 1
-    if len(rows) > 1:  # a single row always has a profile
-        _check_profile(rows)
-    nrows, ncols = len(rows), len(rows[0])
+    q = entries[0][0].field.q
+    rows = [[f.coeffs for f in row] for row in entries]
     rank, sign, prev = 0, 1, (1,)
     for col in range(ncols):
         for piv in range(rank, nrows):
@@ -425,23 +412,28 @@ def _bareiss(entries: Sequence[Sequence[BinaryForm]], q: int) -> tuple[int, Sequ
     return rank, prev, sign
 
 
-def generic_rank(entries: Sequence[Sequence[BinaryForm]]) -> int:
-    """Rank of a matrix of binary forms over the function field F_q(t).
+def generic_rank(
+    entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
+) -> int:
+    """Rank over the function field F_q(t) of a form matrix with the stated profile.
 
-    The entries must have a degree profile (deg entry(i, j) = r_i + c_j at
-    nonzero entries), which keeps every minor a binary form.
+    The profile (deg entry(i, j) = row_degrees[i] + col_degrees[j] at nonzero
+    entries) keeps every minor a binary form; ``check_profile`` enforces it.
     """
-    if not entries or not entries[0]:
-        return 0
-    return _bareiss(entries, entries[0][0].field.q)[0]
+    return _bareiss(entries, row_degrees, col_degrees)[0]
 
 
-def form_determinant(entries: Sequence[Sequence[BinaryForm]], field: PrimeField) -> BinaryForm:
-    """Determinant of a square matrix of binary forms with a degree profile."""
-    n = len(entries)
-    if any(len(row) != n for row in entries):
+def form_determinant(
+    entries: Sequence[Sequence[BinaryForm]],
+    field: PrimeField,
+    row_degrees: Sequence[int],
+    col_degrees: Sequence[int],
+) -> BinaryForm:
+    """Determinant of a square form matrix with the stated degree profile."""
+    n = len(row_degrees)
+    if len(col_degrees) != n:
         raise ValueError("determinant needs a square matrix")
-    rank, pivot, sign = _bareiss(entries, field.q)
+    rank, pivot, sign = _bareiss(entries, row_degrees, col_degrees)
     if rank < n:
         return BinaryForm.zero(field)
     return BinaryForm(field, tuple(pivot) if sign > 0 else tuple(-c for c in pivot))

@@ -55,10 +55,9 @@ from .classification import AlphaInterval
 from .delta import pencil_min_rank
 from .exactmath import BinaryForm, FieldMatrix, PrimeField
 
-# Enumerating w-dimensional subspaces of F_q^k costs on the order of
-# q^(w(k-w)) reduced-echelon representatives.
-COST_GUARD_MAX_K = 3
-COST_GUARD_MAX_Q = 31
+# Candidate enumeration visits every subspace of F_q^k; it is refused above
+# this many unless the caller allows it.
+COST_GUARD_MAX_SUBSPACES = 2_000_000
 # Subspaces of one dimension are saturated in stacks of at most this many,
 # which bounds the memory one stacked elimination holds.
 STACK_CAP = 128
@@ -235,14 +234,14 @@ def echelon_bases(k: int, w: int, q: int) -> Iterator[tuple[tuple[int, ...], ...
             yield tuple(tuple(r) for r in rows)
 
 
-def _check_cost_guard(inst: SystemInstance, allow_large: bool) -> None:
-    if allow_large:
-        return
-    if inst.k > COST_GUARD_MAX_K and inst.q > COST_GUARD_MAX_Q:
-        raise ValueError(
-            f"refusing subspace enumeration with k = {inst.k} over F_{inst.q} "
-            f"(cost grows as q^(w(k-w))); pass allow_large=True / --force-large"
-        )
+def _subspace_count(k: int, q: int) -> int:
+    """Number of subspaces of F_q^k: the sum over w of the Gaussian binomials [k w]_q."""
+    total, binomial = 0, 1
+    for w in range(k + 1):
+        total += binomial
+        # [k, w+1]_q = [k, w]_q (q^(k-w) - 1) / (q^(w+1) - 1), an exact division
+        binomial = binomial * (q ** (k - w) - 1) // (q ** (w + 1) - 1)
+    return total
 
 
 def _saturations(
@@ -309,7 +308,12 @@ def _closure_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
 
 def subsystem_candidates(inst: SystemInstance, allow_large: bool = False) -> tuple[Candidate, ...]:
     """All extremal destabilization candidates, rational plus closure ones."""
-    _check_cost_guard(inst, allow_large)
+    count = _subspace_count(inst.k, inst.q)
+    if count > COST_GUARD_MAX_SUBSPACES and not allow_large:
+        raise ValueError(
+            f"refusing to enumerate {count} subspaces for k = {inst.k} over F_{inst.q} "
+            f"(limit {COST_GUARD_MAX_SUBSPACES}); pass allow_large=True / --force-large"
+        )
     return _rational_candidates(inst) + _closure_candidates(inst)
 
 
@@ -330,31 +334,18 @@ def is_alpha_stable(
     if alpha < 0:
         raise ValueError("weight must be >= 0")
     mu = total_slope(inst, alpha)
-    stable = True
-    semistable = True
-    witness: SubsystemWitness | None = None
-    witness_slope: Fraction | None = None
-    witness_rational = False
+    violators = []
     for cand in subsystem_candidates(inst, allow_large):
         slope = Fraction(cand.degree + cand.sections_dim * alpha, cand.rank)
-        if slope < mu:
-            continue
-        stable = False
-        if slope > mu and cand.basis is not None:
-            semistable = False
-        rational = cand.basis is not None
-        better = (
-            witness_slope is None
-            or slope > witness_slope
-            or (slope == witness_slope and rational and not witness_rational)
-        )
-        if better:
-            witness = SubsystemWitness(
-                cand.rank, cand.degree, cand.sections_dim, slope, cand.basis
-            )
-            witness_slope = slope
-            witness_rational = rational
-    return StabilityReport(alpha, stable, semistable, mu, witness)
+        if slope >= mu:
+            violators.append((slope, cand.basis is not None, cand))
+    semistable = not any(slope > mu and rational for slope, rational, _ in violators)
+    witness = None
+    if violators:
+        # the first steepest violator, a rational one on a tie
+        slope, _, cand = max(violators, key=lambda v: v[:2])
+        witness = SubsystemWitness(cand.rank, cand.degree, cand.sections_dim, slope, cand.basis)
+    return StabilityReport(alpha, not violators, semistable, mu, witness)
 
 
 def critical_alphas(inst: SystemInstance, allow_large: bool = False) -> list[Fraction]:

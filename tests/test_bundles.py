@@ -143,6 +143,14 @@ class TestKernelSplitting:
                 SplittingType.of(-1), SplittingType.of(0), [[BinaryForm(F, (1, 2, 3))]]
             )
 
+    def test_rank_zero_source_checks_shape(self):
+        # the zero source still needs a matrix with no columns
+        assert kernel_splitting(SplittingType(()), SplittingType.of(0), [[]]).rank == 0
+        with pytest.raises(ValueError):
+            kernel_splitting(SplittingType(()), SplittingType.of(0), [[X]])
+        with pytest.raises(ValueError):
+            kernel_splitting(SplittingType(()), SplittingType.of(0), [])
+
     def test_injective_map(self):
         assert (
             kernel_splitting(SplittingType.of(-1), SplittingType.of(0), [[X]]).rank == 0

@@ -240,6 +240,24 @@ class TestCheckInstanceCommand:
         assert_one_line_error(code, err)
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "q, splitting, k",
+        [(10007, [1, 1], 3), (31, [2, 2], 5)],
+    )
+    def test_too_many_subspaces_exits_2(self, capsys, tmp_path, q, splitting, k):
+        # unit sections e_1, ..., e_k of H^0: the guard refuses before enumerating
+        width = sum(a + 1 for a in splitting)
+        sections = []
+        for i in range(k):
+            flat = [int(i == j) for j in range(width)]
+            sections.append([flat[: splitting[0] + 1], flat[splitting[0] + 1 :]])
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"q": q, "splitting": splitting, "sections": sections}))
+        code, out, err = run_cli(capsys, "check-instance", str(path), "1")
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert "subspaces" in err
+
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

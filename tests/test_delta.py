@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsys.delta import (
     DeltaInput,
@@ -9,7 +14,7 @@ from cohsys.delta import (
     pencil_min_rank,
     sample_delta_input,
 )
-from cohsys.exactmath import BinaryForm, PrimeField
+from cohsys.exactmath import BinaryForm, PrimeField, form_determinant, vanishing_divisor_degree
 
 F = PrimeField(101)
 
@@ -139,3 +144,84 @@ class TestPencilMinRank:
         y = BinaryForm(F, (0, 1))
         # columns (x, y) vs (y, x): det = b^2 - c^2 factors rationally
         assert pencil_min_rank([x, y], [y, x], 1, F) == 1
+
+
+def all_minors_min_rank(first, second, slot_degree, field):
+    """Reference: every minor of every size, the sweep ``pencil_min_rank`` replaces."""
+    ncols = len(first)
+    nrows = slot_degree + 1
+    coeff = [[f.coeffs if not f.is_zero else (0,) * nrows for f in fam] for fam in (first, second)]
+    entries = [
+        [BinaryForm(field, (coeff[0][c][r], coeff[1][c][r])) for c in range(ncols)]
+        for r in range(nrows)
+    ]
+    for size in range(1, min(nrows, ncols) + 1):
+        minors = []
+        for rsel in itertools.combinations(range(nrows), size):
+            for csel in itertools.combinations(range(ncols), size):
+                det = form_determinant(
+                    [[entries[r][c] for c in csel] for r in rsel], field, [0] * size, [1] * size
+                )
+                if not det.is_zero:
+                    minors.append(det)
+        if not minors:
+            return size - 1
+        if vanishing_divisor_degree(minors) >= 1:
+            return size - 1
+    return min(nrows, ncols)
+
+
+def draw_pencil(rng, kind, a, t, field):
+    """Two families of t forms of degree a - 1, drawn to reach rank drops."""
+    q = field.q
+
+    def form(coeffs):
+        return BinaryForm(field, tuple(coeffs))
+
+    def uniform(zero_prob=0.0):
+        return form(0 if rng.random() < zero_prob else rng.randrange(q) for _ in range(a))
+
+    if kind == "generic":
+        return [uniform() for _ in range(t)], [uniform() for _ in range(t)]
+    if kind == "sparse":
+        return [uniform(0.7) for _ in range(t)], [uniform(0.7) for _ in range(t)]
+    if kind == "equal-pair":
+        first = [uniform() for _ in range(t)]
+        second = [f.scale(rng.randrange(q)) if rng.random() < 0.7 else uniform() for f in first]
+        return first, second
+    if kind == "low-rank":
+        basis = [uniform() for _ in range(rng.randrange(1, 3))]
+
+        def combo():
+            acc = BinaryForm.zero(field)
+            for b in basis:
+                acc = acc.add(b.scale(rng.randrange(q)))
+            return acc
+
+        return [combo() for _ in range(t)], [combo() for _ in range(t)]
+    # shared linear factor: every form is L * h with h of degree a - 2
+    linear = form((rng.randrange(q), rng.randrange(q)))
+    if a < 2 or linear.is_zero:
+        return [uniform() for _ in range(t)], [uniform() for _ in range(t)]
+
+    def multiple():
+        return linear.mul(form(rng.randrange(q) for _ in range(a - 1)))
+
+    return [multiple() for _ in range(t)], [multiple() for _ in range(t)]
+
+
+class TestPencilMinRankEquivalence:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["generic", "sparse", "equal-pair", "low-rank", "shared-linear-factor"]),
+        st.sampled_from([2, 3, 5, 7, 101]),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_all_minors(self, seed, kind, q, a, t):
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        first, second = draw_pencil(rng, kind, a, t, field)
+        expected = all_minors_min_rank(first, second, a - 1, field)
+        assert pencil_min_rank(first, second, a - 1, field) == expected

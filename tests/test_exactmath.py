@@ -14,6 +14,7 @@ from cohsys.exactmath import (
     BinaryForm,
     FieldMatrix,
     PrimeField,
+    check_profile,
     form_determinant,
     generic_rank,
     multiplication_matrix,
@@ -137,12 +138,12 @@ class TestBinaryForm:
                     [BinaryForm(field, tuple(np.array(c, dtype=np.int64))) for c in row]
                     for row in coeffs
                 ]
-                det = form_determinant(wide, field)
-                rank = generic_rank(wide)
+                det = form_determinant(wide, field, [0] * 3, [2] * 3)
+                rank = generic_rank(wide, [0] * 3, [2] * 3)
             assert all(type(c) is int for row in wide for f in row for c in f.coeffs)
             assert all(type(c) is int for c in det.coeffs)
-            assert det.coeffs == form_determinant(plain, field).coeffs
-            assert rank == generic_rank(plain)
+            assert det.coeffs == form_determinant(plain, field, [0] * 3, [2] * 3).coeffs
+            assert rank == generic_rank(plain, [0] * 3, [2] * 3)
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
@@ -299,6 +300,17 @@ class TestVanishingDivisorDegree:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
+    def test_generator_matches_list(self, seed):
+        # a generator is read lazily and may stop early; the answer is the same
+        rng = random.Random(seed)
+        forms = [random_form(rng, F101, rng.randrange(3), zero_prob=0.3) for _ in range(4)]
+        forms += [random_form(rng, F101, 2).mul(X) for _ in range(rng.randrange(3))]
+        if all(f.is_zero for f in forms):
+            forms.append(Y)
+        assert vanishing_divisor_degree(f for f in forms) == vanishing_divisor_degree(forms)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
     def test_scalar_rescaling_invariance(self, seed):
         rng = random.Random(seed)
         forms = [form(*[rng.randrange(101) for _ in range(rng.randrange(2, 5))]) for _ in range(3)]
@@ -322,27 +334,54 @@ class TestVanishingDivisorDegree:
         assert vanishing_divisor_degree(forms) == vanishing_divisor_degree(moved)
 
 
+class TestCheckProfile:
+    def test_accepts_stated_profile(self):
+        check_profile([[X, X.mul(Y)], [ZERO, Y]], [0, -1], [1, 2])
+
+    def test_accepts_zero_entries_anywhere(self):
+        # slot (1, 0) has degree -1: only the zero form fits there
+        check_profile([[ZERO, ZERO], [ZERO, ZERO]], [0, -2], [1, 0])
+        check_profile([[X, ZERO], [ZERO, ZERO]], [0, -2], [1, 0])
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError, match="shape"):
+            check_profile([[X, Y]], [0, 0], [1, 1])
+
+    def test_rejects_wrong_row_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            check_profile([[X, Y], [X]], [0, 0], [1, 1])
+
+    def test_rejects_nonzero_entry_in_negative_slot(self):
+        with pytest.raises(ValueError, match="entry \\(1,0\\)"):
+            check_profile([[X, ZERO], [form(3), ZERO]], [0, -2], [1, 0])
+
+    def test_rejects_degree_mismatch(self):
+        with pytest.raises(ValueError, match="entry \\(0,1\\) has degree 1, expected 2"):
+            check_profile([[X, Y]], [0], [1, 2])
+
+
 class TestGenericRank:
     def test_unit_matrix(self):
-        assert generic_rank([[X, ZERO], [ZERO, X]]) == 2
+        assert generic_rank([[X, ZERO], [ZERO, X]], [0, 0], [1, 1]) == 2
 
     def test_degenerate_product_matrix(self):
         # rows proportional over the function field: rank 1
         x2 = X.mul(X)
         xy = X.mul(Y)
         y2 = Y.mul(Y)
-        assert generic_rank([[x2, xy], [xy, y2]]) == 1
+        assert generic_rank([[x2, xy], [xy, y2]], [0, 0], [2, 2]) == 1
 
     def test_empty(self):
-        assert generic_rank([]) == 0
+        assert generic_rank([], [], []) == 0
+        assert generic_rank([[], []], [0, 1], []) == 0
 
     def test_no_degree_profile_rejected(self):
-        # deg(0,0) + deg(1,1) != deg(0,1) + deg(1,0)
+        # deg(0,0) + deg(1,1) != deg(0,1) + deg(1,0): no stated profile fits
         with pytest.raises(ValueError):
-            generic_rank([[X, X.mul(X)], [X, X]])
+            generic_rank([[X, X.mul(X)], [X, X]], [0, 0], [1, 2])
         # a six-cycle of nonzero entries with no all-nonzero rectangle
         with pytest.raises(ValueError):
-            generic_rank([[X, Y, ZERO], [ZERO, X, Y], [X.mul(Y), ZERO, X]])
+            generic_rank([[X, Y, ZERO], [ZERO, X, Y], [X.mul(Y), ZERO, X]], [0] * 3, [1] * 3)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -355,27 +394,28 @@ class TestGenericRank:
     def test_matches_sympy_minors(self, seed, q, nrows, ncols, dependent):
         rng = random.Random(seed)
         field = PrimeField(q)
-        r, _, entries = profiled_matrix(rng, field, nrows, ncols)
+        r, c, entries = profiled_matrix(rng, field, nrows, ncols)
         if dependent and nrows >= 2:
             replace_last_row_by_combination(rng, field, r, entries)
-        assert generic_rank(entries) == sympy_rank(entries, q)
+        assert generic_rank(entries, r, c) == sympy_rank(entries, q)
 
 
 class TestFormDeterminant:
     def test_empty_matrix_is_one(self):
-        assert form_determinant([], F101).coeffs == (1,)
+        assert form_determinant([], F101, [], []).coeffs == (1,)
 
     def test_needs_square(self):
         with pytest.raises(ValueError):
-            form_determinant([[X, Y]], F101)
+            form_determinant([[X, Y]], F101, [0], [1, 1])
 
     def test_no_degree_profile_rejected(self):
+        # deg(0,0) + deg(1,1) != deg(0,1) + deg(1,0): no stated profile fits
         with pytest.raises(ValueError):
-            form_determinant([[X, X.mul(X)], [X, X]], F101)
+            form_determinant([[X, X.mul(X)], [X, X]], F101, [0, 0], [1, 2])
 
     def test_two_by_two(self):
         # det [[x, y], [y, x]] = x^2 - y^2
-        assert form_determinant([[X, Y], [Y, X]], F101).coeffs == (1, 0, 100)
+        assert form_determinant([[X, Y], [Y, X]], F101, [0, 0], [1, 1]).coeffs == (1, 0, 100)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -390,7 +430,7 @@ class TestFormDeterminant:
         r, c, entries = profiled_matrix(rng, field, n, n)
         if dependent and n >= 2:
             replace_last_row_by_combination(rng, field, r, entries)
-        det = form_determinant(entries, field)
+        det = form_determinant(entries, field, r, c)
         dehomogenized = list(det.coeffs[det.y_valuation() :]) if not det.is_zero else []
         assert dehomogenized == sympy_det(entries, q)
         if not det.is_zero:

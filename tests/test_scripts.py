@@ -20,3 +20,24 @@ def test_script_runs(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a composite modulus used to skip every k = 1 and k = 2 cell and pass vacuously
+        ["scripts/run_campaigns.py", "--q", "4", "--trials", "1", "--d-max", "6"],
+        ["scripts/run_campaigns.py", "--trials", "0"],
+        ["scripts/delta_survey.py", "--q", "4"],
+        ["scripts/delta_survey.py", "--trials", "0"],
+        ["scripts/delta_survey.py", "--a-max", "0"],
+        ["scripts/delta_survey.py", "--t-max", "0"],
+    ],
+)
+def test_bad_argument_exits_2(argv):
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

@@ -9,9 +9,11 @@ from cohsys.bundles import SplittingType, max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import BinaryForm, PrimeField, vanishing_divisor_degree
 from cohsys.stability import (
+    COST_GUARD_MAX_SUBSPACES,
     Candidate,
     SystemInstance,
     _rational_candidates,
+    _subspace_count,
     check_global_generation,
     critical_alphas,
     echelon_bases,
@@ -134,6 +136,25 @@ class TestIsAlphaStable:
         # small fields are exempt
         small = sample_instance(2, 2, 4, 7, 0)
         is_alpha_stable(small, 1)
+
+    @pytest.mark.parametrize(
+        "n, d, k, q",
+        [(2, 2, 3, 10007), (2, 4, 5, 31), (2, 2, 4, 37)],
+    )
+    def test_cost_guard_counts_subspaces(self, n, d, k, q):
+        # 200,300,116, 1,837,991,432 and 2,031,712 subspaces: refused before enumerating
+        inst = sample_instance(n, d, k, q, 0)
+        with pytest.raises(ValueError, match="subspaces"):
+            is_alpha_stable(inst, 1)
+
+    def test_cost_guard_limit(self):
+        assert _subspace_count(4, 31) == 1_016_836 <= COST_GUARD_MAX_SUBSPACES
+        assert _subspace_count(4, 37) == 2_031_712 > COST_GUARD_MAX_SUBSPACES
+        assert _subspace_count(5, 3) == 2_664
+        # the count is the number of reduced echelon bases
+        for k, q in ((3, 2), (4, 3), (3, 5)):
+            total = sum(1 for w in range(k + 1) for _ in echelon_bases(k, w, q))
+            assert _subspace_count(k, q) == total
 
     def test_witness_rank_one_matches_divisor_oracle(self):
         # a reported rank-1 witness through a section subspace is the
