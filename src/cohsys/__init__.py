@@ -8,7 +8,6 @@ from .bundles import (
     kernel_splitting,
     max_subbundle_degree,
     saturate,
-    shatz_embedding_exists,
 )
 from .classification import (
     AlphaInterval,
@@ -23,7 +22,6 @@ from .delta import (
     delta_bruteforce,
     delta_closure,
     delta_formula,
-    delta_prime_formula,
 )
 from .exactmath import (
     BinaryForm,
@@ -32,14 +30,13 @@ from .exactmath import (
     multiplication_matrix,
     vanishing_divisor_degree,
 )
-from .numerology import Numerology, brill_noether, decompose, valid_degrees_k1
+from .numerology import Numerology, brill_noether, decompose
 from .stability import (
     StabilityReport,
     SubsystemWitness,
     SystemInstance,
     check_global_generation,
     critical_alphas,
-    evaluation_rank_at_point,
     is_alpha_stable,
     sample_instance,
     stability_interval,
@@ -69,8 +66,6 @@ __all__ = [
     "delta_bruteforce",
     "delta_closure",
     "delta_formula",
-    "delta_prime_formula",
-    "evaluation_rank_at_point",
     "generic_splitting",
     "is_alpha_stable",
     "kernel_splitting",
@@ -79,8 +74,6 @@ __all__ = [
     "necessary_region",
     "sample_instance",
     "saturate",
-    "shatz_embedding_exists",
     "stability_interval",
     "vanishing_divisor_degree",
-    "valid_degrees_k1",
 ]

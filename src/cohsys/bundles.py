@@ -20,6 +20,7 @@ from .exactmath import (
     BinaryForm,
     FieldMatrix,
     PrimeField,
+    check_profile,
     generic_rank,
     multiplication_matrix,
     stacked_rank,
@@ -85,34 +86,11 @@ def cohomology(t: SplittingType, j: int) -> tuple[int, int]:
     return h0, h1
 
 
-def endomorphism_type(t: SplittingType) -> SplittingType:
-    """Splitting type of End = Hom(t, t), i.e. all pairwise differences."""
-    diffs = sorted((a - b for a in t for b in t), reverse=True)
-    return SplittingType(tuple(diffs))
-
-
 def max_subbundle_degree(t: SplittingType, r: int) -> int:
     """Largest degree of a rank-r subbundle: the r biggest summand degrees."""
     if r < 0 or r > t.rank:
         raise ValueError(f"rank {r} out of range for a rank-{t.rank} bundle")
     return sum(t.degrees[:r])
-
-
-def shatz_embedding_exists(e: SplittingType, g: SplittingType, k: int) -> bool:
-    """Whether O^k embeds in e with quotient g, by the polygon criterion.
-
-    Tests the two conditions on E = e and F = g + O^k: the polygon of F
-    dominates the polygon of E, and b_i > a_i holds exactly for i <= n - k.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    n = e.rank
-    if g.rank + k != n:
-        raise ValueError(f"rank mismatch: {g.rank} + {k} != {n}")
-    f = SplittingType(tuple(sorted(g.degrees + (0,) * k, reverse=True)))
-    if any(pf < pe for pf, pe in zip(itertools.accumulate(f), itertools.accumulate(e))):
-        return False
-    return all((f[i] > e[i]) == (i < n - k) for i in range(n))
 
 
 def _twist_matrix(
@@ -208,16 +186,6 @@ def kernel_splitting(
     return SplittingType(tuple(degrees))
 
 
-def check_section_degrees(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> None:
-    """Raise unless each section has one component per summand O(a), zero or of degree a."""
-    for s in sections:
-        if len(s) != e.rank:
-            raise ValueError(f"section has {len(s)} components, expected {e.rank}")
-        for i, f in enumerate(s):
-            if not f.is_zero and f.degree != e[i]:
-                raise ValueError(f"section component {i} has degree {f.degree}, expected {e[i]}")
-
-
 def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> SaturationResult:
     """Invariants of the minimal subbundle whose sections contain the span.
 
@@ -226,7 +194,7 @@ def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> Satu
     saturation, of rank n - rk N and degree deg E + deg N, with E/F = N*.
     Zero sections are ignored.
     """
-    check_section_degrees(e, sections)
+    check_profile(sections, [0] * len(sections), e.degrees)
     n = e.rank
     live = [s for s in sections if any(not f.is_zero for f in s)]
     if not live:
@@ -239,17 +207,29 @@ def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> Satu
     return _saturation(e, kernel_splitting(source, target, entries))
 
 
+def _padded(e: SplittingType, section: Sequence[BinaryForm]) -> list[list[int]]:
+    """The a + 1 coefficients of each component in its O(a) slot; a zero form gives zeros."""
+    return [[0] * max(0, a + 1) if f.is_zero else list(f.coeffs) for f, a in zip(section, e)]
+
+
 def combine_sections(
-    field: PrimeField, rank: int, sections: Sequence[Sequence[BinaryForm]], coeffs: Sequence[int]
+    field: PrimeField,
+    e: SplittingType,
+    sections: Sequence[Sequence[BinaryForm]],
+    coeffs: Sequence[int],
 ) -> tuple[BinaryForm, ...]:
-    """The section sum(coeffs[l] * sections[l]) of a bundle of the given rank."""
-    out = []
-    for i in range(rank):
-        acc = BinaryForm.zero(field)
-        for c, s in zip(coeffs, sections):
-            if c % field.q:
-                acc = acc.add(s[i].scale(c))
-        out.append(acc)
+    """The section sum(coeffs[l] * sections[l]) of a bundle of type e, for residues coeffs.
+
+    Combines the padded coefficient rows of the sections in the monomial
+    basis of H^0(E), then splits the result back into one form per summand.
+    """
+    rows = np.array([list(itertools.chain(*_padded(e, s))) for s in sections], dtype=np.int64)
+    flat = _combine(np.array(coeffs, dtype=np.int64), rows, field.q).tolist()
+    out, start = [], 0
+    for a in e:
+        stop = start + max(0, a + 1)
+        out.append(BinaryForm(field, tuple(flat[start:stop])))
+        start = stop
     return tuple(out)
 
 
@@ -327,7 +307,7 @@ class SectionPairing:
         ranks = ranks.tolist()
         for m, basis in enumerate(bases.tolist()):
             if ranks[m] < full:
-                rows = [combine_sections(self.field, self.e.rank, self.sections, b) for b in basis]
+                rows = [combine_sections(self.field, self.e, self.sections, b) for b in basis]
                 ranks[m] = generic_rank(rows, [0] * len(rows), self.e.degrees)
         return ranks
 

@@ -1,7 +1,8 @@
 """Command-line front end: classification queries, tables, verification runs.
 
-Exit codes: 0 success / agreement, 1 verification disagreement, 2 usage or
-parse errors.  All rational values are printed as exact fraction strings.
+Exit codes: 0 success / agreement, 1 verification disagreement or a campaign
+that tested nothing, 2 usage or parse errors.  All rational values are
+printed as exact fraction strings.
 """
 
 from __future__ import annotations
@@ -157,7 +158,12 @@ def _plan_samples(verdict: Verdict, cfg: VerifyCampaignConfig) -> list[tuple[Fra
 
 
 def _nudge_alpha(alpha: Fraction, crits: list[Fraction], verdict: Verdict) -> Fraction:
-    """Move a sample off the instance's critical weights, same expectation class."""
+    """Move a sample off the instance's critical weights, same expectation class.
+
+    A critical weight with no such neighbour is sampled in place unless it is
+    expected stable: some candidate's slope equals the total slope there, so
+    the checker says "not stable", which any other expectation allows.
+    """
     if alpha not in crits:
         return alpha
     want = _expectation(verdict, alpha)
@@ -168,7 +174,9 @@ def _nudge_alpha(alpha: Fraction, crits: list[Fraction], verdict: Verdict) -> Fr
             cand += direction * step
             if cand >= 0 and cand not in crits and _expectation(verdict, cand) == want:
                 return cand
-    raise RuntimeError("could not move the sample weight off the critical set")
+    if want == "stable":
+        raise RuntimeError("could not move the sample weight off the critical set")
+    return alpha
 
 
 def _draw_instances(cfg: VerifyCampaignConfig, n: int, d: int, k: int) -> list[SystemInstance]:
@@ -183,8 +191,10 @@ def _draw_instances(cfg: VerifyCampaignConfig, n: int, d: int, k: int) -> list[S
 
 
 def run_verify_campaign(cfg: VerifyCampaignConfig) -> dict:
+    """Classify and sample every cell; ``all_agree`` needs at least one tested cell."""
     cells = []
     all_agree = True
+    tested = False
     for n in cfg.n_values:
         for d in cfg.d_values:
             for k in cfg.k_values:
@@ -208,8 +218,10 @@ def run_verify_campaign(cfg: VerifyCampaignConfig) -> dict:
                     agree = _sampled_cell(cfg, verdict, instances, cell)
                 cell["agree"] = agree
                 all_agree = all_agree and agree
+                tested = tested or bool(cell.get("samples") or cell.get("intervals"))
                 cells.append(cell)
-    return {"config": cfg.to_json_dict(), "cells": cells, "all_agree": all_agree}
+    # a campaign that sampled no weight and drew no instance checked nothing
+    return {"config": cfg.to_json_dict(), "cells": cells, "all_agree": all_agree and tested}
 
 
 def _sampled_cell(cfg, verdict, instances, cell) -> bool:

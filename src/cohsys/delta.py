@@ -26,6 +26,7 @@ from .exactmath import (
     BinaryForm,
     FieldMatrix,
     PrimeField,
+    check_profile,
     form_determinant,
     generic_rank,
     vanishing_divisor_degree,
@@ -44,11 +45,7 @@ class DeltaInput:
     def __post_init__(self) -> None:
         if self.a < 1 or self.t < 1:
             raise ValueError("need a >= 1 and t >= 1")
-        if len(self.g) != self.t or len(self.g_prime) != self.t:
-            raise ValueError(f"expected {self.t} forms in each family")
-        for f in self.g + self.g_prime:
-            if not f.is_zero and f.degree != self.a - 1:
-                raise ValueError(f"form degree {f.degree} != {self.a - 1}")
+        check_profile([self.g, self.g_prime], [0, 0], [self.a - 1] * self.t)
 
     @property
     def field(self) -> PrimeField:
@@ -64,17 +61,6 @@ def delta_formula(a: int, t: int) -> int:
     if a == t:
         return t - 1
     return a
-
-
-def delta_prime_formula(a: int, r: int) -> int:
-    """Generic value of the balanced variant: 2r, 2r-1, or a+1 by the size of a."""
-    if a < 1 or r < 1:
-        raise ValueError("need a >= 1 and r >= 1")
-    if a >= 2 * r:
-        return 2 * r
-    if a == 2 * r - 1:
-        return 2 * r - 1
-    return a + 1
 
 
 def _pencil_coefficient_matrices(

@@ -66,7 +66,9 @@ class BinaryForm:
     """Homogeneous polynomial in (x, y) over a prime field.
 
     ``coeffs[i]`` multiplies x**(d-i) * y**i.  The all-zero coefficient vector
-    collapses to the canonical zero form ``()`` of degree -1.
+    collapses to the canonical zero form ``()`` of degree -1.  A form carries
+    data, evaluation and valuation only: products of forms happen inside the
+    eliminations, and sums of sections in ``bundles.combine_sections``.
     """
 
     field: PrimeField
@@ -92,33 +94,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def add(self, other: "BinaryForm") -> "BinaryForm":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        q = self.field.q
-        return BinaryForm(self.field, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int) -> "BinaryForm":
-        c %= self.field.q
-        if c == 0 or self.is_zero:
-            return BinaryForm.zero(self.field)
-        return BinaryForm(self.field, tuple(c * a % self.field.q for a in self.coeffs))
-
-    def mul(self, other: "BinaryForm") -> "BinaryForm":
-        if self.is_zero or other.is_zero:
-            return BinaryForm.zero(self.field)
-        q = self.field.q
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % q
-        return BinaryForm(self.field, tuple(out))
-
     def evaluate(self, b: int, c: int) -> int:
         """Value at the point (b : c), as a residue."""
         q = self.field.q
@@ -129,32 +104,6 @@ class BinaryForm:
         for i, coeff in enumerate(self.coeffs):
             acc = (acc + coeff * pow(b, d - i, q) * pow(c, i, q)) % q
         return acc
-
-    def compose_linear(self, m00: int, m01: int, m10: int, m11: int) -> "BinaryForm":
-        """Substitute x -> m00*x + m01*y, y -> m10*x + m11*y."""
-        if self.is_zero:
-            return self
-        u = BinaryForm(self.field, (m00, m01))
-        v = BinaryForm(self.field, (m10, m11))
-        d = self.degree
-        one = BinaryForm(self.field, (1,))
-        u_pows = [one]
-        v_pows = [one]
-        for _ in range(d):
-            u_pows.append(u_pows[-1].mul(u))
-            v_pows.append(v_pows[-1].mul(v))
-        out = [0] * (d + 1)
-        q = self.field.q
-        for i, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            term = u_pows[d - i].mul(v_pows[i]).scale(coeff)
-            if term.is_zero:
-                continue
-            # nonzero products of linear forms always occupy the full degree-d slot
-            for j, t in enumerate(term.coeffs):
-                out[j] = (out[j] + t) % q
-        return BinaryForm(self.field, tuple(out))
 
     def y_valuation(self) -> int:
         """Largest power of y dividing the form (None-free: zero form rejected)."""

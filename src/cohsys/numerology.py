@@ -1,9 +1,9 @@
 """Integer invariants of a triple (n, d, k).
 
-Two Euclidean decompositions of d are kept side by side: d = n*a - t with
-0 <= t < n (used by the stability bounds) and d = a'*n + s with 0 <= s < n
-(the balanced-type parameter).  Mixing them up is a classic off-by-one
-source, so both are stored explicitly.
+The stability bounds use d = n*a - t with 0 <= t < n, so a is d/n rounded
+up, and k*a - t = l*(n-k) + m with 0 <= m < n - k when k < n.  The balanced
+type rounds d/n down instead (``bundles.generic_splitting``); the two differ
+by one whenever n does not divide d.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class Numerology:
     k: int
     a: int  # d = n*a - t
     t: int
-    a_prime: int  # d = a'*n + s
-    s: int
     l: int | None  # k*a - t = l*(n-k) + m, only when k < n
     m: int | None
     beta: int
@@ -39,12 +37,11 @@ def decompose(n: int, d: int, k: int) -> Numerology:
         raise ValueError("section count k must be >= 0")
     a = -((-d) // n)
     t = n * a - d
-    a_prime, s = divmod(d, n)
     if k < n:
         l, m = divmod(k * a - t, n - k)
     else:
         l, m = None, None
-    return Numerology(n, d, k, a, t, a_prime, s, l, m, brill_noether(n, d, k))
+    return Numerology(n, d, k, a, t, l, m, brill_noether(n, d, k))
 
 
 def beta_nonnegative_threshold(n: int, k: int) -> Fraction:
@@ -52,25 +49,3 @@ def beta_nonnegative_threshold(n: int, k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     return Fraction(n * n - 1, k) - (n - k)
-
-
-def valid_degrees_k1(n: int, d_max: int) -> list[int]:
-    """All d <= d_max of the shape n(n-1)l + mn + t(n-1), l >= 1.
-
-    These are exactly the degrees where a one-section pair can be stable for
-    some weight; enumerated directly from the parametrization rather than by
-    filtering, so it can serve as an independent check on ``decompose``.
-    """
-    if n < 2:
-        raise ValueError("rank n must be >= 2")
-    out: set[int] = set()
-    base = n * (n - 1)
-    l = 1
-    while base * l <= d_max:
-        for m in range(n - 1):
-            for t in range(n):
-                d = base * l + m * n + t * (n - 1)
-                if d <= d_max:
-                    out.add(d)
-        l += 1
-    return sorted(out)

@@ -43,7 +43,7 @@ from .bundles import (
     SaturationResult,
     SectionPairing,
     SplittingType,
-    check_section_degrees,
+    _padded,
     cohomology,
     combine_sections,
     generic_splitting,
@@ -53,7 +53,7 @@ from .bundles import (
 )
 from .classification import AlphaInterval
 from .delta import pencil_min_rank
-from .exactmath import BinaryForm, FieldMatrix, PrimeField
+from .exactmath import BinaryForm, FieldMatrix, PrimeField, check_profile
 
 # Candidate enumeration visits every subspace of F_q^k; it is refused above
 # this many unless the caller allows it.
@@ -74,7 +74,7 @@ class SystemInstance:
     def __post_init__(self) -> None:
         if self.splitting.rank == 0:
             raise ValueError("the bundle must have rank >= 1")
-        check_section_degrees(self.splitting, self.sections)
+        check_profile(self.sections, [0] * len(self.sections), self.splitting.degrees)
         k = len(self.sections)
         h0 = cohomology(self.splitting, 0)[0]
         if k > h0:
@@ -100,7 +100,7 @@ class SystemInstance:
 
     def combine(self, coeffs: Sequence[int]) -> tuple[BinaryForm, ...]:
         """The section sum(coeffs[j] * sections[j]) componentwise."""
-        return combine_sections(self.field, self.n, self.sections, coeffs)
+        return combine_sections(self.field, self.splitting, self.sections, coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,11 +127,6 @@ class SystemInstance:
                 comps.append(BinaryForm(field, tuple(_json_int(c, "coefficient") for c in coeffs)))
             sections.append(tuple(comps))
         return cls(field, splitting, tuple(sections))
-
-
-def _padded(splitting: SplittingType, section: Sequence[BinaryForm]) -> list[list[int]]:
-    """The a + 1 coefficients of each component in its O(a) slot; a zero form gives zeros."""
-    return [[0] * max(0, a + 1) if f.is_zero else list(f.coeffs) for f, a in zip(section, splitting)]
 
 
 def _independent(
@@ -405,15 +400,6 @@ def check_global_generation(inst: SystemInstance) -> bool:
     image_rank = inst.k - kern.rank
     image_degree = -kern.degree
     return image_rank == inst.n and image_degree == inst.d
-
-
-def evaluation_rank_at_point(inst: SystemInstance, b: int, c: int) -> int:
-    """Rank of the k x n matrix of section values at (b : c)."""
-    q = inst.q
-    if b % q == 0 and c % q == 0:
-        raise ValueError("(0, 0) is not a projective point")
-    rows = [[f.evaluate(b, c) for f in s] for s in inst.sections]
-    return FieldMatrix.from_rows(inst.field, rows).rank()
 
 
 def mix_seed(*parts: int) -> int:

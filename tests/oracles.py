@@ -1,0 +1,133 @@
+"""Reference code that the tests check the program against.
+
+The program never calls these.  Each is written the plain way, with loops
+over coefficients or a direct enumeration, so that it does not share the
+shortcuts of the code it checks: form arithmetic for building test inputs
+and the per-component sum behind ``combine_sections``, coordinate changes for
+invariance tests, the endomorphism type for ``generic_splitting``, the Shatz
+embedding test and the k = 1 degree list for ``decompose``, and the
+evaluation rank of an instance at a point.
+"""
+
+import itertools
+
+from cohsys.bundles import SplittingType
+from cohsys.exactmath import BinaryForm, FieldMatrix
+
+
+# -- binary forms --------------------------------------------------------------
+
+
+def add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """f + g; both nonzero forms must have one degree."""
+    if f.is_zero:
+        return g
+    if g.is_zero:
+        return f
+    if f.degree != g.degree:
+        raise ValueError("cannot add forms of different degrees")
+    return BinaryForm(f.field, tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+
+
+def scale(f: BinaryForm, c: int) -> BinaryForm:
+    """c * f; a zero scalar gives the zero form."""
+    return BinaryForm(f.field, tuple(c * a for a in f.coeffs))
+
+
+def mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """f * g, by the schoolbook product of coefficient lists."""
+    if f.is_zero or g.is_zero:
+        return BinaryForm.zero(f.field)
+    out = [0] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return BinaryForm(f.field, tuple(out))
+
+
+def compose_linear(f: BinaryForm, m00: int, m01: int, m10: int, m11: int) -> BinaryForm:
+    """f with x -> m00*x + m01*y and y -> m10*x + m11*y substituted."""
+    if f.is_zero:
+        return f
+    u = BinaryForm(f.field, (m00, m01))
+    v = BinaryForm(f.field, (m10, m11))
+    d = f.degree
+    total = BinaryForm.zero(f.field)
+    for i, coeff in enumerate(f.coeffs):
+        term = BinaryForm(f.field, (coeff,))
+        for _ in range(d - i):
+            term = mul(term, u)
+        for _ in range(i):
+            term = mul(term, v)
+        total = add(total, term)
+    return total
+
+
+def componentwise_sum(field, sections, coeffs) -> tuple[BinaryForm, ...]:
+    """sum(coeffs[l] * sections[l]), one component at a time with ``add``/``scale``."""
+    out = []
+    for i in range(len(sections[0])):
+        acc = BinaryForm.zero(field)
+        for c, s in zip(coeffs, sections):
+            acc = add(acc, scale(s[i], c))
+        out.append(acc)
+    return tuple(out)
+
+
+# -- bundles and numerology ----------------------------------------------------
+
+
+def endomorphism_type(t: SplittingType) -> SplittingType:
+    """Splitting type of End = Hom(t, t), i.e. all pairwise differences."""
+    return SplittingType(tuple(sorted((a - b for a in t for b in t), reverse=True)))
+
+
+def shatz_embedding_exists(e: SplittingType, g: SplittingType, k: int) -> bool:
+    """Whether O^k embeds in e with quotient g, by the polygon criterion.
+
+    Tests the two conditions on E = e and F = g + O^k: the polygon of F
+    dominates the polygon of E, and b_i > a_i holds exactly for i <= n - k.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    n = e.rank
+    if g.rank + k != n:
+        raise ValueError(f"rank mismatch: {g.rank} + {k} != {n}")
+    f = SplittingType(tuple(sorted(g.degrees + (0,) * k, reverse=True)))
+    if any(pf < pe for pf, pe in zip(itertools.accumulate(f), itertools.accumulate(e))):
+        return False
+    return all((f[i] > e[i]) == (i < n - k) for i in range(n))
+
+
+def valid_degrees_k1(n: int, d_max: int) -> list[int]:
+    """All d <= d_max of the shape n(n-1)l + mn + t(n-1), l >= 1.
+
+    These are exactly the degrees where a one-section pair can be stable for
+    some weight, enumerated from the parametrization rather than by
+    filtering ``decompose``.
+    """
+    if n < 2:
+        raise ValueError("rank n must be >= 2")
+    out: set[int] = set()
+    base = n * (n - 1)
+    l = 1
+    while base * l <= d_max:
+        for m in range(n - 1):
+            for t in range(n):
+                d = base * l + m * n + t * (n - 1)
+                if d <= d_max:
+                    out.add(d)
+        l += 1
+    return sorted(out)
+
+
+# -- instances -----------------------------------------------------------------
+
+
+def evaluation_rank_at_point(inst, b: int, c: int) -> int:
+    """Rank of the k x n matrix of section values at (b : c)."""
+    q = inst.q
+    if b % q == 0 and c % q == 0:
+        raise ValueError("(0, 0) is not a projective point")
+    rows = [[f.evaluate(b, c) for f in s] for s in inst.sections]
+    return FieldMatrix.from_rows(inst.field, rows).rank()

@@ -17,7 +17,6 @@ from cohsys.numerology import (
     beta_nonnegative_threshold,
     brill_noether,
     decompose,
-    valid_degrees_k1,
 )
 from cohsys.stability import (
     critical_alphas,

@@ -11,12 +11,11 @@ from cohsys.bundles import (
     SectionPairing,
     SplittingType,
     cohomology,
-    endomorphism_type,
+    combine_sections,
     generic_splitting,
     kernel_splitting,
     max_subbundle_degree,
     saturate,
-    shatz_embedding_exists,
 )
 from cohsys.exactmath import (
     BinaryForm,
@@ -24,6 +23,7 @@ from cohsys.exactmath import (
     vanishing_divisor_degree,
 )
 from cohsys.numerology import decompose
+from oracles import componentwise_sum, endomorphism_type, shatz_embedding_exists
 
 F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
@@ -228,6 +228,34 @@ class TestSaturate:
             cur = (res.rank, res.degree)
             assert cur >= prev
             prev = cur
+
+
+class TestCombineSections:
+    """The combination on the padded layout against a per-component sum of forms."""
+
+    @given(
+        st.lists(st.integers(-2, 4), min_size=1, max_size=4),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_componentwise_sum(self, degrees, q, k, seed):
+        field = PrimeField(q)
+        t = SplittingType(tuple(sorted(degrees, reverse=True)))
+        rng = random.Random(seed)
+
+        def component(a):
+            # zero components in every slot, residues up to q - 1 in the rest
+            if a < 0 or rng.random() < 0.25:
+                return BinaryForm.zero(field)
+            return BinaryForm(field, tuple(rng.randrange(q) for _ in range(a + 1)))
+
+        sections = [tuple(component(a) for a in t) for _ in range(k)]
+        coeffs = [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(k)]
+        got = combine_sections(field, t, sections, coeffs)
+        assert got == componentwise_sum(field, sections, coeffs)
+        assert all(f.is_zero or f.degree == a for f, a in zip(got, t))
 
 
 def span_sections(field, t, vectors, basis):

@@ -12,7 +12,8 @@ from cohsys.classification import (
     necessary_region,
     slope_bounds,
 )
-from cohsys.numerology import decompose, valid_degrees_k1
+from cohsys.numerology import decompose
+from oracles import valid_degrees_k1
 
 
 class TestAlphaInterval:

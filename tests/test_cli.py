@@ -165,6 +165,28 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["config"]["empty_samples"] == 0
 
+    def test_critical_weight_without_neighbour_is_sampled_in_place(self, capsys):
+        # t = 0, so 0 is critical and expected "zero", and every weight just
+        # above it is expected stable: the sample cannot be moved off it
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "2", "--d", "2", "--k", "1", "--trials", "1",
+            "--alpha-rule", "explicit", "--alphas", "0",
+        )
+        assert code == 0, err
+        (cell,) = json.loads(out)["cells"]
+        (sample,) = cell["samples"]
+        assert (sample["alpha"], sample["expect"], sample["stable_count"]) == ("0", "zero", 0)
+
+    def test_campaign_that_tests_nothing_fails(self, capsys):
+        # the only cell is skipped: 5 independent sections need h0 >= 5
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--d", "0", "--k", "5", "--trials", "1"
+        )
+        assert code != 0
+        report = json.loads(out)
+        assert not report["all_agree"]
+        assert all("skipped" in cell for cell in report["cells"])
+
     def test_containment_rule(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -417,6 +439,18 @@ ARGVS = weighted(
             st.just("delta-check"), st.integers(-1, 3).map(str), st.integers(-1, 3).map(str),
             st.just("--trials"), st.integers(-1, 2).map(str),
             st.just("--q"), st.sampled_from(["2", "3", "7", "101", "4", "x"]),
+        ).map(list),
+    ),
+    (
+        2,
+        st.tuples(
+            st.just("verify"), st.just("--n"), span(2, 3), st.just("--d"), span(-1, 4),
+            st.just("--k"), span(1, 3), st.just("--trials"), st.sampled_from(["1", "2"]),
+            st.just("--q"), st.sampled_from(["2", "3", "5"]),
+            st.just("--alpha-rule"),
+            st.sampled_from(["interval-midpoint", "cell-midpoints", "explicit"]),
+            st.just("--alphas"),
+            st.lists(st.sampled_from(["0", "1/3", "5"]), min_size=1, max_size=3).map(",".join),
         ).map(list),
     ),
     (1, st.lists(st.text(max_size=6), max_size=4)),

@@ -10,21 +10,13 @@ from cohsys.delta import (
     delta_bruteforce,
     delta_closure,
     delta_formula,
-    delta_prime_formula,
     pencil_min_rank,
     sample_delta_input,
 )
 from cohsys.exactmath import BinaryForm, PrimeField, form_determinant, vanishing_divisor_degree
+from oracles import add, mul, scale
 
 F = PrimeField(101)
-
-
-# frozen regression table for the balanced variant, 1 <= a <= 10, 1 <= r <= 5
-DELTA_PRIME_TABLE = {
-    (a, r): (2 * r if a >= 2 * r else (2 * r - 1 if a == 2 * r - 1 else a + 1))
-    for a in range(1, 11)
-    for r in range(1, 6)
-}
 
 
 class TestFormulas:
@@ -33,28 +25,22 @@ class TestFormulas:
         assert delta_formula(2, 2) == 1
         assert delta_formula(1, 3) == 1
 
-    def test_delta_prime_cases(self):
-        assert delta_prime_formula(4, 2) == 4
-        assert delta_prime_formula(3, 2) == 3
-        assert delta_prime_formula(2, 2) == 3
-
-    def test_delta_prime_regression_table(self):
-        for (a, r), expected in DELTA_PRIME_TABLE.items():
-            assert delta_prime_formula(a, r) == expected
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             delta_formula(0, 1)
         with pytest.raises(ValueError):
             delta_formula(1, 0)
-        with pytest.raises(ValueError):
-            delta_prime_formula(0, 2)
 
 
 class TestDeltaInput:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
             DeltaInput(2, 1, (BinaryForm(F, (1, 2, 3)),), (BinaryForm.zero(F),))
+
+    def test_rejects_wrong_family_length(self):
+        x = BinaryForm(F, (1, 0))
+        with pytest.raises(ValueError, match="shape"):
+            DeltaInput(2, 2, (x, x), (x,))
 
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError):
@@ -113,8 +99,8 @@ class TestOracles:
             mixed = DeltaInput(
                 inp.a,
                 inp.t,
-                tuple(g.scale(2).add(gp.scale(7)) for g, gp in zip(inp.g, inp.g_prime)),
-                tuple(g.scale(1).add(gp.scale(4)) for g, gp in zip(inp.g, inp.g_prime)),
+                tuple(add(scale(g, 2), scale(gp, 7)) for g, gp in zip(inp.g, inp.g_prime)),
+                tuple(add(scale(g, 1), scale(gp, 4)) for g, gp in zip(inp.g, inp.g_prime)),
             )
             assert delta_closure(inp) == delta_closure(mixed)
             assert delta_bruteforce(inp) == delta_bruteforce(mixed)
@@ -125,8 +111,8 @@ class TestOracles:
             scaled = DeltaInput(
                 inp.a,
                 inp.t,
-                tuple(g.scale(9) for g in inp.g),
-                tuple(gp.scale(9) for gp in inp.g_prime),
+                tuple(scale(g, 9) for g in inp.g),
+                tuple(scale(gp, 9) for gp in inp.g_prime),
             )
             assert delta_bruteforce(inp) == delta_bruteforce(scaled)
             assert delta_closure(inp) == delta_closure(scaled)
@@ -187,7 +173,7 @@ def draw_pencil(rng, kind, a, t, field):
         return [uniform(0.7) for _ in range(t)], [uniform(0.7) for _ in range(t)]
     if kind == "equal-pair":
         first = [uniform() for _ in range(t)]
-        second = [f.scale(rng.randrange(q)) if rng.random() < 0.7 else uniform() for f in first]
+        second = [scale(f, rng.randrange(q)) if rng.random() < 0.7 else uniform() for f in first]
         return first, second
     if kind == "low-rank":
         basis = [uniform() for _ in range(rng.randrange(1, 3))]
@@ -195,7 +181,7 @@ def draw_pencil(rng, kind, a, t, field):
         def combo():
             acc = BinaryForm.zero(field)
             for b in basis:
-                acc = acc.add(b.scale(rng.randrange(q)))
+                acc = add(acc, scale(b, rng.randrange(q)))
             return acc
 
         return [combo() for _ in range(t)], [combo() for _ in range(t)]
@@ -205,7 +191,7 @@ def draw_pencil(rng, kind, a, t, field):
         return [uniform() for _ in range(t)], [uniform() for _ in range(t)]
 
     def multiple():
-        return linear.mul(form(rng.randrange(q) for _ in range(a - 1)))
+        return mul(linear, form(rng.randrange(q) for _ in range(a - 1)))
 
     return [multiple() for _ in range(t)], [multiple() for _ in range(t)]
 

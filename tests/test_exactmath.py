@@ -21,6 +21,7 @@ from cohsys.exactmath import (
     stacked_rank,
     vanishing_divisor_degree,
 )
+from oracles import add, compose_linear, mul, scale
 
 F101 = PrimeField(101)
 F7 = PrimeField(7)
@@ -56,7 +57,7 @@ def replace_last_row_by_combination(rng, field, r, rows):
     new = [BinaryForm.zero(field)] * len(rows[0])
     for i in range(len(rows) - 1):
         g = random_form(rng, field, r[-1] - r[i], zero_prob=0.2)
-        new = [acc.add(g.mul(f)) for acc, f in zip(new, rows[i])]
+        new = [add(acc, mul(g, f)) for acc, f in zip(new, rows[i])]
     rows[-1] = new
 
 
@@ -101,10 +102,6 @@ class TestBinaryForm:
         # leading-zero coefficients are legitimate: the form y has degree 1
         assert form(0, 1).degree == 1
 
-    def test_add_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            X.add(form(1, 0, 0))
-
     def test_evaluate(self):
         f = form(1, 2, 3)  # x^2 + 2xy + 3y^2
         assert f.evaluate(1, 0) == 1
@@ -116,7 +113,7 @@ class TestBinaryForm:
         for _ in range(20):
             f = form(*[rng.randrange(101) for _ in range(4)])
             m = [rng.randrange(101) for _ in range(4)]
-            g = f.compose_linear(*m)
+            g = compose_linear(f, *m)
             for b, c in [(1, 0), (0, 1), (1, 1), (2, 5), (17, 3)]:
                 xb = (m[0] * b + m[1] * c) % 101
                 yb = (m[2] * b + m[3] * c) % 101
@@ -276,7 +273,7 @@ class TestMultiplicationMatrix:
         rng = random.Random(seed)
         f = form(*[rng.randrange(1, 101) for _ in range(df + 1)])
         g = form(*[rng.randrange(1, 101) for _ in range(dg + 1)])
-        lhs = multiplication_matrix(f.mul(g), j)
+        lhs = multiplication_matrix(mul(f, g), j)
         rhs = multiplication_matrix(f, j + g.degree).data @ multiplication_matrix(g, j).data
         assert lhs.data.tolist() == (rhs % 101).tolist()
 
@@ -286,10 +283,10 @@ class TestVanishingDivisorDegree:
         assert vanishing_divisor_degree([X, Y]) == 0
 
     def test_common_factor_x(self):
-        assert vanishing_divisor_degree([X.mul(X), X.mul(Y)]) == 1
+        assert vanishing_divisor_degree([mul(X, X), mul(X, Y)]) == 1
 
     def test_single_form(self):
-        assert vanishing_divisor_degree([X.mul(X).mul(Y)]) == 3
+        assert vanishing_divisor_degree([mul(mul(X, X), Y)]) == 3
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -304,7 +301,7 @@ class TestVanishingDivisorDegree:
         # a generator is read lazily and may stop early; the answer is the same
         rng = random.Random(seed)
         forms = [random_form(rng, F101, rng.randrange(3), zero_prob=0.3) for _ in range(4)]
-        forms += [random_form(rng, F101, 2).mul(X) for _ in range(rng.randrange(3))]
+        forms += [mul(random_form(rng, F101, 2), X) for _ in range(rng.randrange(3))]
         if all(f.is_zero for f in forms):
             forms.append(Y)
         assert vanishing_divisor_degree(f for f in forms) == vanishing_divisor_degree(forms)
@@ -316,7 +313,7 @@ class TestVanishingDivisorDegree:
         forms = [form(*[rng.randrange(101) for _ in range(rng.randrange(2, 5))]) for _ in range(3)]
         if all(f.is_zero for f in forms):
             forms.append(X)
-        scaled = [f.scale(rng.randrange(1, 101)) for f in forms]
+        scaled = [scale(f, rng.randrange(1, 101)) for f in forms]
         assert vanishing_divisor_degree(forms) == vanishing_divisor_degree(scaled)
 
     @given(st.integers(0, 2**32 - 1))
@@ -330,13 +327,13 @@ class TestVanishingDivisorDegree:
             a, b, c, d = (rng.randrange(101) for _ in range(4))
             if (a * d - b * c) % 101:
                 break
-        moved = [f.compose_linear(a, b, c, d) for f in forms]
+        moved = [compose_linear(f, a, b, c, d) for f in forms]
         assert vanishing_divisor_degree(forms) == vanishing_divisor_degree(moved)
 
 
 class TestCheckProfile:
     def test_accepts_stated_profile(self):
-        check_profile([[X, X.mul(Y)], [ZERO, Y]], [0, -1], [1, 2])
+        check_profile([[X, mul(X, Y)], [ZERO, Y]], [0, -1], [1, 2])
 
     def test_accepts_zero_entries_anywhere(self):
         # slot (1, 0) has degree -1: only the zero form fits there
@@ -366,9 +363,9 @@ class TestGenericRank:
 
     def test_degenerate_product_matrix(self):
         # rows proportional over the function field: rank 1
-        x2 = X.mul(X)
-        xy = X.mul(Y)
-        y2 = Y.mul(Y)
+        x2 = mul(X, X)
+        xy = mul(X, Y)
+        y2 = mul(Y, Y)
         assert generic_rank([[x2, xy], [xy, y2]], [0, 0], [2, 2]) == 1
 
     def test_empty(self):
@@ -378,10 +375,10 @@ class TestGenericRank:
     def test_no_degree_profile_rejected(self):
         # deg(0,0) + deg(1,1) != deg(0,1) + deg(1,0): no stated profile fits
         with pytest.raises(ValueError):
-            generic_rank([[X, X.mul(X)], [X, X]], [0, 0], [1, 2])
+            generic_rank([[X, mul(X, X)], [X, X]], [0, 0], [1, 2])
         # a six-cycle of nonzero entries with no all-nonzero rectangle
         with pytest.raises(ValueError):
-            generic_rank([[X, Y, ZERO], [ZERO, X, Y], [X.mul(Y), ZERO, X]], [0] * 3, [1] * 3)
+            generic_rank([[X, Y, ZERO], [ZERO, X, Y], [mul(X, Y), ZERO, X]], [0] * 3, [1] * 3)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -411,7 +408,7 @@ class TestFormDeterminant:
     def test_no_degree_profile_rejected(self):
         # deg(0,0) + deg(1,1) != deg(0,1) + deg(1,0): no stated profile fits
         with pytest.raises(ValueError):
-            form_determinant([[X, X.mul(X)], [X, X]], F101, [0, 0], [1, 2])
+            form_determinant([[X, mul(X, X)], [X, X]], F101, [0, 0], [1, 2])
 
     def test_two_by_two(self):
         # det [[x, y], [y, x]] = x^2 - y^2

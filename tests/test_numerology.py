@@ -8,8 +8,8 @@ from cohsys.numerology import (
     beta_nonnegative_threshold,
     brill_noether,
     decompose,
-    valid_degrees_k1,
 )
+from oracles import valid_degrees_k1
 
 
 class TestDecompose:
@@ -34,8 +34,8 @@ class TestDecompose:
     def test_euclidean_identities(self, n, d, k):
         num = decompose(n, d, k)
         assert num.d == n * num.a - num.t and 0 <= num.t < n
-        assert num.d == num.a_prime * n + num.s and 0 <= num.s < n
-        assert num.t == (n - num.s) % n
+        assert num.a == -(-d // n)
+        assert num.t == (n - d % n) % n
         if k < n:
             assert k * num.a - num.t == num.l * (n - k) + num.m
             assert 0 <= num.m < n - k

@@ -28,6 +28,10 @@ def test_script_runs(argv):
         # a composite modulus used to skip every k = 1 and k = 2 cell and pass vacuously
         ["scripts/run_campaigns.py", "--q", "4", "--trials", "1", "--d-max", "6"],
         ["scripts/run_campaigns.py", "--trials", "0"],
+        # below every k = 1 and k = 2 family's first degree: seven families
+        # with no cell used to print all_agree=True and pass
+        ["scripts/run_campaigns.py", "--d-max", "-5", "--trials", "1"],
+        ["scripts/run_campaigns.py", "--d-max", "0", "--trials", "1"],
         ["scripts/delta_survey.py", "--q", "4"],
         ["scripts/delta_survey.py", "--trials", "0"],
         ["scripts/delta_survey.py", "--a-max", "0"],

@@ -17,13 +17,13 @@ from cohsys.stability import (
     check_global_generation,
     critical_alphas,
     echelon_bases,
-    evaluation_rank_at_point,
     is_alpha_stable,
     sample_generating_instance,
     sample_instance,
     stability_interval,
     subsystem_candidates,
 )
+from oracles import evaluation_rank_at_point, scale
 
 F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
@@ -51,7 +51,7 @@ class TestSystemInstance:
 
     def test_rejects_dependent_sections(self):
         with pytest.raises(ValueError):
-            SystemInstance(F, SplittingType.of(1, 1), ((X, Y), (X.scale(2), Y.scale(2))))
+            SystemInstance(F, SplittingType.of(1, 1), ((X, Y), (scale(X, 2), scale(Y, 2))))
 
     def test_rejects_too_many_sections(self):
         with pytest.raises(ValueError):
