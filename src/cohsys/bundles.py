@@ -37,10 +37,6 @@ class SplittingType:
         if any(self.degrees[i] < self.degrees[i + 1] for i in range(len(self.degrees) - 1)):
             raise ValueError("splitting type must be sorted non-increasing")
 
-    @classmethod
-    def of(cls, *degrees: int) -> "SplittingType":
-        return cls(tuple(sorted(degrees, reverse=True)))
-
     @property
     def rank(self) -> int:
         return len(self.degrees)

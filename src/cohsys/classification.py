@@ -24,11 +24,11 @@ from .numerology import beta_nonnegative_threshold, brill_noether, decompose
 class AlphaInterval:
     """Interval of weights with exact rational endpoints and openness flags.
 
-    ``None`` endpoints mean -infinity / +infinity.  Degenerate open intervals
-    normalize to the canonical empty interval.
+    The lower end is always a number; an ``upper`` of None means +infinity.
+    Degenerate open intervals normalize to the canonical empty interval.
     """
 
-    lower: Fraction | None
+    lower: Fraction
     upper: Fraction | None
     lower_open: bool = True
     upper_open: bool = True
@@ -37,8 +37,8 @@ class AlphaInterval:
     EMPTY: ClassVar["AlphaInterval"]
 
     @staticmethod
-    def open_interval(lower: Fraction | None, upper: Fraction | None) -> "AlphaInterval":
-        if lower is not None and upper is not None and lower >= upper:
+    def open_interval(lower: Fraction, upper: Fraction | None) -> "AlphaInterval":
+        if upper is not None and lower >= upper:
             return AlphaInterval.EMPTY
         return AlphaInterval(lower, upper, True, True)
 
@@ -51,9 +51,8 @@ class AlphaInterval:
     def contains(self, x: Fraction) -> bool:
         if self.empty:
             return False
-        if self.lower is not None:
-            if x < self.lower or (self.lower_open and x == self.lower):
-                return False
+        if x < self.lower or (self.lower_open and x == self.lower):
+            return False
         if self.upper is not None:
             if x > self.upper or (self.upper_open and x == self.upper):
                 return False
@@ -64,13 +63,10 @@ class AlphaInterval:
             return True
         if other.empty:
             return False
-        if other.lower is not None:
-            if self.lower is None:
-                return False
-            if self.lower < other.lower:
-                return False
-            if self.lower == other.lower and other.lower_open and not self.lower_open:
-                return False
+        if self.lower < other.lower:
+            return False
+        if self.lower == other.lower and other.lower_open and not self.lower_open:
+            return False
         if other.upper is not None:
             if self.upper is None:
                 return False
@@ -84,19 +80,16 @@ class AlphaInterval:
         """A representative interior point (lower + 1 when unbounded above)."""
         if self.empty:
             raise ValueError("empty interval has no midpoint")
-        lo = self.lower if self.lower is not None else Fraction(0)
         if self.upper is None:
-            return lo + 1
-        if self.lower is None:
-            return self.upper - 1
-        return (lo + self.upper) / 2
+            return self.lower + 1
+        return (self.lower + self.upper) / 2
 
     def to_json_dict(self) -> dict:
         if self.empty:
             return {"empty": True}
         return {
             "empty": False,
-            "lower": None if self.lower is None else str(self.lower),
+            "lower": str(self.lower),
             "lower_open": self.lower_open,
             "upper": None if self.upper is None else str(self.upper),
             "upper_open": self.upper_open,
@@ -105,11 +98,10 @@ class AlphaInterval:
     def __str__(self) -> str:
         if self.empty:
             return "empty"
-        lo = "-inf" if self.lower is None else str(self.lower)
         hi = "inf" if self.upper is None else str(self.upper)
-        lb = "(" if self.lower_open or self.lower is None else "["
+        lb = "(" if self.lower_open else "["
         rb = ")" if self.upper_open or self.upper is None else "]"
-        return f"{lb}{lo}, {hi}{rb}"
+        return f"{lb}{self.lower}, {hi}{rb}"
 
 
 AlphaInterval.EMPTY = AlphaInterval(Fraction(0), Fraction(0), True, True, empty=True)

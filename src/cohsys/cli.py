@@ -126,10 +126,9 @@ def _expectation(verdict: Verdict, alpha: Fraction) -> str:
 
 
 def _plan_samples(verdict: Verdict, cfg: VerifyCampaignConfig) -> list[tuple[Fraction, str]]:
+    """Sample weights and their kinds; empty for a cell the rule cannot sample."""
     if cfg.alpha_rule == "explicit":
         return [(a, "explicit") for a in cfg.alphas]
-    if cfg.alpha_rule != "interval-midpoint":
-        return []
     samples: list[tuple[Fraction, str]] = []
     if verdict.status is Status.EXACT:
         iv = verdict.stable_interval
@@ -147,7 +146,7 @@ def _plan_samples(verdict: Verdict, cfg: VerifyCampaignConfig) -> list[tuple[Fra
         kind = "inside-bounds" if verdict.necessary_region.empty else "inside-necessary"
         m = cfg.empty_samples
         if not region.empty:
-            lo = region.lower  # t/k: the slope bounds always have a lower end
+            lo = region.lower
             if region.upper is not None:
                 width = region.upper - lo
                 return [(lo + width * i / (m + 1), kind) for i in range(1, m + 1)]
@@ -192,40 +191,41 @@ def _draw_instances(cfg: VerifyCampaignConfig, n: int, d: int, k: int) -> list[S
 
 def run_verify_campaign(cfg: VerifyCampaignConfig) -> dict:
     """Classify and sample every cell; ``all_agree`` needs at least one tested cell."""
-    cells = []
-    all_agree = True
-    tested = False
-    for n in cfg.n_values:
-        for d in cfg.d_values:
-            for k in cfg.k_values:
-                cell = {"n": n, "d": d, "k": k}
-                try:
-                    verdict = classify(n, d, k)
-                except ValueError as exc:
-                    cell.update(skipped=f"classify: {exc}")
-                    cells.append(cell)
-                    continue
-                cell["status"] = verdict.status.value
-                try:
-                    instances = _draw_instances(cfg, n, d, k)
-                except (ValueError, RuntimeError) as exc:
-                    cell.update(skipped=f"sampling: {exc}")
-                    cells.append(cell)
-                    continue
-                if cfg.alpha_rule == "cell-midpoints":
-                    agree = _containment_cell(cfg, verdict, instances, cell)
-                else:
-                    agree = _sampled_cell(cfg, verdict, instances, cell)
-                cell["agree"] = agree
-                all_agree = all_agree and agree
-                tested = tested or bool(cell.get("samples") or cell.get("intervals"))
-                cells.append(cell)
+    cells = [
+        _verify_cell(cfg, n, d, k)
+        for n in cfg.n_values
+        for d in cfg.d_values
+        for k in cfg.k_values
+    ]
+    checked = [cell for cell in cells if "agree" in cell]
     # a campaign that sampled no weight and drew no instance checked nothing
-    return {"config": cfg.to_json_dict(), "cells": cells, "all_agree": all_agree and tested}
+    tested = any(cell.get("samples") or cell.get("intervals") for cell in checked)
+    all_agree = all(cell["agree"] for cell in checked) and tested
+    return {"config": cfg.to_json_dict(), "cells": cells, "all_agree": all_agree}
 
 
-def _sampled_cell(cfg, verdict, instances, cell) -> bool:
-    plan = _plan_samples(verdict, cfg)
+def _verify_cell(cfg: VerifyCampaignConfig, n: int, d: int, k: int) -> dict:
+    """One campaign cell: its verdict, checked against sampled instances or skipped."""
+    cell = {"n": n, "d": d, "k": k}
+    try:
+        verdict = classify(n, d, k)
+    except ValueError as exc:
+        return {**cell, "skipped": f"classify: {exc}"}
+    cell["status"] = verdict.status.value
+    try:
+        instances = _draw_instances(cfg, n, d, k)
+    except (ValueError, RuntimeError) as exc:
+        return {**cell, "skipped": f"sampling: {exc}"}
+    if cfg.alpha_rule == "cell-midpoints":
+        cell["agree"] = _containment_cell(cfg, verdict, instances, cell)
+    elif plan := _plan_samples(verdict, cfg):
+        cell["agree"] = _sampled_cell(cfg, verdict, instances, plan, cell)
+    else:
+        cell["skipped"] = f"plan: {cfg.alpha_rule} has no weight to sample in this cell"
+    return cell
+
+
+def _sampled_cell(cfg, verdict, instances, plan, cell) -> bool:
     samples_out = []
     agree = True
     for alpha, kind in plan:
@@ -289,9 +289,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _interval_cells(iv: AlphaInterval) -> tuple[str, str]:
     if iv.empty:
         return "", ""
-    lo = "" if iv.lower is None else str(iv.lower)
-    hi = "inf" if iv.upper is None else str(iv.upper)
-    return lo, hi
+    return str(iv.lower), "inf" if iv.upper is None else str(iv.upper)
 
 
 def _table_rows(n_values, d_values, k_values) -> list[dict]:

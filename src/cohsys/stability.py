@@ -150,58 +150,50 @@ def _json_int(value: object, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class SubsystemWitness:
-    """A destabilizing subobject: rank, degree, section-space dimension, slope.
+class Candidate:
+    """Extremal subobject data: max degree e for the pair (rank, dim W).
 
-    ``subspace_basis`` gives reduced-echelon coordinates of W inside V; it is
-    None for closure witnesses whose realizing section combination lives in a
-    quadratic extension of the base field.
+    ``basis`` gives reduced-echelon coordinates of W inside V; it is None for
+    closure candidates, whose section combination may live only over an
+    extension of the base field.
     """
 
     rank: int
     degree: int
     sections_dim: int
-    alpha_slope: Fraction
-    subspace_basis: tuple[tuple[int, ...], ...] | None
+    basis: tuple[tuple[int, ...], ...] | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "degree": self.degree,
-            "sections_dim": self.sections_dim,
-            "alpha_slope": str(self.alpha_slope),
-            "subspace_basis": None
-            if self.subspace_basis is None
-            else [list(row) for row in self.subspace_basis],
-        }
+    def slope(self, alpha: Fraction) -> Fraction:
+        """The weighted slope (degree + alpha * dim W) / rank."""
+        return Fraction(self.degree + self.sections_dim * alpha, self.rank)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """A verdict at one weight; the witness is a steepest violating candidate."""
+
     alpha: Fraction
     stable: bool
     semistable: bool
     total_slope: Fraction
-    witness: SubsystemWitness | None
+    witness: Candidate | None
 
     def to_json_dict(self) -> dict:
+        w = self.witness
+        witness = None if w is None else {
+            "rank": w.rank,
+            "degree": w.degree,
+            "sections_dim": w.sections_dim,
+            "alpha_slope": str(w.slope(self.alpha)),
+            "subspace_basis": None if w.basis is None else [list(row) for row in w.basis],
+        }
         return {
             "alpha": str(self.alpha),
             "stable": self.stable,
             "semistable": self.semistable,
             "total_slope": str(self.total_slope),
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
+            "witness": witness,
         }
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """Extremal subobject data: max degree e for the pair (rank, dim W)."""
-
-    rank: int
-    degree: int
-    sections_dim: int
-    basis: tuple[tuple[int, ...], ...] | None  # None marks a closure candidate
 
 
 def echelon_bases(k: int, w: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -331,15 +323,12 @@ def is_alpha_stable(
     mu = total_slope(inst, alpha)
     violators = []
     for cand in subsystem_candidates(inst, allow_large):
-        slope = Fraction(cand.degree + cand.sections_dim * alpha, cand.rank)
+        slope = cand.slope(alpha)
         if slope >= mu:
             violators.append((slope, cand.basis is not None, cand))
     semistable = not any(slope > mu and rational for slope, rational, _ in violators)
-    witness = None
-    if violators:
-        # the first steepest violator, a rational one on a tie
-        slope, _, cand = max(violators, key=lambda v: v[:2])
-        witness = SubsystemWitness(cand.rank, cand.degree, cand.sections_dim, slope, cand.basis)
+    # the first steepest violator, a rational one on a tie
+    witness = max(violators, key=lambda v: v[:2])[2] if violators else None
     return StabilityReport(alpha, not violators, semistable, mu, witness)
 
 

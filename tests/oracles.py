@@ -2,11 +2,12 @@
 
 The program never calls these.  Each is written the plain way, with loops
 over coefficients or a direct enumeration, so that it does not share the
-shortcuts of the code it checks: form arithmetic for building test inputs
-and the per-component sum behind ``combine_sections``, coordinate changes for
-invariance tests, the endomorphism type for ``generic_splitting``, the Shatz
-embedding test and the k = 1 degree list for ``decompose``, and the
-evaluation rank of an instance at a point.
+shortcuts of the code it checks: form arithmetic and splitting types from
+unsorted degrees for building test inputs, the per-component sum behind
+``combine_sections``, coordinate changes for invariance tests, the
+endomorphism type for ``generic_splitting``, the Shatz embedding test and the
+k = 1 degree list for ``decompose``, and the evaluation rank of an instance
+at a point.
 """
 
 import itertools
@@ -75,6 +76,11 @@ def componentwise_sum(field, sections, coeffs) -> tuple[BinaryForm, ...]:
 
 
 # -- bundles and numerology ----------------------------------------------------
+
+
+def splitting_type(*degrees: int) -> SplittingType:
+    """The splitting type with these degrees, in any order."""
+    return SplittingType(tuple(sorted(degrees, reverse=True)))
 
 
 def endomorphism_type(t: SplittingType) -> SplittingType:

@@ -1,13 +1,15 @@
 """The public API is what the programs use.
 
-Every name in ``cohsys.__all__``, and every public module-level function or
-class in ``src/cohsys``, must be used by a program: in ``src/`` outside its
-own definition, in ``scripts/`` or in ``perfbench/``.  A use is a name or an
-attribute read in code; imports, re-exports and strings do not count, and
-tests are not programs.
+Every public module-level function or class in ``src/cohsys``, and every
+public method, property and classmethod of those classes, must be used by a
+program: in ``src/`` outside its own definition, in ``scripts/`` or in
+``perfbench/``.  A use is a name or an attribute read in code; imports and
+strings do not count, and tests are not programs.  The package itself binds
+no names: programs import each name from the module that defines it.
 """
 
 import ast
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -43,13 +45,32 @@ DEFINITIONS = {
 }
 
 
-def used_outside_definition(name: str) -> bool:
-    return ALL_USES[name] > uses(DEFINITIONS[name])[name]
+# (class, method) -> its definition, for every public method of those classes
+METHODS = {
+    (cls.name, node.name): node
+    for cls in DEFINITIONS.values()
+    if isinstance(cls, ast.ClassDef)
+    for node in cls.body
+    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+}
 
 
-def test_exported_names_have_a_program_caller():
-    assert [name for name in cohsys.__all__ if not used_outside_definition(name)] == []
+def used_outside(name: str, definition: ast.AST) -> bool:
+    return ALL_USES[name] > uses(definition)[name]
+
+
+def test_package_binds_only_its_submodules():
+    assert [
+        name
+        for name, value in vars(cohsys).items()
+        if not name.startswith("__")
+        and not (isinstance(value, types.ModuleType) and value.__name__ == f"cohsys.{name}")
+    ] == []
 
 
 def test_public_definitions_have_a_program_caller():
-    assert [name for name in DEFINITIONS if not used_outside_definition(name)] == []
+    assert [name for name, node in DEFINITIONS.items() if not used_outside(name, node)] == []
+
+
+def test_public_methods_have_a_program_caller():
+    assert [key for key, node in METHODS.items() if not used_outside(key[1], node)] == []

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cohsys
 from cohsys.cli import (
     TABLE_HEADER,
     VerifyCampaignConfig,
@@ -187,6 +191,33 @@ class TestVerifyCommand:
         assert not report["all_agree"]
         assert all("skipped" in cell for cell in report["cells"])
 
+    def test_cells_with_no_planned_weight_are_skipped(self, capsys):
+        # interval-midpoint plans no weight in a PartiallyKnown cell: it
+        # checks nothing there, so it neither agrees nor disagrees
+        _, out, _ = run_cli(
+            capsys, "verify", "--n", "3", "--d", "3..4", "--k", "2..4", "--trials", "1",
+            "--q", "7",
+        )
+        cells = {(c["n"], c["d"], c["k"]): c for c in json.loads(out)["cells"]}
+        for key in ((3, 3, 4), (3, 4, 3), (3, 4, 4)):
+            assert cells[key]["status"] == "PartiallyKnown"
+            assert "skipped" in cells[key] and "agree" not in cells[key]
+        for key in ((3, 3, 2), (3, 3, 3), (3, 4, 2)):
+            assert cells[key]["samples"] and "skipped" not in cells[key]
+
+    def test_empty_cell_with_no_samples_is_skipped(self, capsys):
+        # the slope bounds of (4, 6, 2) are not empty, but no sample is asked for
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "4", "--d", "6", "--k", "2", "--trials", "1",
+            "--empty-samples", "0",
+        )
+        assert code == 1
+        report = json.loads(out)
+        (cell,) = report["cells"]
+        assert cell["status"] == "Empty"
+        assert "skipped" in cell and "agree" not in cell
+        assert not report["all_agree"]
+
     def test_containment_rule(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -224,8 +255,7 @@ class TestDeltaCheckCommand:
 class TestCheckInstanceCommand:
     @pytest.fixture
     def fixture_path(self, tmp_path):
-        inst = sample_instance(2, 2, 1, 101, 0)
-        # overwrite with the canonical (x, y) section for reproducible slopes
+        # the canonical (x, y) section, for reproducible slopes
         data = {
             "q": 101,
             "splitting": [1, 1],
@@ -246,6 +276,51 @@ class TestCheckInstanceCommand:
         report = json.loads(out)
         w = report["witness"]
         assert (w["rank"], w["degree"], w["sections_dim"]) == (1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "alpha, report",
+        [
+            (
+                "5/2",
+                {
+                    "alpha": "5/2",
+                    "stable": False,
+                    "semistable": False,
+                    "total_slope": "9/4",
+                    "witness": {
+                        "rank": 1,
+                        "degree": 0,
+                        "sections_dim": 1,
+                        "alpha_slope": "5/2",
+                        "subspace_basis": [[1]],
+                    },
+                },
+            ),
+            (
+                "1",
+                {
+                    "alpha": "1",
+                    "stable": True,
+                    "semistable": True,
+                    "total_slope": "3/2",
+                    "witness": None,
+                },
+            ),
+        ],
+    )
+    def test_exact_output(self, capsys, fixture_path, alpha, report):
+        code, out, _ = run_cli(capsys, "check-instance", fixture_path, alpha)
+        assert code == 0
+        assert out == json.dumps(report, indent=2) + "\n"
+
+    def test_closure_witness(self, capsys, tmp_path):
+        path = tmp_path / "closure.json"
+        path.write_text(json.dumps(sample_instance(4, 6, 2, 101, 0).to_json_dict()))
+        code, out, _ = run_cli(capsys, "check-instance", str(path), "2")
+        assert code == 0
+        report = json.loads(out)
+        assert report["witness"]["subspace_basis"] is None
+        assert report["witness"]["alpha_slope"] == report["total_slope"]
 
     def test_mixed_type_unstable(self, capsys, tmp_path):
         data = {"q": 101, "splitting": [1, 0], "sections": [[[1, 0], [1]]]}
@@ -324,6 +399,20 @@ class TestCrossCheckCommand:
         code, out, _ = run_cli(capsys, "cross-check", "4", "6")
         assert code == 0
         assert json.loads(out)["exceptional_pair"]
+
+
+def test_python_m_cohsys():
+    src = Path(cohsys.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohsys", "classify", "4", "6", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "Empty"
 
 
 class TestCampaignDeterminism:
