@@ -23,6 +23,7 @@ from .exactmath import (
     check_profile,
     generic_rank,
     multiplication_matrix,
+    stacked_combination,
     stacked_rank,
 )
 
@@ -220,7 +221,7 @@ def combine_sections(
     basis of H^0(E), then splits the result back into one form per summand.
     """
     rows = np.array([list(itertools.chain(*_padded(e, s))) for s in sections], dtype=np.int64)
-    flat = _combine(np.array(coeffs, dtype=np.int64), rows, field.q).tolist()
+    flat = stacked_combination(np.array(coeffs, dtype=np.int64), rows, field.q).tolist()
     out, start = [], 0
     for a in e:
         stop = start + max(0, a + 1)
@@ -236,21 +237,6 @@ def _saturation(e: SplittingType, kern: SplittingType) -> SaturationResult:
         degree=e.degree + kern.degree,
         quotient_type=kern.dual(),
     )
-
-
-def _combine(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
-    """sum over l of bases[..., l] * mats[l], mod q, for a stack of bases.
-
-    Each product is reduced before the sum, since k * q**2 overflows int64
-    for q near 2**31.
-    """
-    spread = (Ellipsis,) + (None,) * (mats.ndim - 1)
-    out = np.zeros(bases.shape[:-1] + mats.shape[1:], dtype=np.int64)
-    term = np.empty_like(out)
-    for idx, mat in enumerate(mats):
-        np.multiply(bases[..., idx][spread], mat, out=term)
-        out += np.remainder(term, q, out=term)
-    return np.remainder(out, q, out=out)
 
 
 class SectionPairing:
@@ -298,7 +284,7 @@ class SectionPairing:
         full = min(bases.shape[1], self.e.rank)
         ranks = np.zeros(len(bases), dtype=np.int64)
         for values in self._point_values:
-            spans = _combine(bases, values, self.field.q)
+            spans = stacked_combination(bases, values, self.field.q)
             ranks = np.maximum(ranks, stacked_rank(self.field, spans))
         ranks = ranks.tolist()
         for m, basis in enumerate(bases.tolist()):
@@ -324,8 +310,8 @@ class SectionPairing:
 
         def probe(live: list[int], j: int) -> np.ndarray:
             _, rows, cols = self.at(j).shape
-            stack = _combine(bases[live], self.at(j), q).reshape(len(live), w * rows, cols)
-            return _twist_kernel_dimension(self.field, stack)
+            stack = stacked_combination(bases[live], self.at(j), q)
+            return _twist_kernel_dimension(self.field, stack.reshape(len(live), w * rows, cols))
 
         kernels = _count_scan(self.e.dual(), SplittingType((0,) * w), rhos, probe)
         return [_saturation(self.e, SplittingType(tuple(kern))) for kern in kernels]

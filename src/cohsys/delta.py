@@ -5,12 +5,14 @@ minimal rank of the coefficient pencil b*G + c*G' over all points (b : c) of
 the projective line.  The closed formula gives its value for a general pair;
 two oracles recompute it directly:
 
-* ``delta_bruteforce`` scans the q + 1 rational points.  It can only see
-  rational rank drops, so it upper-bounds the true minimum (strictly, when
-  the minimizing point lives in a quadratic extension).
+* ``delta_bruteforce`` scans the q + 1 rational points, ranking their
+  specialized matrices a stack at a time.  It can only see rational rank
+  drops, so it upper-bounds the true minimum (strictly, when the minimizing
+  point lives in a quadratic extension).
 * ``delta_closure`` is exact over the algebraic closure: rank <= r at some
   point iff all (r+1)-minors (binary forms in (b, c)) share a projective
-  zero, which is a gcd computation.
+  zero, which is a gcd computation.  The sweep over r stops at the rank at
+  (1 : 0), which bounds the minimum.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .exactmath import (
+    STACK_CAP,
     BinaryForm,
     FieldMatrix,
     PrimeField,
     check_profile,
     form_determinant,
-    generic_rank,
+    stacked_combination,
+    stacked_rank,
     vanishing_divisor_degree,
 )
 
@@ -79,21 +83,25 @@ def _pencil_coefficient_matrices(
 
 
 def delta_bruteforce(inp: DeltaInput) -> int:
-    """t minus the largest kernel found over the q + 1 rational points.
+    """Least rank of the specialized pencil b*A + c*B over the q + 1 rational points.
 
-    For each (b : c) the map sends lambda to sum lambda_i (b g_i + c g'_i);
-    its kernel dimension is t - rank of the specialized pencil.
+    The points are (1 : c) for c in F_q, then (0 : 1).  Their matrices are
+    built and ranked in stacks of at most ``STACK_CAP`` points, which bounds
+    the memory for large q, and the scan stops at the first stack that holds
+    a point of rank 0.
     """
     q = inp.field.q
-    A, B = _pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1)
-    best = 0
-    points = [(1, c) for c in range(q)] + [(0, 1)]
-    for b, c in points:
-        mat = FieldMatrix(inp.field, (b * A + c * B) % q)
-        best = max(best, inp.t - mat.rank())
-        if best == inp.t:
+    pencil = np.stack(_pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1))
+    least = inp.t
+    for start in range(0, q + 1, STACK_CAP):
+        index = np.arange(start, min(start + STACK_CAP, q + 1), dtype=np.int64)
+        finite = index < q
+        points = np.stack([finite.astype(np.int64), np.where(finite, index, 1)], axis=1)
+        ranks = stacked_rank(inp.field, stacked_combination(points, pencil, q))
+        least = min(least, int(ranks.min()))
+        if least == 0:
             break
-    return inp.t - best
+    return least
 
 
 def pencil_min_rank(
@@ -105,8 +113,10 @@ def pencil_min_rank(
     family members, rows = the slot_degree + 1 coefficient slots).  Rank drops
     below s at some point iff every s x s minor, a degree-s binary form in
     (b, c), vanishes there; minors sharing a projective zero is a gcd test.
-    Sizes up to the generic rank have a nonzero minor, and each size's minors
-    are computed only until their gcd is settled.
+    The sweep stops at rank A, the rank at (1 : 0): it bounds the minimum,
+    and every size up to it has a nonzero minor, whose value there is a
+    nonzero minor of A.  Each size's minors are computed only until their gcd
+    is settled.
     """
     if len(first) != len(second):
         raise ValueError("families must have equal length")
@@ -116,7 +126,7 @@ def pencil_min_rank(
         [BinaryForm(field, (A[r, c], B[r, c])) for c in range(ncols)]
         for r in range(nrows)
     ]
-    rank = generic_rank(entries, [0] * nrows, [1] * ncols)
+    rank = FieldMatrix(field, A).rank()
     for size in range(1, rank + 1):
         minors = (
             form_determinant(

@@ -14,9 +14,10 @@ Conventions used throughout the package:
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
 pivoting; over an exact field there is no stability concern and the pivot
 rule keeps runs reproducible; ``stacked_rank`` runs one such elimination for
-a whole stack of matrices of one shape.  Matrices of binary forms, with the
-degree profile their caller states, go through one fraction-free elimination
-over F_q[x, y], which gives both their generic rank and their determinant.
+a whole stack of matrices of one shape, which its callers build with
+``stacked_combination``.  Matrices of binary forms, with the degree profile
+their caller states, go through one fraction-free elimination over
+F_q[x, y], which gives both their generic rank and their determinant.
 """
 
 from __future__ import annotations
@@ -153,6 +154,26 @@ class FieldMatrix:
                 a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % q
             r += 1
         return r
+
+
+# Stacked callers rank at most this many matrices at a time, which bounds the
+# memory one stacked elimination holds.
+STACK_CAP = 128
+
+
+def stacked_combination(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
+    """sum over l of bases[..., l] * mats[l], mod q, for a stack of bases.
+
+    Each product is reduced before the sum, since k * q**2 overflows int64
+    for q near 2**31.
+    """
+    spread = (Ellipsis,) + (None,) * (mats.ndim - 1)
+    out = np.zeros(bases.shape[:-1] + mats.shape[1:], dtype=np.int64)
+    term = np.empty_like(out)
+    for idx, mat in enumerate(mats):
+        np.multiply(bases[..., idx][spread], mat, out=term)
+        out += np.remainder(term, q, out=term)
+    return np.remainder(out, q, out=out)
 
 
 def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:

@@ -53,14 +53,11 @@ from .bundles import (
 )
 from .classification import AlphaInterval
 from .delta import pencil_min_rank
-from .exactmath import BinaryForm, FieldMatrix, PrimeField, check_profile
+from .exactmath import STACK_CAP, BinaryForm, FieldMatrix, PrimeField, check_profile
 
 # Candidate enumeration visits every subspace of F_q^k; it is refused above
 # this many unless the caller allows it.
 COST_GUARD_MAX_SUBSPACES = 2_000_000
-# Subspaces of one dimension are saturated in stacks of at most this many,
-# which bounds the memory one stacked elimination holds.
-STACK_CAP = 128
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsys.bundles import (
-    _combine,
     _twist_matrix,
     SectionPairing,
     SplittingType,
@@ -20,6 +19,7 @@ from cohsys.bundles import (
 from cohsys.exactmath import (
     BinaryForm,
     PrimeField,
+    stacked_combination,
     vanishing_divisor_degree,
 )
 from cohsys.numerology import decompose
@@ -321,7 +321,7 @@ class TestSectionPairing:
         one = splitting_type(0)
         for j in range(-2, 6):
             m = pairing.at(j)
-            got = _combine(np.array([basis]), m, q).reshape(2 * m.shape[1], m.shape[2])
+            got = stacked_combination(np.array([basis]), m, q).reshape(2 * m.shape[1], m.shape[2])
             want = [
                 _twist_matrix(t.dual(), one, [list(reversed(sec))], j)
                 for sec in span_sections(field, t, vectors, basis)

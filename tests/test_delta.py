@@ -7,13 +7,21 @@ from hypothesis import strategies as st
 
 from cohsys.delta import (
     DeltaInput,
+    _pencil_coefficient_matrices,
     delta_bruteforce,
     delta_closure,
     delta_formula,
     pencil_min_rank,
     sample_delta_input,
 )
-from cohsys.exactmath import BinaryForm, PrimeField, form_determinant, vanishing_divisor_degree
+from cohsys.exactmath import (
+    STACK_CAP,
+    BinaryForm,
+    FieldMatrix,
+    PrimeField,
+    form_determinant,
+    vanishing_divisor_degree,
+)
 from oracles import add, mul, scale
 
 F = PrimeField(101)
@@ -125,6 +133,18 @@ class TestPencilMinRank:
         y = BinaryForm(F, (0, 1))
         assert pencil_min_rank([x, y, x, y], [y, x, y, x], 1, F) <= 2
 
+    def test_zero_first_family(self):
+        # rank 0 at (1 : 0) ends the sweep before any minor, whatever the
+        # generic rank of the second family
+        field = PrimeField(7)
+        rng = random.Random(3)
+        second = [BinaryForm(field, tuple(rng.randrange(7) for _ in range(4))) for _ in range(3)]
+        first = [BinaryForm.zero(field)] * 3
+        _, B = _pencil_coefficient_matrices(first, second, 3)
+        assert FieldMatrix(field, B).rank() == 3
+        assert all_minors_min_rank(first, second, 3, field) == 0
+        assert pencil_min_rank(first, second, 3, field) == 0
+
     def test_identity_pencil(self):
         x = BinaryForm(F, (1, 0))
         y = BinaryForm(F, (0, 1))
@@ -175,16 +195,21 @@ def draw_pencil(rng, kind, a, t, field):
         first = [uniform() for _ in range(t)]
         second = [scale(f, rng.randrange(q)) if rng.random() < 0.7 else uniform() for f in first]
         return first, second
+
+    def combo(basis):
+        acc = BinaryForm.zero(field)
+        for b in basis:
+            acc = add(acc, scale(b, rng.randrange(q)))
+        return acc
+
     if kind == "low-rank":
         basis = [uniform() for _ in range(rng.randrange(1, 3))]
-
-        def combo():
-            acc = BinaryForm.zero(field)
-            for b in basis:
-                acc = add(acc, scale(b, rng.randrange(q)))
-            return acc
-
-        return [combo() for _ in range(t)], [combo() for _ in range(t)]
+        return [combo(basis) for _ in range(t)], [combo(basis) for _ in range(t)]
+    if kind == "deficient-first":
+        # the first family spans fewer than min(a, t) dimensions, so the rank at
+        # (1 : 0) lies below the generic rank of the uniform second family
+        basis = [uniform() for _ in range(rng.randrange(min(a, t)))]
+        return [combo(basis) for _ in range(t)], [uniform() for _ in range(t)]
     # shared linear factor: every form is L * h with h of degree a - 2
     linear = form((rng.randrange(q), rng.randrange(q)))
     if a < 2 or linear.is_zero:
@@ -196,10 +221,20 @@ def draw_pencil(rng, kind, a, t, field):
     return [multiple() for _ in range(t)], [multiple() for _ in range(t)]
 
 
+DRAW_KINDS = [
+    "generic",
+    "sparse",
+    "equal-pair",
+    "low-rank",
+    "shared-linear-factor",
+    "deficient-first",
+]
+
+
 class TestPencilMinRankEquivalence:
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from(["generic", "sparse", "equal-pair", "low-rank", "shared-linear-factor"]),
+        st.sampled_from(DRAW_KINDS),
         st.sampled_from([2, 3, 5, 7, 101]),
         st.integers(1, 5),
         st.integers(1, 5),
@@ -211,3 +246,45 @@ class TestPencilMinRankEquivalence:
         first, second = draw_pencil(rng, kind, a, t, field)
         expected = all_minors_min_rank(first, second, a - 1, field)
         assert pencil_min_rank(first, second, a - 1, field) == expected
+
+
+def per_point_min_rank(inp):
+    """Reference: the rational scan ``delta_bruteforce`` replaces, one rank per point."""
+    q = inp.field.q
+    A, B = _pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1)
+    least = inp.t
+    for b, c in [(1, c) for c in range(q)] + [(0, 1)]:
+        least = min(least, FieldMatrix(inp.field, (b * A + c * B) % q).rank())
+        if least == 0:
+            break
+    return least
+
+
+class TestStackedScanEquivalence:
+    # q = 257 has 258 points: two full stacks of STACK_CAP and a short last
+    # one holding (0 : 1); the equal-pair kind reaches rank 0 and stops early
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(DRAW_KINDS),
+        st.sampled_from([2, 3, 5, 7, 101, 257]),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_point_scan(self, seed, kind, q, a, t):
+        field = PrimeField(q)
+        first, second = draw_pencil(random.Random(seed), kind, a, t, field)
+        inp = DeltaInput(a, t, tuple(first), tuple(second))
+        assert delta_bruteforce(inp) == per_point_min_rank(inp)
+
+    def test_drop_at_infinity_in_last_stack(self):
+        # b*I + c*0 has full rank except at (0 : 1), the last point scanned,
+        # which F_257 puts alone with (1 : 256) in a short third stack
+        q = 257
+        assert 2 * STACK_CAP < q + 1 < 3 * STACK_CAP
+        field = PrimeField(q)
+        x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
+        z = BinaryForm.zero(field)
+        inp = DeltaInput(2, 2, (x, y), (z, z))
+        assert delta_bruteforce(inp) == per_point_min_rank(inp) == 0
+        assert delta_closure(inp) == 0

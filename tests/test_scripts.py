@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/run_campaigns.py", "--trials", "1", "--d-max", "6"],
         ["scripts/delta_survey.py", "--a-max", "3", "--t-max", "3", "--trials", "3"],
+        # 258 rational points: the scan spans three stacks
+        ["scripts/delta_survey.py", "--a-max", "2", "--t-max", "2", "--trials", "2", "--q", "257"],
     ],
 )
 def test_script_runs(argv):
