@@ -257,12 +257,12 @@ class SectionPairing:
         self.e = e
         self.sections = [tuple(s) for s in sections]
         self._pairings: dict[int, np.ndarray] = {}
-        # component values of each section at (1 : 0), (0 : 1) and (1 : 1)
-        self._point_values = [
-            np.array([[f.evaluate(b, c) for f in s] for s in sections], dtype=np.int64)
-            .reshape(len(sections), e.rank)
-            for b, c in ((1, 0), (0, 1), (1, 1))
-        ]
+        self._results: dict[tuple[int, ...], SaturationResult] = {}
+        # shape (k, 3, n): section l's component values at (1 : 0), (0 : 1) and (1 : 1)
+        points = ((1, 0), (0, 1), (1, 1))
+        self._point_values = np.array(
+            [[[f.evaluate(b, c) for f in s] for b, c in points] for s in sections], dtype=np.int64
+        ).reshape(len(sections), 3, e.rank)
 
     def at(self, j: int) -> np.ndarray:
         """M_j(V), shape (k, j + 1, cols): section l's twist matrix in slice l."""
@@ -280,13 +280,16 @@ class SectionPairing:
         The values of a span at a point of P^1(F_q) have rank at most its
         generic rank, itself at most min(w, n).  So values of full rank at
         (1 : 0), (0 : 1) or (1 : 1) settle it; ``generic_rank`` decides the rest.
+        The N spans' values at the three points are 3N matrices of shape
+        w x n, built in one combination and ranked in one elimination.
         """
-        full = min(bases.shape[1], self.e.rank)
-        ranks = np.zeros(len(bases), dtype=np.int64)
-        for values in self._point_values:
-            spans = stacked_combination(bases, values, self.field.q)
-            ranks = np.maximum(ranks, stacked_rank(self.field, spans))
-        ranks = ranks.tolist()
+        count, w, _ = bases.shape
+        n = self.e.rank
+        # (N, w, 3, n) -> (N, 3, w, n): one w x n value matrix per span and point
+        values = stacked_combination(bases, self._point_values, self.field.q)
+        values = values.transpose(0, 2, 1, 3).reshape(3 * count, w, n)
+        ranks = stacked_rank(self.field, values).reshape(count, 3).max(axis=1).tolist()
+        full = min(w, n)
         for m, basis in enumerate(bases.tolist()):
             if ranks[m] < full:
                 rows = [combine_sections(self.field, self.e, self.sections, b) for b in basis]
@@ -314,4 +317,10 @@ class SectionPairing:
             return _twist_kernel_dimension(self.field, stack.reshape(len(live), w * rows, cols))
 
         kernels = _count_scan(self.e.dual(), SplittingType((0,) * w), rhos, probe)
-        return [_saturation(self.e, SplittingType(tuple(kern))) for kern in kernels]
+        # many spans share a kernel type: each type's result is built once
+        out = []
+        for kern in map(tuple, kernels):
+            if kern not in self._results:
+                self._results[kern] = _saturation(self.e, SplittingType(kern))
+            out.append(self._results[kern])
+        return out

@@ -358,7 +358,7 @@ def _cmd_delta_check(args: argparse.Namespace) -> int:
     for i in range(args.trials):
         inp = sample_delta_input(args.a, args.t, args.q, mix_seed(args.seed, i))
         closure_vals.append(delta_closure(inp))
-        rational_vals.append(delta_bruteforce(inp))
+        rational_vals.append(delta_bruteforce(inp, args.force_large))
     matches = sum(1 for v in closure_vals if v == formula)
     report = {
         "a": args.a,
@@ -443,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=prime_modulus, default=101)
     p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--force-large", action="store_true")
     p.set_defaults(func=_cmd_delta_check)
 
     p = sub.add_parser("check-instance", help="stability report for an instance file")

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactmath import (
+    COST_GUARD_MAX_SUBSPACES,
     STACK_CAP,
     BinaryForm,
     FieldMatrix,
@@ -82,15 +83,22 @@ def _pencil_coefficient_matrices(
     return A, B
 
 
-def delta_bruteforce(inp: DeltaInput) -> int:
+def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
     """Least rank of the specialized pencil b*A + c*B over the q + 1 rational points.
 
     The points are (1 : c) for c in F_q, then (0 : 1).  Their matrices are
     built and ranked in stacks of at most ``STACK_CAP`` points, which bounds
     the memory for large q, and the scan stops at the first stack that holds
-    a point of rank 0.
+    a point of rank 0.  The points are the one-dimensional subspaces of
+    F_q^2, so more than ``COST_GUARD_MAX_SUBSPACES`` of them are refused
+    unless ``allow_large`` is set.
     """
     q = inp.field.q
+    if q + 1 > COST_GUARD_MAX_SUBSPACES and not allow_large:
+        raise ValueError(
+            f"refusing to scan {q + 1} rational points over F_{q} "
+            f"(limit {COST_GUARD_MAX_SUBSPACES}); pass allow_large=True / --force-large"
+        )
     pencil = np.stack(_pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1))
     least = inp.t
     for start in range(0, q + 1, STACK_CAP):

@@ -12,12 +12,15 @@ Conventions used throughout the package:
 * Rationals are ``fractions.Fraction``: exact, always in lowest terms.
 
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
-pivoting; over an exact field there is no stability concern and the pivot
-rule keeps runs reproducible; ``stacked_rank`` runs one such elimination for
-a whole stack of matrices of one shape, which its callers build with
-``stacked_combination``.  Matrices of binary forms, with the degree profile
-their caller states, go through one fraction-free elimination over
-F_q[x, y], which gives both their generic rank and their determinant.
+pivoting: the pivot of a column is the first row that is nonzero there.  Over
+an exact field there is no stability concern, and the pivot rule keeps runs
+reproducible.  ``FieldMatrix.rank`` moves its pivot row up and scales it by
+an inverse.  ``stacked_rank`` ranks a whole stack of matrices of one shape,
+which its callers build with ``stacked_combination``, in one elimination
+that moves no row: each pivot row clears its column and is zeroed with it.
+Matrices of binary forms, with the degree profile their caller states, go
+through one fraction-free elimination over F_q[x, y], which gives both their
+generic rank and their determinant.
 """
 
 from __future__ import annotations
@@ -160,6 +163,12 @@ class FieldMatrix:
 # memory one stacked elimination holds.
 STACK_CAP = 128
 
+# Enumerations that visit every subspace of a vector space over F_q (the
+# subspaces of F_q^k for candidates, the q + 1 lines of F_q^2 for a pencil's
+# rational points) refuse to visit more than this many unless the caller
+# allows it.
+COST_GUARD_MAX_SUBSPACES = 2_000_000
+
 
 def stacked_combination(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     """sum over l of bases[..., l] * mats[l], mod q, for a stack of bases.
@@ -179,12 +188,15 @@ def stacked_combination(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarr
 def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices over F_q, shape (N, rows, cols), in one elimination.
 
-    Each matrix keeps its own row counter, which is its rank so far, and picks
-    its own pivot: the first row at or below the counter that is nonzero in
-    the current column.  Rows below the pivot are cleared by the
-    cross-multiplication row := p * row - row[col] * pivot_row, which needs no
-    inverse and keeps every product below q**2 < 2**62.  One matrix alone is
-    faster through ``FieldMatrix.rank``.
+    In each column every matrix takes its first row that is nonzero there as
+    its pivot, with value p; a matrix with no such row takes p = 1.  Every row,
+    the pivot row included, becomes p * row - row[col] * pivot_row.  That
+    needs no inverse, keeps every product below q**2 < 2**62, clears column
+    col and zeroes the pivot row, so no row moves and a used pivot row is
+    never picked again.  Column col is not read again, so only the columns
+    right of it are updated.  A matrix's rank is the number of columns in
+    which it had a pivot.  One matrix alone is still faster through
+    ``FieldMatrix.rank``.
     """
     q = field.q
     if np.ndim(stack) != 3:
@@ -194,32 +206,23 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     rank = np.zeros(count, dtype=np.int64)
     if not (count and nrows and ncols):
         return rank
-    rows = np.arange(nrows)
     mats = np.arange(count)
     for col in range(ncols):
-        # rows above the smallest counter hold finished pivots in every matrix
-        low = int(rank.min())
-        block = a[:, low:, col:]
-        local = rows[: nrows - low]
-        offset = rank[:, None] - low
-        found = (block[:, :, 0] != 0) & (local >= offset)
-        has = found.any(axis=1)
+        column = a[:, :, col]
+        nonzero = column != 0
+        piv = nonzero.argmax(axis=1)
+        has = nonzero[mats, piv]
         if not has.any():
             continue
-        top = np.minimum(offset[:, 0], nrows - low - 1)
-        piv = np.where(has, found.argmax(axis=1), top)
-        pivot_row = block[mats, piv]
-        block[mats, piv] = block[mats, top]
-        block[mats, top] = pivot_row
-        below = (local > offset) & has[:, None]
-        mult = np.where(below, block[:, :, 0], 0)[:, :, None]
-        scale = np.where(below, pivot_row[:, :1], 1)[:, :, None]
-        block *= scale
-        block -= mult * pivot_row[:, None, :]
-        np.remainder(block, q, out=block)
         rank += has
-        if rank.min() == nrows:
+        if col + 1 == ncols:
             break
+        rest = a[:, :, col + 1 :]
+        pivot_row = rest[mats, piv]
+        # p = 1 leaves a matrix without a pivot here unchanged: its column is zero
+        rest *= (column[mats, piv] + ~has)[:, None, None]
+        rest -= column[:, :, None] * pivot_row[:, None, :]
+        np.remainder(rest, q, out=rest)
     return rank
 
 

@@ -53,11 +53,14 @@ from .bundles import (
 )
 from .classification import AlphaInterval
 from .delta import pencil_min_rank
-from .exactmath import STACK_CAP, BinaryForm, FieldMatrix, PrimeField, check_profile
-
-# Candidate enumeration visits every subspace of F_q^k; it is refused above
-# this many unless the caller allows it.
-COST_GUARD_MAX_SUBSPACES = 2_000_000
+from .exactmath import (
+    COST_GUARD_MAX_SUBSPACES,
+    STACK_CAP,
+    BinaryForm,
+    FieldMatrix,
+    PrimeField,
+    check_profile,
+)
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,13 @@ def _rational_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
     best: dict[tuple[int, int], Candidate] = {}
     for w in range(k + 1):
+        # an equal saturation gives equal degrees for every r, so it never
+        # displaces the first basis that reached them
+        seen: set[SaturationResult] = set()
         for basis, sat in _saturations(inst, pairing, w):
+            if sat in seen:
+                continue
+            seen.add(sat)
             for r in range(max(sat.rank, 1), n + 1):
                 if (r, w) == (n, k):
                     continue

@@ -18,7 +18,9 @@ from cohsys.bundles import (
 )
 from cohsys.exactmath import (
     BinaryForm,
+    FieldMatrix,
     PrimeField,
+    generic_rank,
     stacked_combination,
     vanishing_divisor_degree,
 )
@@ -26,6 +28,7 @@ from cohsys.numerology import decompose
 from oracles import (
     componentwise_sum,
     endomorphism_type,
+    mul,
     shatz_embedding_exists,
     splitting_type,
 )
@@ -327,3 +330,53 @@ class TestSectionPairing:
                 for sec in span_sections(field, t, vectors, basis)
             ]
             assert (got == np.vstack(want)).all()
+
+    @given(
+        st.sampled_from(["uniform", "vanishing", "one-component"]),
+        st.lists(st.integers(-1, 5), min_size=1, max_size=4),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(1, 4),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generic_ranks_match_generic_rank(self, kind, degrees, q, k, w, seed):
+        # "vanishing": every component is a multiple of x*y*(x - y), so the
+        # values at (1 : 0), (0 : 1) and (1 : 1) are zero and generic_rank
+        # decides; "one-component": every span has rank <= 1 < min(w, n)
+        field = PrimeField(q)
+        t = splitting_type(*degrees)
+        rng = random.Random(seed)
+        three_points = BinaryForm(field, (0, 1, q - 1, 0))
+        zero = BinaryForm.zero(field)
+
+        def component(i, a):
+            if a < 0 or rng.random() < 0.2 or (kind == "one-component" and i > 0):
+                return zero
+            if kind == "vanishing":
+                if a < 3:
+                    return zero
+                cofactor = BinaryForm(field, tuple(rng.randrange(q) for _ in range(a - 2)))
+                return zero if cofactor.is_zero else mul(three_points, cofactor)
+            return BinaryForm(field, tuple(rng.randrange(q) for _ in range(a + 1)))
+
+        sections = [tuple(component(i, a) for i, a in enumerate(t)) for _ in range(k)]
+        bases = [[[rng.randrange(q) for _ in range(k)] for _ in range(w)] for _ in range(5)]
+        want = [
+            generic_rank(
+                [componentwise_sum(field, sections, row) for row in basis], [0] * w, t.degrees
+            )
+            for basis in bases
+        ]
+        assert SectionPairing(field, t, sections)._generic_ranks(np.array(bases)) == want
+
+    def test_generic_rank_above_every_point_rank(self):
+        # det [[x^2 - x*y, 0], [0, y]] = x*y*(x - y): rank 1 at all three
+        # points, generic rank 2
+        sections = [(BinaryForm(F, (1, 100, 0)), ZERO), (ZERO, Y)]
+        t = splitting_type(2, 1)
+        for b, c in [(1, 0), (0, 1), (1, 1)]:
+            values = [[f.evaluate(b, c) for f in sec] for sec in sections]
+            assert FieldMatrix.from_rows(F, values).rank() == 1
+        pairing = SectionPairing(F, t, sections)
+        assert pairing._generic_ranks(np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]]])) == [2, 2]

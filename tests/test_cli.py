@@ -251,6 +251,20 @@ class TestDeltaCheckCommand:
         assert_one_line_error(code, err)
         assert "--q" in err
 
+    def test_too_many_points_exits_2(self, capsys):
+        # the rational scan would visit 2**31 points; the guard refuses it
+        code, out, err = run_cli(
+            capsys, "delta-check", "3", "3", "--q", "2147483647", "--trials", "1"
+        )
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert "--force-large" in err
+
+    def test_large_modulus_below_the_guard_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "delta-check", "1", "1", "--q", "1000003", "--trials", "1")
+        assert code == 0
+        assert json.loads(out)["rational_scan_max"] == 0
+
 
 class TestCheckInstanceCommand:
     @pytest.fixture

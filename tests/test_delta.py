@@ -15,6 +15,7 @@ from cohsys.delta import (
     sample_delta_input,
 )
 from cohsys.exactmath import (
+    COST_GUARD_MAX_SUBSPACES,
     STACK_CAP,
     BinaryForm,
     FieldMatrix,
@@ -288,3 +289,24 @@ class TestStackedScanEquivalence:
         inp = DeltaInput(2, 2, (x, y), (z, z))
         assert delta_bruteforce(inp) == per_point_min_rank(inp) == 0
         assert delta_closure(inp) == 0
+
+
+class TestScanCostGuard:
+    @staticmethod
+    def vanishing_at_one_one(q):
+        # a = t = 1: b * 1 + c * (q - 1) vanishes at (1 : 1), in the first stack
+        field = PrimeField(q)
+        return DeltaInput(1, 1, (BinaryForm(field, (1,)),), (BinaryForm(field, (q - 1,)),))
+
+    def test_bound_counts_points(self):
+        # the scan visits the q + 1 lines of F_q^2, the unit the guard bounds
+        assert 1999993 + 1 <= COST_GUARD_MAX_SUBSPACES < 2000003 + 1
+        assert delta_bruteforce(self.vanishing_at_one_one(1999993)) == 0
+        with pytest.raises(ValueError, match="2000004 rational points"):
+            delta_bruteforce(self.vanishing_at_one_one(2000003))
+
+    def test_allow_large(self):
+        inp = self.vanishing_at_one_one(2**31 - 1)
+        with pytest.raises(ValueError):
+            delta_bruteforce(inp)
+        assert delta_bruteforce(inp, allow_large=True) == 0

@@ -202,7 +202,68 @@ def per_matrix_ranks(field, stack):
     return [FieldMatrix(field, m).rank() for m in stack]
 
 
+def staggered_stack(rng, q, count, rows, cols):
+    """A stack whose matrices have random ranks and pivots, with those ranks.
+
+    Each matrix has r echelon rows with pivots in its own random columns,
+    padded by combinations of them (or zeros) and shuffled, so pivots sit in
+    different rows and columns across the stack, and a column can hold a
+    pivot in some matrices only.
+    """
+    stack = np.zeros((count, rows, cols), dtype=np.int64)
+    ranks = []
+    for m in range(count):
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        pivots = np.sort(rng.choice(cols, size=r, replace=False))
+        echelon = np.zeros((r, cols), dtype=np.int64)
+        for i, p in enumerate(pivots):
+            echelon[i, p] = rng.integers(1, q)
+            echelon[i, p + 1 :] = rng.integers(0, q, size=cols - p - 1)
+        padded = list(echelon)
+        for _ in range(rows - r):
+            row = np.zeros(cols, dtype=np.int64)
+            for e in echelon:  # each product reduced: (q - 1)**2 < 2**62
+                row = (row + int(rng.integers(0, q)) * e % q) % q
+            padded.append(row)
+        stack[m] = np.array(padded)[rng.permutation(rows)]
+        ranks.append(r)
+    return stack, ranks
+
+
 class TestStackedRank:
+    @given(
+        st.sampled_from([2, 3, 101, 2**31 - 1]),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_staggered_pivots(self, q, count, rows, cols, seed):
+        field = PrimeField(q)
+        rng = np.random.default_rng(seed)
+        stack, ranks = staggered_stack(rng, q, count, rows, cols)
+        assert per_matrix_ranks(field, stack) == ranks
+        assert stacked_rank(field, stack).tolist() == ranks
+        # permuting each matrix's rows, and transposing, keep every rank
+        permuted = np.stack([m[rng.permutation(rows)] for m in stack])
+        assert stacked_rank(field, permuted).tolist() == ranks
+        assert stacked_rank(field, stack.transpose(0, 2, 1)).tolist() == ranks
+
+    def test_pivots_in_different_rows_and_columns(self):
+        # column 0 holds a pivot in the first two matrices only, in rows 2
+        # and 0; column 1 in the last two, in rows 1 and 0
+        f3 = PrimeField(3)
+        stack = np.array(
+            [
+                [[0, 0, 1], [0, 0, 2], [2, 1, 0]],
+                [[1, 1, 1], [2, 2, 2], [0, 0, 1]],
+                [[0, 0, 0], [0, 2, 1], [0, 1, 2]],
+                [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+            ]
+        )
+        assert stacked_rank(f3, stack).tolist() == per_matrix_ranks(f3, stack) == [2, 2, 1, 1]
+
     @given(
         st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1]),
         st.integers(0, 5),

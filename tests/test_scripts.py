@@ -38,6 +38,8 @@ def test_script_runs(argv):
         ["scripts/delta_survey.py", "--trials", "0"],
         ["scripts/delta_survey.py", "--a-max", "0"],
         ["scripts/delta_survey.py", "--t-max", "0"],
+        # 2**31 rational points per trial: refused by the scan's cost guard
+        ["scripts/delta_survey.py", "--a-max", "1", "--t-max", "1", "--q", "2147483647"],
     ],
 )
 def test_bad_argument_exits_2(argv):

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from cohsys.bundles import max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
-from cohsys.exactmath import BinaryForm, PrimeField, vanishing_divisor_degree
-from cohsys.stability import (
+from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
+    BinaryForm,
+    PrimeField,
+    vanishing_divisor_degree,
+)
+from cohsys.stability import (
     Candidate,
     SystemInstance,
     _rational_candidates,
@@ -320,19 +324,24 @@ def per_subspace_candidates(inst):
     return tuple(best[key] for key in sorted(best))
 
 
-def random_instance(degrees, k, q, seed):
-    """Independent random sections of the given type, or None if none turn up."""
+def random_instance(degrees, k, q, seed, zero_at_infinity=False):
+    """Independent random sections of the given type, or None if none turn up.
+
+    With ``zero_at_infinity`` every component's x**a coefficient is 0, so
+    every section vanishes at (1 : 0).
+    """
     field = PrimeField(q)
     t = splitting_type(*degrees)
     rng = random.Random(seed)
+
+    def component(a):
+        coeffs = [rng.randrange(q) for _ in range(max(0, a + 1))]
+        if zero_at_infinity and coeffs:
+            coeffs[0] = 0
+        return BinaryForm(field, tuple(coeffs))
+
     for _ in range(20):
-        secs = tuple(
-            tuple(
-                BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
-                for a in t
-            )
-            for _ in range(k)
-        )
+        secs = tuple(tuple(component(a) for a in t) for _ in range(k))
         try:
             return SystemInstance(field, t, secs)
         except ValueError:  # dependent sections, or k > h0
@@ -353,6 +362,22 @@ class TestStackedEnumeration:
         if inst is None:
             return
         # bypass the cache: a hit would not run the enumeration under test
+        assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        st.integers(2, 3),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_when_every_section_vanishes_at_infinity(self, degrees, k, q, seed):
+        # every section lies in E(-1): saturations of positive degree share
+        # stacks with generic ones, and many subspaces share one saturation
+        inst = random_instance(degrees, k, q, seed, zero_at_infinity=True)
+        if inst is None:
+            return
+        assert all(f.evaluate(1, 0) == 0 for sec in inst.sections for f in sec)
         assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
 
     @pytest.mark.parametrize("n,d,k,q", [(4, 14, 2, 101), (3, 3, 4, 5), (2, 2, 3, 31)])
