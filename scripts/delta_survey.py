@@ -8,8 +8,10 @@ over-reports because the minimizing pencil point is irrational.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+# cohsys is imported from the checkout this script sits in
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cohsys.cli import positive_int, prime_modulus
 from cohsys.delta import (

@@ -11,8 +11,10 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+# cohsys is imported from the checkout this script sits in
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cohsys.cli import VerifyCampaignConfig, positive_int, prime_modulus, run_verify_campaign
 

@@ -136,9 +136,17 @@ def _count_scan(
     twist j, for the maps indexed by ``live``.  The first difference
     c(j) = h(j) - h(j-1) counts the kernel summands of degree >= -j.  Counts
     start at zero below -max(source), are monotone, and end at the kernel
-    rank rho, so a map leaves the stack once its counts reach its rho.  The
-    window bound is a tripwire only; reaching it would signal a bug, not bad
-    input.
+    rank rho, so a map leaves the stack once its counts reach its rho.
+
+    Once a single map is left with one summand b_rho to find, one probe reads
+    it.  The image of the map is a rank g = rank(source) - rho subsheaf of the
+    target, so deg N >= floor = deg(source) - max_subbundle_degree(target, g).
+    With b_1 ... b_{rho-1} known, j* = sum(b_i) - floor is at least -b_rho, so
+    every summand of N(j*) has sections and
+    b_rho = h(j*) - sum_{i<rho}(b_i + j* + 1) - j* - 1.  It must lie in
+    [-j*, -j), below every twist j already probed (hence b_rho <= b_{rho-1}).
+    That bound and the window bound are tripwires only; failing one would
+    signal a bug, not bad input.
     """
     bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
     window_hi = 2 * bound + 2
@@ -148,6 +156,19 @@ def _count_scan(
     prev_c = [0] * len(rhos)
     live = [m for m, rho in enumerate(rhos) if rho > 0]
     while live:
+        if len(live) == 1 and prev_c[live[0]] == rhos[live[0]] - 1:
+            (m,) = live
+            known = degrees[m]
+            floor = source.degree - max_subbundle_degree(target, source.rank - rhos[m])
+            top = sum(known) - floor
+            if top > window_hi:
+                raise RuntimeError("the kernel degree floor lies outside the safe window")
+            (h,) = probe(live, top).tolist()
+            last = h - sum(b + top + 1 for b in known) - top - 1
+            if not -top <= last < -j:
+                raise RuntimeError("last kernel summand breaks its degree bounds; elimination bug")
+            known.append(last)
+            break
         j += 1
         if j > window_hi:
             raise RuntimeError("kernel probe counts failed to stabilize inside the safe window")

@@ -18,6 +18,8 @@ reproducible.  ``FieldMatrix.rank`` moves its pivot row up and scales it by
 an inverse.  ``stacked_rank`` ranks a whole stack of matrices of one shape,
 which its callers build with ``stacked_combination``, in one elimination
 that moves no row: each pivot row clears its column and is zeroed with it.
+It reduces mod q lazily, tracking a bound on how far its entries have grown
+so that every product stays exact in int64.
 Matrices of binary forms, with the degree profile their caller states, go
 through one fraction-free elimination over F_q[x, y], which gives both their
 generic rank and their determinant.
@@ -191,12 +193,17 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     In each column every matrix takes its first row that is nonzero there as
     its pivot, with value p; a matrix with no such row takes p = 1.  Every row,
     the pivot row included, becomes p * row - row[col] * pivot_row.  That
-    needs no inverse, keeps every product below q**2 < 2**62, clears column
-    col and zeroes the pivot row, so no row moves and a used pivot row is
-    never picked again.  Column col is not read again, so only the columns
-    right of it are updated.  A matrix's rank is the number of columns in
-    which it had a pivot.  One matrix alone is still faster through
-    ``FieldMatrix.rank``.
+    needs no inverse, clears column col and zeroes the pivot row, so no row
+    moves and a used pivot row is never picked again.  Column col is not read
+    again, so only the columns right of it are updated.  A matrix's rank is
+    the number of columns in which it had a pivot.  One matrix alone is still
+    faster through ``FieldMatrix.rank``.
+
+    Reduction mod q is lazy.  Each step reduces its pivot column, so p and
+    row[col] are residues below q, and a step takes a bound B on the absolute
+    value of the entries to 2 q B.  The columns right of col are reduced, and
+    B reset to q - 1, only when 2 q B would reach 2**62, so every product and
+    difference stays exact in int64.  For q near 2**31 that is every step.
     """
     q = field.q
     if np.ndim(stack) != 3:
@@ -207,8 +214,9 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     if not (count and nrows and ncols):
         return rank
     mats = np.arange(count)
+    bound = q - 1
     for col in range(ncols):
-        column = a[:, :, col]
+        column = np.remainder(a[:, :, col], q)
         nonzero = column != 0
         piv = nonzero.argmax(axis=1)
         has = nonzero[mats, piv]
@@ -218,11 +226,14 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
         if col + 1 == ncols:
             break
         rest = a[:, :, col + 1 :]
+        if 2 * q * bound >= 2**62:
+            np.remainder(rest, q, out=rest)
+            bound = q - 1
         pivot_row = rest[mats, piv]
         # p = 1 leaves a matrix without a pivot here unchanged: its column is zero
         rest *= (column[mats, piv] + ~has)[:, None, None]
         rest -= column[:, :, None] * pivot_row[:, None, :]
-        np.remainder(rest, q, out=rest)
+        bound *= 2 * q
     return rank
 
 

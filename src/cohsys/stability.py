@@ -196,15 +196,18 @@ class StabilityReport:
         }
 
 
-def echelon_bases(k: int, w: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Reduced row-echelon representatives of all w-subspaces of F_q^k.
+def echelon_stacks(k: int, w: int, q: int) -> Iterator[np.ndarray]:
+    """Reduced row-echelon representatives of all w-subspaces of F_q^k, in stacks.
 
     Ordered by pivot-column combination, then lexicographically in the free
-    entries, so enumeration order is deterministic.
+    entries, so enumeration order is deterministic: the t-th basis of a pivot
+    combination holds the base-q digits of t in its free entries, most
+    significant first.  Yields arrays of shape (m, w, k) with m <= STACK_CAP,
+    each built from its range of counts; every stack but the last is full, so
+    a stack can span pivot combinations.
     """
-    if w == 0:
-        yield ()
-        return
+    pieces: list[np.ndarray] = []
+    held = 0
     for pivots in itertools.combinations(range(k), w):
         free = [
             (row, col)
@@ -212,13 +215,26 @@ def echelon_bases(k: int, w: int, q: int) -> Iterator[tuple[tuple[int, ...], ...
             for col in range(pivots[row] + 1, k)
             if col not in pivots
         ]
-        for vals in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * k for _ in range(w)]
-            for row, p in enumerate(pivots):
-                rows[row][p] = 1
-            for (row, col), v in zip(free, vals):
-                rows[row][col] = v
-            yield tuple(tuple(r) for r in rows)
+        template = np.zeros((1, w, k), dtype=np.int64)
+        template[0, range(w), pivots] = 1
+        total = q ** len(free)
+        # counts past int64, reachable only with the cost guard lifted, stay Python ints
+        kind = np.int64 if total < 2**63 else object
+        places = np.array([q**e for e in reversed(range(len(free)))], dtype=kind)
+        rows, cols = [row for row, _ in free], [col for _, col in free]
+        start = 0
+        while start < total:
+            stop = min(total, start + STACK_CAP - held)
+            block = np.repeat(template, stop - start, axis=0)
+            block[:, rows, cols] = np.arange(start, stop, dtype=kind)[:, None] // places % q
+            pieces.append(block)
+            held += stop - start
+            start = stop
+            if held == STACK_CAP:
+                yield np.concatenate(pieces)
+                pieces, held = [], 0
+    if pieces:
+        yield np.concatenate(pieces)
 
 
 def _subspace_count(k: int, q: int) -> int:
@@ -233,15 +249,15 @@ def _subspace_count(k: int, q: int) -> int:
 
 def _saturations(
     inst: SystemInstance, pairing: SectionPairing, w: int
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], SaturationResult]]:
+) -> Iterator[tuple[np.ndarray, SaturationResult]]:
     """(basis, saturation) for every w-subspace, in enumeration order."""
-    bases = echelon_bases(inst.k, w, inst.q)
+    stacks = echelon_stacks(inst.k, w, inst.q)
     if w in (0, inst.k):  # one subspace: its single matrix is ranked alone
-        (basis,) = bases
-        yield basis, saturate(inst.splitting, [inst.combine(row) for row in basis])
+        ((basis,),) = stacks
+        yield basis, saturate(inst.splitting, [inst.combine(row) for row in basis.tolist()])
         return
-    while chunk := list(itertools.islice(bases, STACK_CAP)):
-        yield from zip(chunk, pairing.saturate_stack(np.array(chunk)))
+    for stack in stacks:
+        yield from zip(stack, pairing.saturate_stack(stack))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -264,7 +280,7 @@ def _rational_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
                 key = (r, w)
                 cur = best.get(key)
                 if cur is None or e > cur.degree:
-                    best[key] = Candidate(r, e, w, basis)
+                    best[key] = Candidate(r, e, w, tuple(map(tuple, basis.tolist())))
     return tuple(best[key] for key in sorted(best))
 
 

@@ -6,8 +6,9 @@ shortcuts of the code it checks: form arithmetic and splitting types from
 unsorted degrees for building test inputs, the per-component sum behind
 ``combine_sections``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
-k = 1 degree list for ``decompose``, and the evaluation rank of an instance
-at a point.
+k = 1 degree list for ``decompose``, the evaluation rank of an instance
+at a point, the tuple-by-tuple generator of echelon bases, and the lock-step
+kernel scan with no last-summand read.
 """
 
 import itertools
@@ -137,3 +138,52 @@ def evaluation_rank_at_point(inst, b: int, c: int) -> int:
         raise ValueError("(0, 0) is not a projective point")
     rows = [[f.evaluate(b, c) for f in s] for s in inst.sections]
     return FieldMatrix.from_rows(inst.field, rows).rank()
+
+
+def echelon_bases(k: int, w: int, q: int):
+    """Reduced row-echelon bases of all w-subspaces of F_q^k, one tuple of rows each.
+
+    Ordered by pivot-column combination, then lexicographically in the free
+    entries through ``itertools.product``.
+    """
+    if w == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(k), w):
+        free = [
+            (row, col)
+            for row in range(w)
+            for col in range(pivots[row] + 1, k)
+            if col not in pivots
+        ]
+        for vals in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * k for _ in range(w)]
+            for row, p in enumerate(pivots):
+                rows[row][p] = 1
+            for (row, col), v in zip(free, vals):
+                rows[row][col] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+# -- kernels -------------------------------------------------------------------
+
+
+def lockstep_scan(source, target, rhos, probe):
+    """Kernel summand degrees of a stack of maps, stepping every twist to the end.
+
+    The scan of ``bundles._count_scan`` without its last-summand read: every
+    live map is probed at each twist j until its counts reach its rho.
+    """
+    j = -max(source.degrees) - 1
+    degrees = [[] for _ in rhos]
+    prev_h = [0] * len(rhos)
+    prev_c = [0] * len(rhos)
+    live = [m for m, rho in enumerate(rhos) if rho > 0]
+    while live:
+        j += 1
+        for m, h in zip(live, probe(live, j).tolist()):
+            c = h - prev_h[m]
+            degrees[m] += [-j] * (c - prev_c[m])
+            prev_h[m], prev_c[m] = h, c
+        live = [m for m in live if prev_c[m] < rhos[m]]
+    return degrees

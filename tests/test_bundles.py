@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohsys import bundles
 from cohsys.bundles import (
+    _count_scan,
     _twist_matrix,
     SectionPairing,
     SplittingType,
@@ -25,9 +28,11 @@ from cohsys.exactmath import (
     vanishing_divisor_degree,
 )
 from cohsys.numerology import decompose
+from cohsys.stability import sample_instance
 from oracles import (
     componentwise_sum,
     endomorphism_type,
+    lockstep_scan,
     mul,
     shatz_embedding_exists,
     splitting_type,
@@ -380,3 +385,145 @@ class TestSectionPairing:
             assert FieldMatrix.from_rows(F, values).rank() == 1
         pairing = SectionPairing(F, t, sections)
         assert pairing._generic_ranks(np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]]])) == [2, 2]
+
+
+def probe_count(run):
+    """run()'s result and the stack size of each twist probe it made."""
+    calls = []
+    real = bundles._twist_kernel_dimension
+
+    def counted(field, stack):
+        calls.append(len(stack))
+        return real(field, stack)
+
+    with mock.patch.object(bundles, "_twist_kernel_dimension", counted):
+        return run(), calls
+
+
+def lockstep(run):
+    """run() with the lock-step reference scan in place of ``_count_scan``."""
+    with mock.patch.object(bundles, "_count_scan", lockstep_scan):
+        return probe_count(run)
+
+
+def shared_root_sections(field, t, k, rng, kind):
+    """k random sections of type t; under "shared-root" every component is a
+    multiple of one product of one or two linear forms, so the saturation of
+    their span has positive degree."""
+    q = field.q
+    root = BinaryForm(field, (1,))
+    if kind == "shared-root":
+        for _ in range(rng.randrange(1, 3)):
+            root = mul(root, BinaryForm(field, (1, rng.randrange(q))))
+
+    def component(a):
+        if rng.random() < 0.15:
+            return BinaryForm.zero(field)
+        if kind != "shared-root":
+            return BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
+        cofactor = a - root.degree
+        if cofactor < 0:
+            return BinaryForm.zero(field)
+        return mul(root, BinaryForm(field, tuple(rng.randrange(q) for _ in range(cofactor + 1))))
+
+    return [tuple(component(a) for a in t) for _ in range(k)]
+
+
+class TestLastSummandRead:
+    """The one-probe read of a lone map's last kernel summand against the lock-step scan."""
+
+    @given(
+        st.sampled_from(["rank-one", "unbalanced", "shared-root", "generation"]),
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_splitting_matches_lockstep(self, kind, n, q, seed):
+        # "rank-one": n - 1 sections, a rank-1 kernel; "unbalanced": one
+        # section of a spread type; "shared-root": the floor undershoots deg N,
+        # so j* overshoots the natural end; "generation": O^k -> E
+        field = PrimeField(q)
+        rng = random.Random(seed)
+        low, high = (-2, 7) if kind == "unbalanced" else (0, 5)
+        t = splitting_type(*(rng.randrange(low, high) for _ in range(n + 1)))
+        k = {"rank-one": n, "unbalanced": 1}.get(kind, rng.randrange(1, n + 3))
+        sections = shared_root_sections(field, t, k, rng, kind)
+        if kind == "generation":
+            source = SplittingType((0,) * k)
+            entries = [[sec[i] for sec in sections] for i in range(t.rank)]
+            run = lambda: kernel_splitting(source, t, entries)
+        else:
+            run = lambda: saturate(t, sections)
+        got, probes = probe_count(run)
+        want, lockstep_probes = lockstep(run)
+        assert got == want
+        assert len(probes) <= len(lockstep_probes)
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=2, max_size=4),
+        st.sampled_from([3, 7, 101, 2**31 - 1]),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_saturate_stack_matches_lockstep(self, degrees, q, w, seed):
+        # every section but the last shares a root; spans of those finish
+        # early, and the one span through the last section finishes late, so
+        # the tail of the scan often goes lone
+        field = PrimeField(q)
+        t = splitting_type(*degrees)
+        rng = random.Random(seed)
+        k = w + 2
+        sections = shared_root_sections(field, t, k - 1, rng, "shared-root")
+        sections += shared_root_sections(field, t, 1, rng, "uniform")
+        early = [[rng.randrange(q) for _ in range(k - 1)] + [0] for _ in range(5 * w)]
+        bases = [early[i : i + w] for i in range(0, 5 * w, w)]
+        bases.insert(rng.randrange(6), [[rng.randrange(q) for _ in range(k)] for _ in range(w)])
+        if w == 1:  # rho = n - 1 needs a nonzero section
+            bases = [
+                b for b in bases
+                if any(not f.is_zero for f in combine_sections(field, t, sections, b[0]))
+            ]
+        if not bases:
+            return
+        run = lambda: SectionPairing(field, t, sections).saturate_stack(np.array(bases))
+        got, probes = probe_count(run)
+        want, lockstep_probes = lockstep(run)
+        assert got == want
+        assert len(probes) <= len(lockstep_probes)
+
+    def test_rank_one_kernel_takes_one_probe(self):
+        run = lambda: kernel_splitting(splitting_type(-1, -1), splitting_type(0), [[X, Y]])
+        kern, probes = probe_count(run)
+        assert kern == splitting_type(-2)
+        assert probes == [1]
+        assert len(lockstep(run)[1]) == 2
+
+    def test_whole_space_saturation_takes_one_probe(self):
+        # (3, 24, 2)@101: the kernel O(-24) of E* -> O^2; the lock-step scan
+        # steps through j = 8 ... 24
+        inst = sample_instance(3, 24, 2, 101, 0)
+        run = lambda: saturate(inst.splitting, list(inst.sections))
+        sat, probes = probe_count(run)
+        assert (sat.rank, sat.degree) == (2, 0)
+        assert probes == [1]
+        assert len(lockstep(run)[1]) == 17
+
+    def test_stack_tail_goes_lone(self):
+        # in O(2) + O(2), (x^2, x y) vanishes at x = 0: the kernel O(-3) of its
+        # pairing shows at j = 3, a twist before the O(-4) of (y^2, x^2), which
+        # is then read alone in one probe
+        t = splitting_type(2, 2)
+        sections = [(mul(X, X), mul(X, Y)), (mul(Y, Y), mul(X, X))]
+        pairing = SectionPairing(F, t, sections)
+        run = lambda: pairing.saturate_stack(np.array([[[0, 1]], [[1, 0]]]))
+        got, probes = probe_count(run)
+        assert got == lockstep(run)[0]
+        assert [r.degree for r in got] == [0, 1]
+        assert probes[-1] == 1 and probes[0] == 2
+
+    def test_floor_tripwire(self):
+        # a probe that reports no kernel sections at j* contradicts the floor
+        with pytest.raises(RuntimeError, match="degree bounds"):
+            _count_scan(splitting_type(-1, -1), splitting_type(0), [1], lambda live, j: np.zeros(1))

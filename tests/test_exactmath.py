@@ -250,6 +250,24 @@ class TestStackedRank:
         assert stacked_rank(field, permuted).tolist() == ranks
         assert stacked_rank(field, stack.transpose(0, 2, 1)).tolist() == ranks
 
+    @given(
+        st.sampled_from([2, 3, 101, 65521, 2**31 - 1]),
+        st.integers(1, 4),
+        st.integers(1, 40),
+        st.integers(35, 48),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_lazy_reduction_on_wide_stacks(self, q, count, rows, cols, seed):
+        # up to 40 pivot steps: the entries outgrow q for a few steps before
+        # the rest is reduced, at step 30 or so for q = 2, every few steps
+        # for q = 101 and 65521, and every step for q = 2**31 - 1
+        field = PrimeField(q)
+        rng = np.random.default_rng(seed)
+        stack, ranks = staggered_stack(rng, q, count, rows, cols)
+        assert stacked_rank(field, stack).tolist() == per_matrix_ranks(field, stack) == ranks
+        assert stacked_rank(field, stack.transpose(0, 2, 1)).tolist() == ranks
+
     def test_pivots_in_different_rows_and_columns(self):
         # column 0 holds a pivot in the first two matrices only, in rows 2
         # and 0; column 1 in the last two, in rows 1 and 0

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,28 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(argv):
-    # the scripts import cohsys from src/ relative to the repository root
     proc = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/run_campaigns.py", "--trials", "1", "--d-max", "2"],
+        ["scripts/delta_survey.py", "--a-max", "1", "--t-max", "1", "--trials", "1"],
+    ],
+)
+def test_script_runs_from_any_directory(argv, tmp_path):
+    # each script finds src/ from its own path, not from the working directory
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / argv[0]), *argv[1:]],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

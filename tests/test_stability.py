@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from cohsys.bundles import max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
+    STACK_CAP,
     BinaryForm,
     PrimeField,
     vanishing_divisor_degree,
@@ -20,14 +22,14 @@ from cohsys.stability import (
     _subspace_count,
     check_global_generation,
     critical_alphas,
-    echelon_bases,
+    echelon_stacks,
     is_alpha_stable,
     sample_generating_instance,
     sample_instance,
     stability_interval,
     subsystem_candidates,
 )
-from oracles import evaluation_rank_at_point, scale, splitting_type
+from oracles import echelon_bases, evaluation_rank_at_point, scale, splitting_type
 
 F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
@@ -67,19 +69,44 @@ class TestSystemInstance:
         assert back == pair_11
 
 
+def stacked_bases(k, w, q):
+    """The bases of ``echelon_stacks`` in order, each as a tuple of rows."""
+    return [tuple(map(tuple, b)) for stack in echelon_stacks(k, w, q) for b in stack.tolist()]
+
+
 class TestEchelonBases:
     def test_counts_q3_k2(self):
         # 1 + (q + 1) + 1 subspaces of F_q^2
-        assert len(list(echelon_bases(2, 0, 3))) == 1
-        assert len(list(echelon_bases(2, 1, 3))) == 4
-        assert len(list(echelon_bases(2, 2, 3))) == 1
+        assert len(stacked_bases(2, 0, 3)) == 1
+        assert len(stacked_bases(2, 1, 3)) == 4
+        assert len(stacked_bases(2, 2, 3)) == 1
 
     def test_distinct_spans(self):
-        seen = set(echelon_bases(3, 1, 3))
+        seen = set(stacked_bases(3, 1, 3))
         assert len(seen) == 13  # (3^3 - 1) / 2
 
     def test_deterministic_order(self):
-        assert list(echelon_bases(2, 1, 3)) == list(echelon_bases(2, 1, 3))
+        assert stacked_bases(2, 1, 3) == stacked_bases(2, 1, 3)
+
+    @given(st.integers(0, 5), st.data(), st.sampled_from([2, 3, 5, 7, 11, 31, 101]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tuple_generator(self, k, data, q):
+        # same bases in the same order, in full stacks of STACK_CAP but the last
+        w = data.draw(st.integers(0, k))
+        if q ** (w * (k - w)) > 20_000:
+            w = data.draw(st.sampled_from([0, k]))
+        old = list(echelon_bases(k, w, q))
+        assert stacked_bases(k, w, q) == old
+        full, last = divmod(len(old), STACK_CAP)
+        sizes = [len(stack) for stack in echelon_stacks(k, w, q)]
+        assert sizes == [STACK_CAP] * full + ([last] if last else [])
+
+    def test_counts_past_int64(self):
+        # (6, 3) over F_(2^31 - 1): the first pivot pattern has q^9 > 2^63 bases
+        q = 2**31 - 1
+        stack = next(echelon_stacks(6, 3, q))
+        assert stack.dtype == np.int64 and stack.shape == (STACK_CAP, 3, 6)
+        assert stack[-1].tolist() == [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 127]]
 
 
 class TestSampling:
@@ -157,7 +184,7 @@ class TestIsAlphaStable:
         assert _subspace_count(5, 3) == 2_664
         # the count is the number of reduced echelon bases
         for k, q in ((3, 2), (4, 3), (3, 5)):
-            total = sum(1 for w in range(k + 1) for _ in echelon_bases(k, w, q))
+            total = sum(len(stacked_bases(k, w, q)) for w in range(k + 1))
             assert _subspace_count(k, q) == total
 
     def test_witness_rank_one_matches_divisor_oracle(self):
