@@ -23,8 +23,11 @@ from .exactmath import (
     check_profile,
     generic_rank,
     multiplication_matrix,
+    pack_bits,
+    packed_rank,
     stacked_combination,
     stacked_rank,
+    unpack_bits,
 )
 
 
@@ -110,17 +113,28 @@ def _twist_matrix(
     return data
 
 
-def _twist_kernel_dimension(field: PrimeField | None, stack: np.ndarray) -> np.ndarray:
-    """dim ker of each twist matrix in a stack of shape (N, rows, cols).
+def _twist_kernel_dimension(
+    field: PrimeField | None, stack: np.ndarray, cols: int | None = None
+) -> np.ndarray:
+    """dim ker of each twist matrix in a stack of N matrices with cols columns.
 
-    A stack of one goes through ``FieldMatrix.rank``, which is faster alone;
-    the field may be None when the matrices have no rows or no columns.
+    The stack is an int64 array of shape (N, rows, cols); or, over F_2 and
+    with cols given, bit rows packed by ``pack_bits``, of shape
+    (N, rows, words), which ``packed_rank`` ranks.  A stack of one goes
+    through ``FieldMatrix.rank``, which is faster alone; the field may be None
+    when the matrices have no rows or no columns.
     """
-    count, rows, cols = stack.shape
+    count, rows, width = stack.shape
+    packed = cols is not None
+    if not packed:
+        cols = width
     if not (rows and cols):
         return np.full(count, cols, dtype=np.int64)
     if count == 1:
-        return np.array([cols - FieldMatrix(field, stack[0]).rank()])
+        mat = unpack_bits(stack[0], cols) if packed else stack[0]
+        return np.array([cols - FieldMatrix(field, mat).rank()])
+    if packed:
+        return cols - packed_rank(stack)
     return cols - stacked_rank(field, stack)
 
 
@@ -234,21 +248,22 @@ def combine_sections(
     field: PrimeField,
     e: SplittingType,
     sections: Sequence[Sequence[BinaryForm]],
-    coeffs: Sequence[int],
-) -> tuple[BinaryForm, ...]:
-    """The section sum(coeffs[l] * sections[l]) of a bundle of type e, for residues coeffs.
+    coeffs: np.ndarray | Sequence[Sequence[int]],
+) -> list[tuple[BinaryForm, ...]]:
+    """The section sum(c[l] * sections[l]) of a bundle of type e, for each row c of coeffs.
 
-    Combines the padded coefficient rows of the sections in the monomial
-    basis of H^0(E), then splits the result back into one form per summand.
+    coeffs is a stack of residue vectors, shape (m, k).  All m combinations
+    of the padded coefficient rows of the sections, in the monomial basis of
+    H^0(E), are made at once; each is then split back into one form per
+    summand.
     """
     rows = np.array([list(itertools.chain(*_padded(e, s))) for s in sections], dtype=np.int64)
-    flat = stacked_combination(np.array(coeffs, dtype=np.int64), rows, field.q).tolist()
-    out, start = [], 0
-    for a in e:
-        stop = start + max(0, a + 1)
-        out.append(BinaryForm(field, tuple(flat[start:stop])))
-        start = stop
-    return tuple(out)
+    flat = stacked_combination(np.asarray(coeffs, dtype=np.int64), rows, field.q).tolist()
+    bounds = list(itertools.accumulate((max(0, a + 1) for a in e), initial=0))
+    return [
+        tuple(BinaryForm(field, tuple(vec[start:stop])) for start, stop in zip(bounds, bounds[1:]))
+        for vec in flat
+    ]
 
 
 def _saturation(e: SplittingType, kern: SplittingType) -> SaturationResult:
@@ -268,7 +283,9 @@ class SectionPairing:
     twist j.  That twist matrix is linear in the sections: for W spanned by
     the rows of B V, M_j(W) = (B (x) I_{j+1}) M_j(V).  So M_j(V) is built once
     per twist, and all W of one dimension are ranked in one stacked
-    elimination.
+    elimination.  Over F_2, M_j(V) is packed into bit rows once per twist, and
+    each row block of M_j(W) is the XOR of the packed blocks its row of B
+    picks, so no int64 stack is built.
     """
 
     def __init__(
@@ -286,13 +303,18 @@ class SectionPairing:
         ).reshape(len(sections), 3, e.rank)
 
     def at(self, j: int) -> np.ndarray:
-        """M_j(V), shape (k, j + 1, cols): section l's twist matrix in slice l."""
+        """M_j(V), shape (k, j + 1, cols): section l's twist matrix in slice l.
+
+        Over F_2 its rows come packed by ``pack_bits``, shape
+        (k, j + 1, words), with cols = h0(E*(j)) bit columns.
+        """
         if j not in self._pairings:
             one = SplittingType((0,))
             # saturate's column order: the dual reverses the components
-            self._pairings[j] = np.stack(
+            pairing = np.stack(
                 [_twist_matrix(self.e.dual(), one, [s[::-1]], j) for s in self.sections]
             )
+            self._pairings[j] = pack_bits(pairing) if self.field.q == 2 else pairing
         return self._pairings[j]
 
     def _generic_ranks(self, bases: np.ndarray) -> list[int]:
@@ -302,19 +324,22 @@ class SectionPairing:
         generic rank, itself at most min(w, n).  So values of full rank at
         (1 : 0), (0 : 1) or (1 : 1) settle it; ``generic_rank`` decides the rest.
         The N spans' values at the three points are 3N matrices of shape
-        w x n, built in one combination and ranked in one elimination.
+        w x n, built in one combination and ranked in one elimination.  The
+        sections of all the spans left to ``generic_rank`` are built in one
+        combination too.
         """
-        count, w, _ = bases.shape
+        count, w, k = bases.shape
         n = self.e.rank
         # (N, w, 3, n) -> (N, 3, w, n): one w x n value matrix per span and point
         values = stacked_combination(bases, self._point_values, self.field.q)
         values = values.transpose(0, 2, 1, 3).reshape(3 * count, w, n)
         ranks = stacked_rank(self.field, values).reshape(count, 3).max(axis=1).tolist()
-        full = min(w, n)
-        for m, basis in enumerate(bases.tolist()):
-            if ranks[m] < full:
-                rows = [combine_sections(self.field, self.e, self.sections, b) for b in basis]
-                ranks[m] = generic_rank(rows, [0] * len(rows), self.e.degrees)
+        fallback = [m for m in range(count) if ranks[m] < min(w, n)]
+        if fallback:
+            coeffs = bases[fallback].reshape(-1, k)  # w rows per span
+            rows = combine_sections(self.field, self.e, self.sections, coeffs)
+            for i, m in enumerate(fallback):
+                ranks[m] = generic_rank(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees)
         return ranks
 
     def saturate_stack(self, bases: np.ndarray) -> list[SaturationResult]:
@@ -331,11 +356,21 @@ class SectionPairing:
             rhos = [n - 1] * count
         else:
             rhos = [n - g for g in self._generic_ranks(bases)]
+        bits = (bases % 2).astype(np.uint64) if q == 2 else None
 
         def probe(live: list[int], j: int) -> np.ndarray:
-            _, rows, cols = self.at(j).shape
-            stack = stacked_combination(bases[live], self.at(j), q)
-            return _twist_kernel_dimension(self.field, stack.reshape(len(live), w * rows, cols))
+            pairing = self.at(j)
+            _, rows, width = pairing.shape
+            if q == 2:
+                # (N, w, k, rows, words) -> (N, w, rows, words): XOR the picked blocks
+                picked = bits[live][:, :, :, None, None] * pairing
+                stack = np.bitwise_xor.reduce(picked, axis=2)
+                cols = cohomology(self.e.dual(), j)[0]
+                return _twist_kernel_dimension(
+                    self.field, stack.reshape(len(live), w * rows, width), cols
+                )
+            stack = stacked_combination(bases[live], pairing, q)
+            return _twist_kernel_dimension(self.field, stack.reshape(len(live), w * rows, width))
 
         kernels = _count_scan(self.e.dual(), SplittingType((0,) * w), rhos, probe)
         # many spans share a kernel type: each type's result is built once

@@ -50,6 +50,14 @@ def fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
 
 
+def unit_fraction(text: str) -> Fraction:
+    """argparse type for a share, such as a fraction of samples: a fraction in [0, 1]."""
+    value = fraction(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
+
+
 def fractions(text: str) -> tuple[Fraction, ...]:
     """argparse type for a comma-separated list of fractions."""
     return tuple(fraction(part) for part in text.split(",") if part.strip())
@@ -378,7 +386,10 @@ def _cmd_delta_check(args: argparse.Namespace) -> int:
 
 def _cmd_check_instance(args: argparse.Namespace) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.path}: JSON nested too deeply to parse") from None
     inst = SystemInstance.from_json_dict(data)
     report = is_alpha_stable(inst, args.alpha, args.force_large)
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="interval-midpoint",
     )
     p.add_argument("--alphas", type=fractions, default=(), help="comma-separated exact fractions")
-    p.add_argument("--min-stable-frac", type=fraction, default=Fraction(4, 5))
+    p.add_argument("--min-stable-frac", type=unit_fraction, default=Fraction(4, 5))
     p.add_argument("--empty-samples", type=nonnegative_int, default=10)
     p.add_argument("--force-large", action="store_true")
     p.add_argument("--require-generation", action="store_true")

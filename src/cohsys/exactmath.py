@@ -19,7 +19,10 @@ an inverse.  ``stacked_rank`` ranks a whole stack of matrices of one shape,
 which its callers build with ``stacked_combination``, in one elimination
 that moves no row: each pivot row clears its column and is zeroed with it.
 It reduces mod q lazily, tracking a bound on how far its entries have grown
-so that every product stays exact in int64.
+so that every product stays exact in int64.  Over F_2 it packs each row into
+uint64 words, one bit per column (``pack_bits``), and eliminates with the same
+pivot rule by XOR (``packed_rank``), the dense GF(2) technique of M4RI
+(Albrecht, Bard and Hart, ACM TOMS 2010).
 Matrices of binary forms, with the degree profile their caller states, go
 through one fraction-free elimination over F_q[x, y], which gives both their
 generic rank and their determinant.
@@ -187,6 +190,72 @@ def stacked_combination(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarr
     return np.remainder(out, q, out=out)
 
 
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+# 2**c for c < 64, as int64: bit 63 is the sign bit
+_BIT_WEIGHTS = (np.uint64(1) << _BIT_SHIFTS).view(np.int64)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 entries packed along the last axis into uint64 words.
+
+    Column c becomes bit c % 64 of word c // 64, and the last word is padded
+    with zero bits, so a row of any width takes as many words as it needs.
+    A word is the product of its 64 entries with the powers of two: distinct
+    powers never carry, and the one of weight -2**63 leaves the sum inside
+    int64, so the product is exact.  Entries other than 0 and 1 would carry:
+    callers reduce mod 2 first.
+    """
+    *lead, cols = np.shape(bits)
+    out = np.empty((*lead, -(-cols // 64)), dtype=np.int64)
+    for word in range(out.shape[-1]):
+        chunk = bits[..., 64 * word : 64 * word + 64]
+        out[..., word] = chunk @ _BIT_WEIGHTS[: chunk.shape[-1]]
+    return out.view(np.uint64)
+
+
+def unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
+    """The first cols columns of rows that ``pack_bits`` packed, as 0/1 entries."""
+    bits = (words[..., None] >> _BIT_SHIFTS) & np.uint64(1)
+    return bits.reshape(*words.shape[:-1], 64 * words.shape[-1])[..., :cols].astype(np.int64)
+
+
+def packed_rank(words: np.ndarray) -> np.ndarray:
+    """Ranks over F_2 of a stack of bit-row matrices from ``pack_bits``, shape (N, rows, words).
+
+    The elimination of ``stacked_rank`` with XOR as its row operation.  In
+    each column every matrix takes its first row that is nonzero there as its
+    pivot, and every row with a 1 there, the pivot row included, is XORed
+    with the pivot row.  That clears the column and zeroes the pivot row, so
+    no row moves.  The words left of the column's word are zero in every row
+    by then, so only the rest are updated.  A column that is zero in every
+    row of every matrix stays zero under XOR, so it is skipped; so are the
+    padding bits.
+    """
+    a = np.array(words, dtype=np.uint64)
+    count, nrows, nwords = a.shape
+    rank = np.zeros(count, dtype=np.int64)
+    if not (count and nrows and nwords):
+        return rank
+    present = np.bitwise_or.reduce(a, axis=(0, 1))
+    cols = np.flatnonzero(unpack_bits(present, 64 * nwords)).tolist()
+    mats = np.arange(count)
+    for step, col in enumerate(cols):
+        word = col >> 6
+        column = (a[:, :, word] >> (col & 63)) & 1
+        nonzero = column != 0
+        piv = nonzero.argmax(axis=1)
+        has = nonzero[mats, piv]
+        if not has.any():
+            continue
+        rank += has
+        if step + 1 == len(cols):
+            break
+        rest = a[:, :, word:]
+        # a matrix without a pivot here has a zero column: nothing is XORed
+        rest ^= column[:, :, None] * rest[mats, piv][:, None, :]
+    return rank
+
+
 def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices over F_q, shape (N, rows, cols), in one elimination.
 
@@ -204,6 +273,10 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     value of the entries to 2 q B.  The columns right of col are reduced, and
     B reset to q - 1, only when 2 q B would reach 2**62, so every product and
     difference stays exact in int64.  For q near 2**31 that is every step.
+
+    For q = 2 the rows are packed into bit words and ranked by
+    ``packed_rank``: the same pivots, with one XOR per row and word in place
+    of a multiply and a subtraction per entry.
     """
     q = field.q
     if np.ndim(stack) != 3:
@@ -213,6 +286,8 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     rank = np.zeros(count, dtype=np.int64)
     if not (count and nrows and ncols):
         return rank
+    if q == 2:
+        return packed_rank(pack_bits(a))
     mats = np.arange(count)
     bound = q - 1
     for col in range(ncols):

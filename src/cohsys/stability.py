@@ -100,7 +100,8 @@ class SystemInstance:
 
     def combine(self, coeffs: Sequence[int]) -> tuple[BinaryForm, ...]:
         """The section sum(coeffs[j] * sections[j]) componentwise."""
-        return combine_sections(self.field, self.splitting, self.sections, coeffs)
+        (section,) = combine_sections(self.field, self.splitting, self.sections, [coeffs])
+        return section
 
     def to_json_dict(self) -> dict:
         return {

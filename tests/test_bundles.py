@@ -24,6 +24,7 @@ from cohsys.exactmath import (
     FieldMatrix,
     PrimeField,
     generic_rank,
+    pack_bits,
     stacked_combination,
     vanishing_divisor_degree,
 )
@@ -42,6 +43,9 @@ F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
 Y = BinaryForm(F, (0, 1))
 ZERO = BinaryForm.zero(F)
+# forms over F_2, coefficients that read the same over any field
+X2, XY, Y2 = (BinaryForm(PrimeField(2), c) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+ONE2, ZERO2 = BinaryForm(PrimeField(2), (1,)), BinaryForm.zero(PrimeField(2))
 
 
 def rand_form(rng, degree):
@@ -263,10 +267,14 @@ class TestCombineSections:
             return BinaryForm(field, tuple(rng.randrange(q) for _ in range(a + 1)))
 
         sections = [tuple(component(a) for a in t) for _ in range(k)]
-        coeffs = [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(k)]
-        got = combine_sections(field, t, sections, coeffs)
-        assert got == componentwise_sum(field, sections, coeffs)
-        assert all(f.is_zero or f.degree == a for f, a in zip(got, t))
+        # a stack of coefficient vectors, combined in one call
+        stack = [
+            [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(k)]
+            for _ in range(rng.randrange(1, 5))
+        ]
+        got = combine_sections(field, t, sections, stack)
+        assert got == [componentwise_sum(field, sections, coeffs) for coeffs in stack]
+        assert all(f.is_zero or f.degree == a for section in got for f, a in zip(section, t))
 
 
 def span_sections(field, t, vectors, basis):
@@ -336,6 +344,37 @@ class TestSectionPairing:
             ]
             assert (got == np.vstack(want)).all()
 
+    def test_pairing_is_packed_over_f2(self):
+        # over F_2, M_j(V) is kept as bit rows, and the probe's XOR of the
+        # blocks that B picks is the packed M_j(W)
+        field = PrimeField(2)
+        rng = random.Random(2)
+        t = splitting_type(9, 3, 0, -1)
+        h0 = sum(max(0, a + 1) for a in t)
+        vectors = [[rng.randrange(2) for _ in range(h0)] for _ in range(3)]
+        sections = span_sections(field, t, vectors, np.eye(3, dtype=int).tolist())
+        pairing = SectionPairing(field, t, sections)
+        one = splitting_type(0)
+        for j in range(-2, 20):
+            m = pairing.at(j)
+            assert m.dtype == np.uint64
+            per_section = [_twist_matrix(t.dual(), one, [list(reversed(s))], j) for s in sections]
+            assert (m == pack_bits(np.stack(per_section))).all()
+            assert m.shape[2] == -(-cohomology(t.dual(), j)[0] // 64)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_stack_probes_are_packed_over_f2_only(self, q):
+        field = PrimeField(q)
+        t = splitting_type(2, 2, 0)
+        sections = [(X2, XY, ONE2), (XY, Y2, ZERO2), (Y2, X2, ONE2)]
+        sections = [tuple(BinaryForm(field, f.coeffs) for f in s) for s in sections]
+        bases = np.array([[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 1]]])
+        pairing = SectionPairing(field, t, sections)
+        with mock.patch.object(bundles, "packed_rank", wraps=bundles.packed_rank) as packed:
+            got = pairing.saturate_stack(bases)
+        assert packed.called == (q == 2)
+        assert got == [saturate(t, combine_sections(field, t, sections, b)) for b in bases]
+
     @given(
         st.sampled_from(["uniform", "vanishing", "one-component"]),
         st.lists(st.integers(-1, 5), min_size=1, max_size=4),
@@ -392,9 +431,9 @@ def probe_count(run):
     calls = []
     real = bundles._twist_kernel_dimension
 
-    def counted(field, stack):
+    def counted(field, stack, cols=None):
         calls.append(len(stack))
-        return real(field, stack)
+        return real(field, stack, cols)
 
     with mock.patch.object(bundles, "_twist_kernel_dimension", counted):
         return run(), calls
@@ -483,7 +522,7 @@ class TestLastSummandRead:
         if w == 1:  # rho = n - 1 needs a nonzero section
             bases = [
                 b for b in bases
-                if any(not f.is_zero for f in combine_sections(field, t, sections, b[0]))
+                if any(not f.is_zero for f in combine_sections(field, t, sections, b)[0])
             ]
         if not bases:
             return

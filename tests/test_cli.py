@@ -149,6 +149,9 @@ class TestVerifyCommand:
             ["--alpha-rule", "explicit", "--alphas", "1/0"],
             ["--alpha-rule", "explicit", "--alphas", "1/2,1/0"],
             ["--min-stable-frac", "1/0"],
+            # a share outside [0, 1]: every stable sample would disagree
+            ["--min-stable-frac", "3"],
+            ["--min-stable-frac", "-1/2"],
             # a composite modulus used to skip every cell and pass vacuously
             ["--q", "4"],
             ["--q", "2147483648"],
@@ -160,6 +163,15 @@ class TestVerifyCommand:
         assert out == ""
         assert_one_line_error(code, err)
         assert extra[-2] in err
+
+    @pytest.mark.parametrize("share", ["0", "1"])
+    def test_min_stable_frac_accepts_its_ends(self, capsys, share):
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--d", "2", "--k", "1", "--trials", "1",
+            "--min-stable-frac", share,
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["min_stable_frac"] == share
 
     def test_zero_empty_samples_accepted(self, capsys):
         code, out, _ = run_cli(
@@ -374,6 +386,15 @@ class TestCheckInstanceCommand:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "check-instance", str(path), "1")
         assert code == 2
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        # deeper than the parser's recursion limit
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run_cli(capsys, "check-instance", str(path), "1")
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert "nested too deeply" in err
 
     @pytest.mark.parametrize(
         "data",

@@ -2,6 +2,7 @@ import itertools
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import GF, symbols
 from sympy.polys.matrices import DomainMatrix
 
+from cohsys import exactmath
 from cohsys.exactmath import (
     BinaryForm,
     FieldMatrix,
@@ -18,7 +20,10 @@ from cohsys.exactmath import (
     form_determinant,
     generic_rank,
     multiplication_matrix,
+    pack_bits,
+    packed_rank,
     stacked_rank,
+    unpack_bits,
     vanishing_divisor_degree,
 )
 from oracles import add, compose_linear, mul, scale
@@ -332,6 +337,92 @@ class TestStackedRank:
     def test_rejects_a_single_matrix(self):
         with pytest.raises(ValueError):
             stacked_rank(F7, np.eye(3, dtype=np.int64))
+
+
+F2 = PrimeField(2)
+
+
+class TestPackedRank:
+    """The F_2 elimination on bit rows against ``FieldMatrix.rank`` of each matrix."""
+
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 9),
+        st.integers(1, 130),
+        st.floats(0, 1),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_field_matrix_rank(self, count, rows, cols, density, seed):
+        # widths up to 130 cross the word boundaries at 64 and 128
+        rng = np.random.default_rng(seed)
+        stack = (rng.random((count, rows, cols)) < density).astype(np.int64)
+        want = per_matrix_ranks(F2, stack)
+        assert stacked_rank(F2, stack).tolist() == want
+        assert stacked_rank(F2, stack.transpose(0, 2, 1)).tolist() == want
+
+    @pytest.mark.parametrize("cols", [1, 2, 63, 64, 65, 127, 128, 129, 130])
+    def test_word_boundaries(self, cols):
+        # one-row stacks with a single 1 in each column, zero stacks, and
+        # matrices whose only pivots sit on either side of a boundary
+        ones = np.eye(cols, dtype=np.int64)[:, None, :]
+        assert stacked_rank(F2, ones).tolist() == [1] * cols
+        assert stacked_rank(F2, np.zeros((3, 4, cols), dtype=np.int64)).tolist() == [0] * 3
+        rng = np.random.default_rng(cols)
+        stack, ranks = staggered_stack(rng, 2, 6, 5, cols)
+        assert stacked_rank(F2, stack).tolist() == ranks
+        assert stacked_rank(F2, stack.transpose(0, 2, 1)).tolist() == ranks
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.integers(1, 130),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_staggered_pivots(self, count, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        stack, ranks = staggered_stack(rng, 2, count, rows, cols)
+        assert stacked_rank(F2, stack).tolist() == ranks
+        assert packed_rank(pack_bits(stack)).tolist() == ranks
+        permuted = np.stack([m[rng.permutation(rows)] for m in stack])
+        assert stacked_rank(F2, permuted).tolist() == ranks
+
+    def test_repeated_rows_clear_together(self):
+        # the pivot row and its copies all XOR to zero: rank 1, not 2
+        row = np.zeros(70, dtype=np.int64)
+        row[[0, 64, 69]] = 1
+        stack = np.stack([np.stack([row, row, row]), np.stack([row, np.roll(row, 1), row])])
+        assert stacked_rank(F2, stack).tolist() == per_matrix_ranks(F2, stack) == [1, 2]
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_pack_bits_layout(self, count, rows, cols, seed):
+        # column c is bit c % 64 of word c // 64; the padding bits are zero
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(count, rows, cols))
+        words = pack_bits(bits)
+        assert words.dtype == np.uint64
+        assert words.shape == (count, rows, -(-cols // 64))
+        c = np.arange(64 * words.shape[-1])
+        unpacked = (words[..., c // 64] >> (c % 64).astype(np.uint64)) & np.uint64(1)
+        assert (unpacked[..., :cols] == bits).all()
+        assert not unpacked[..., cols:].any()
+        assert (unpack_bits(words, cols) == bits).all()
+
+    def test_stacked_rank_packs_over_f2_only(self):
+        calls = []
+
+        def counted(words):
+            calls.append(words.shape)
+            return packed_rank(words)
+
+        stack = np.ones((2, 3, 3), dtype=np.int64)
+        with mock.patch.object(exactmath, "packed_rank", counted):
+            assert stacked_rank(F2, stack).tolist() == [1, 1]
+            assert calls == [(2, 3, 1)]
+            assert stacked_rank(F7, stack).tolist() == [1, 1]
+            assert calls == [(2, 3, 1)]
 
 
 class TestMultiplicationMatrix:

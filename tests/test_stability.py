@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsys.bundles import max_subbundle_degree, saturate
+from unittest import mock
+
+from cohsys import bundles
+from cohsys.bundles import SectionPairing, max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
@@ -412,3 +415,55 @@ class TestStackedEnumeration:
         # (2, 2, 3) over F_31 has 993 subspaces of dimension 1, several stacks
         inst = sample_instance(n, d, k, q, 1)
         assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
+
+
+def packed_probe_widths(run):
+    """run()'s result and the column count of each packed twist probe it made."""
+    widths = []
+    real = bundles._twist_kernel_dimension
+
+    def recorded(field, stack, cols=None):
+        if cols is not None:
+            widths.append(cols)
+        return real(field, stack, cols)
+
+    with mock.patch.object(bundles, "_twist_kernel_dimension", recorded):
+        return run(), widths
+
+
+class TestPackedEnumeration:
+    """Over F_2 the stacked enumeration ranks packed bit rows; the per-subspace
+    loop ranks each saturation's int64 matrices on their own."""
+
+    @given(
+        st.lists(st.integers(-1, 40), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_subspace_loop(self, degrees, k, seed):
+        # summands up to O(40): twist matrices up to twice 64 columns wide
+        inst = random_instance(degrees, k, 2, seed)
+        if inst is None:
+            return
+        assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
+
+    @pytest.mark.parametrize(
+        "degrees,k", [((40, 40), 2), ((70, 2), 2), ((30, 30, 29), 3), ((5, 5, 5, 4), 5)]
+    )
+    def test_saturate_stack_matches_saturate(self, degrees, k):
+        # every stack of every dimension against saturate on each subspace,
+        # then the candidates with their witness bases
+        inst = random_instance(degrees, k, 2, sum(degrees))
+        pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
+        for w in range(1, k):
+            for stack in echelon_stacks(k, w, 2):
+                got = pairing.saturate_stack(stack)
+                want = [saturate(inst.splitting, [inst.combine(row) for row in b]) for b in stack]
+                assert got == want
+        got, widths = packed_probe_widths(lambda: _rational_candidates.__wrapped__(inst))
+        assert got == per_subspace_candidates(inst)
+        assert widths  # the packed path ran
+        if max(degrees) >= 30:  # and its rows took more than one word
+            assert max(widths) > 64
+
