@@ -3,7 +3,9 @@
 
 Prints, per (a, t) cell, the closed-form value, the closure oracle's range
 over random draws, the match fraction, and how often the rational-point scan
-over-reports because the minimizing pencil point is irrational.
+over-reports because the minimizing pencil point is irrational.  The scan
+can never report less than the closure oracle, whose minimum ranges over more
+points: the first trial where it does stops the survey with exit 1.
 """
 
 import argparse
@@ -44,6 +46,14 @@ def main() -> int:
                     rational.append(delta_bruteforce(inp))
                 except ValueError as exc:  # the scan's cost guard
                     parser.error(str(exc))
+                # the closure minimum ranges over more points than the scan's
+                if rational[-1] < closure[-1]:
+                    print(
+                        f"error: a={a} t={t} trial {i}: the rational scan's rank {rational[-1]} "
+                        f"is below the closure minimum {closure[-1]}",
+                        file=sys.stderr,
+                    )
+                    return 1
             match = sum(1 for v in closure if v == formula) / args.trials
             over = sum(1 for v in rational if v > formula)
             if max(closure) != formula or any(v > formula for v in closure):

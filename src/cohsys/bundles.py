@@ -10,6 +10,7 @@ shows up as a kernel or quotient even though ambient bundles have rank >= 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -296,11 +297,18 @@ class SectionPairing:
         self.sections = [tuple(s) for s in sections]
         self._pairings: dict[int, np.ndarray] = {}
         self._results: dict[tuple[int, ...], SaturationResult] = {}
-        # shape (k, 3, n): section l's component values at (1 : 0), (0 : 1) and (1 : 1)
+
+    @functools.cached_property
+    def _point_values(self) -> np.ndarray:
+        """Shape (k, 3, n): section l's component values at (1 : 0), (0 : 1) and (1 : 1).
+
+        Only spans of two or more sections read them, so they are built on first use.
+        """
         points = ((1, 0), (0, 1), (1, 1))
-        self._point_values = np.array(
-            [[[f.evaluate(b, c) for f in s] for b, c in points] for s in sections], dtype=np.int64
-        ).reshape(len(sections), 3, e.rank)
+        return np.array(
+            [[[f.evaluate(b, c) for f in s] for b, c in points] for s in self.sections],
+            dtype=np.int64,
+        ).reshape(len(self.sections), 3, self.e.rank)
 
     def at(self, j: int) -> np.ndarray:
         """M_j(V), shape (k, j + 1, cols): section l's twist matrix in slice l.

@@ -236,11 +236,11 @@ def _verify_cell(cfg: VerifyCampaignConfig, n: int, d: int, k: int) -> dict:
 def _sampled_cell(cfg, verdict, instances, plan, cell) -> bool:
     samples_out = []
     agree = True
+    crits_per_instance = [critical_alphas(inst, cfg.force_large) for inst in instances]
     for alpha, kind in plan:
         expect = _expectation(verdict, alpha)
         stable_count = 0
-        for inst in instances:
-            crits = critical_alphas(inst, cfg.force_large)
+        for inst, crits in zip(instances, crits_per_instance):
             a2 = _nudge_alpha(alpha, crits, verdict)
             if is_alpha_stable(inst, a2, cfg.force_large).stable:
                 stable_count += 1
@@ -367,6 +367,14 @@ def _cmd_delta_check(args: argparse.Namespace) -> int:
         inp = sample_delta_input(args.a, args.t, args.q, mix_seed(args.seed, i))
         closure_vals.append(delta_closure(inp))
         rational_vals.append(delta_bruteforce(inp, args.force_large))
+        # the closure minimum ranges over more points than the scan's
+        if rational_vals[-1] < closure_vals[-1]:
+            print(
+                f"error: trial {i}: the rational scan's rank {rational_vals[-1]} is below "
+                f"the closure minimum {closure_vals[-1]}",
+                file=sys.stderr,
+            )
+            return 1
     matches = sum(1 for v in closure_vals if v == formula)
     report = {
         "a": args.a,

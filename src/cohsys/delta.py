@@ -11,8 +11,8 @@ two oracles recompute it directly:
   point lives in a quadratic extension).
 * ``delta_closure`` is exact over the algebraic closure: rank <= r at some
   point iff all (r+1)-minors (binary forms in (b, c)) share a projective
-  zero, which is a gcd computation.  The sweep over r stops at the rank at
-  (1 : 0), which bounds the minimum.
+  zero, which is a gcd computation.  The least rank at (1 : 0), (0 : 1) and
+  (1 : 1) bounds the minimum, and the minors of that size are tested first.
 """
 
 from __future__ import annotations
@@ -121,21 +121,31 @@ def pencil_min_rank(
     family members, rows = the slot_degree + 1 coefficient slots).  Rank drops
     below s at some point iff every s x s minor, a degree-s binary form in
     (b, c), vanishes there; minors sharing a projective zero is a gcd test.
-    The sweep stops at rank A, the rank at (1 : 0): it bounds the minimum,
-    and every size up to it has a nonzero minor, whose value there is a
-    nonzero minor of A.  Each size's minors are computed only until their gcd
-    is settled.
+
+    The least rank at (1 : 0), (0 : 1) and (1 : 1) bounds the minimum, and no
+    size up to that bound has only zero minors.  A square pencil of full rank
+    there has one full-size minor, a nonzero form of positive degree, which
+    vanishes somewhere: the bound drops by one with no determinant computed.
+    The minors of the bound's size are tested first; with no common zero the
+    bound is the minimum, which for a generic pencil takes two minors.
+    Otherwise the smaller sizes are swept upward.  Each size's minors are
+    computed only until their gcd is settled.
     """
     if len(first) != len(second):
         raise ValueError("families must have equal length")
     A, B = _pencil_coefficient_matrices(first, second, slot_degree)
     nrows, ncols = A.shape
+    bound = min(FieldMatrix(field, m).rank() for m in (A, B, A + B))
+    if bound == nrows == ncols:
+        bound -= 1
+    if bound == 0:
+        return 0
     entries = [
         [BinaryForm(field, (A[r, c], B[r, c])) for c in range(ncols)]
         for r in range(nrows)
     ]
-    rank = FieldMatrix(field, A).rank()
-    for size in range(1, rank + 1):
+
+    def common_zero(size: int) -> bool:
         minors = (
             form_determinant(
                 [[entries[r][c] for c in csel] for r in rsel], field, [0] * size, [1] * size
@@ -143,9 +153,14 @@ def pencil_min_rank(
             for rsel in itertools.combinations(range(nrows), size)
             for csel in itertools.combinations(range(ncols), size)
         )
-        if vanishing_divisor_degree(minors) >= 1:
+        return vanishing_divisor_degree(minors) >= 1
+
+    if not common_zero(bound):
+        return bound
+    for size in range(1, bound):
+        if common_zero(size):
             return size - 1
-    return rank
+    return bound - 1
 
 
 def delta_closure(inp: DeltaInput) -> int:

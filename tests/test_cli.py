@@ -20,6 +20,7 @@ from cohsys.cli import (
     main,
     run_verify_campaign,
 )
+from cohsys.delta import delta_closure
 from cohsys.stability import sample_instance
 
 
@@ -271,6 +272,25 @@ class TestDeltaCheckCommand:
         assert out == ""
         assert_one_line_error(code, err)
         assert "--force-large" in err
+
+    def test_scan_below_closure_exits_1(self, capsys, monkeypatch):
+        # the closure minimum ranges over more points than the rational scan,
+        # so a scan below it is an oracle bug: the first such trial stops the run
+        import cohsys.cli as cli_mod
+
+        trials = []
+
+        def scan(inp, allow_large=False):
+            trials.append(inp)
+            return delta_closure(inp) - 1
+
+        monkeypatch.setattr(cli_mod, "delta_bruteforce", scan)
+        code, out, err = run_cli(capsys, "delta-check", "3", "3", "--trials", "5")
+        assert code == 1
+        assert out == ""
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: trial 0: ")
+        assert len(trials) == 1
 
     def test_large_modulus_below_the_guard_runs(self, capsys):
         code, out, _ = run_cli(capsys, "delta-check", "1", "1", "--q", "1000003", "--trials", "1")

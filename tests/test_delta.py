@@ -211,6 +211,10 @@ def draw_pencil(rng, kind, a, t, field):
         # (1 : 0) lies below the generic rank of the uniform second family
         basis = [uniform() for _ in range(rng.randrange(min(a, t)))]
         return [combo(basis) for _ in range(t)], [uniform() for _ in range(t)]
+    if kind == "deficient-second":
+        # the mirror image: the rank at (0 : 1) sets the bound on the minimum
+        basis = [uniform() for _ in range(rng.randrange(min(a, t)))]
+        return [uniform() for _ in range(t)], [combo(basis) for _ in range(t)]
     # shared linear factor: every form is L * h with h of degree a - 2
     linear = form((rng.randrange(q), rng.randrange(q)))
     if a < 2 or linear.is_zero:
@@ -229,6 +233,7 @@ DRAW_KINDS = [
     "low-rank",
     "shared-linear-factor",
     "deficient-first",
+    "deficient-second",
 ]
 
 
@@ -247,6 +252,58 @@ class TestPencilMinRankEquivalence:
         first, second = draw_pencil(rng, kind, a, t, field)
         expected = all_minors_min_rank(first, second, a - 1, field)
         assert pencil_min_rank(first, second, a - 1, field) == expected
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(DRAW_KINDS),
+        st.sampled_from([2, 3, 5, 7, 101]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_all_minors_at_six(self, seed, kind, q):
+        # a = t = 6: the lone 6 x 6 minor is skipped, and drops below 5 reach
+        # the upward sweep
+        field = PrimeField(q)
+        first, second = draw_pencil(random.Random(seed), kind, 6, 6, field)
+        assert pencil_min_rank(first, second, 5, field) == all_minors_min_rank(
+            first, second, 5, field
+        )
+
+
+class TestPencilMinRankOrder:
+    @staticmethod
+    def counted(monkeypatch):
+        import cohsys.delta as delta_mod
+
+        sizes = []
+
+        def wrapper(entries, *args):
+            sizes.append(len(entries))
+            return form_determinant(entries, *args)
+
+        monkeypatch.setattr(delta_mod, "form_determinant", wrapper)
+        return sizes
+
+    def test_generic_square_pencil_takes_two_minors(self, monkeypatch):
+        # full rank at the three points: the lone 6 x 6 minor vanishes
+        # somewhere, so the bound is 5, and two 5 x 5 minors settle it
+        sizes = self.counted(monkeypatch)
+        for seed in range(5):
+            inp = sample_delta_input(6, 6, 101, seed)
+            sizes.clear()
+            assert delta_closure(inp) == 5
+            assert 6 not in sizes
+            assert 1 <= len(sizes) <= 2
+
+    def test_drop_at_the_second_family(self, monkeypatch):
+        # b*A + c*B = [[b + c, 0], [0, b]]: B of rank 1 sets the bound at
+        # (0 : 1), and the 1 x 1 minors b + c and b share no zero, so the
+        # 2 x 2 minor is never computed
+        field = PrimeField(7)
+        x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
+        z = BinaryForm.zero(field)
+        sizes = self.counted(monkeypatch)
+        assert pencil_min_rank([x, y], [x, z], 1, field) == 1
+        assert sizes and set(sizes) == {1}
 
 
 def per_point_min_rank(inp):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize(
@@ -69,3 +71,57 @@ def test_bad_argument_exits_2(argv):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,golden,code",
+    [
+        # over F_2 five draws miss the generic value in four cells: exit 1
+        (
+            ["scripts/delta_survey.py", "--q", "2", "--a-max", "4", "--t-max", "4", "--trials", "5"],
+            "delta_survey_q2_a4_t4_trials5.txt",
+            1,
+        ),
+        (
+            ["-m", "cohsys", "delta-check", "5", "5", "--q", "3", "--trials", "10"],
+            "delta_check_5_5_q3_trials10.json",
+            0,
+        ),
+        # seven of these draws are square of full rank at the three points the
+        # closure bound ranks, and one of those drops below t - 1 elsewhere
+        (
+            ["-m", "cohsys", "delta-check", "4", "4", "--q", "3", "--trials", "20"],
+            "delta_check_4_4_q3_trials20.json",
+            0,
+        ),
+    ],
+)
+def test_small_field_output_is_unchanged(argv, golden, code):
+    # outputs recorded from the sweep that tested every minor size from 1 up
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == (DATA / golden).read_text()
+
+
+def test_survey_stops_when_the_scan_is_below_the_closure(monkeypatch, capsys):
+    # the closure minimum ranges over more points than the rational scan, so
+    # a scan below it is an oracle bug: the first such trial ends the survey
+    spec = importlib.util.spec_from_file_location("delta_survey", ROOT / "scripts/delta_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    monkeypatch.setattr(survey, "delta_bruteforce", lambda inp: survey.delta_closure(inp) - 1)
+    monkeypatch.setattr(
+        sys, "argv", ["delta_survey.py", "--a-max", "2", "--t-max", "2", "--trials", "3"]
+    )
+    assert survey.main() == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1  # the header; no row of the failing cell
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error: a=1 t=1 trial 0: ")
