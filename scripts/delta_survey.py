@@ -3,9 +3,10 @@
 
 Prints, per (a, t) cell, the closed-form value, the closure oracle's range
 over random draws, the match fraction, and how often the rational-point scan
-over-reports because the minimizing pencil point is irrational.  The scan
-can never report less than the closure oracle, whose minimum ranges over more
-points: the first trial where it does stops the survey with exit 1.
+over-reports because the minimizing pencil point is irrational.  Each cell
+is run and judged by ``cohsys.delta.check_pencil_cell``.  The scan can never
+report less than the closure oracle, whose minimum ranges over more points:
+the first trial where it does stops the survey with exit 1.
 """
 
 import argparse
@@ -16,12 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cohsys.cli import positive_int, prime_modulus
-from cohsys.delta import (
-    delta_bruteforce,
-    delta_closure,
-    delta_formula,
-    sample_delta_input,
-)
+from cohsys.delta import ScanBelowClosure, check_pencil_cell, delta_formula
 
 
 def main() -> int:
@@ -38,25 +34,17 @@ def main() -> int:
     for a in range(1, args.a_max + 1):
         for t in range(1, args.t_max + 1):
             formula = delta_formula(a, t)
-            closure, rational = [], []
-            for i in range(args.trials):
-                inp = sample_delta_input(a, t, args.q, args.seed * 7919 + 100 * a + 10 * t + i)
-                closure.append(delta_closure(inp))
-                try:
-                    rational.append(delta_bruteforce(inp))
-                except ValueError as exc:  # the scan's cost guard
-                    parser.error(str(exc))
-                # the closure minimum ranges over more points than the scan's
-                if rational[-1] < closure[-1]:
-                    print(
-                        f"error: a={a} t={t} trial {i}: the rational scan's rank {rational[-1]} "
-                        f"is below the closure minimum {closure[-1]}",
-                        file=sys.stderr,
-                    )
-                    return 1
-            match = sum(1 for v in closure if v == formula) / args.trials
+            seeds = (args.seed * 7919 + 100 * a + 10 * t + i for i in range(args.trials))
+            try:
+                closure, rational, holds = check_pencil_cell(a, t, args.q, seeds)
+            except ValueError as exc:  # the scan's cost guard
+                parser.error(str(exc))
+            except ScanBelowClosure as exc:
+                print(f"error: a={a} t={t} {exc}", file=sys.stderr)
+                return 1
+            match = closure.count(formula) / args.trials
             over = sum(1 for v in rational if v > formula)
-            if max(closure) != formula or any(v > formula for v in closure):
+            if not holds:
                 bad += 1
             print(
                 f"{a:>3} {t:>3} {formula:>8} {min(closure):>4} {max(closure):>4} "

@@ -28,7 +28,6 @@ from .exactmath import (
     packed_rank,
     stacked_combination,
     stacked_rank,
-    unpack_bits,
 )
 
 
@@ -108,7 +107,7 @@ def _twist_matrix(
             f = entries[i][jdx]
             if not f.is_zero and col_dims[jdx] and row_dims[i]:
                 block = multiplication_matrix(f, source[jdx] + j)
-                data[r0 : r0 + row_dims[i], c0 : c0 + col_dims[jdx]] = block.data
+                data[r0 : r0 + row_dims[i], c0 : c0 + col_dims[jdx]] = block
             c0 += col_dims[jdx]
         r0 += row_dims[i]
     return data
@@ -121,9 +120,9 @@ def _twist_kernel_dimension(
 
     The stack is an int64 array of shape (N, rows, cols); or, over F_2 and
     with cols given, bit rows packed by ``pack_bits``, of shape
-    (N, rows, words), which ``packed_rank`` ranks.  A stack of one goes
-    through ``FieldMatrix.rank``, which is faster alone; the field may be None
-    when the matrices have no rows or no columns.
+    (N, rows, words), which ``packed_rank`` ranks at any N.  An int64 stack
+    of one goes through ``FieldMatrix.rank``, which is faster alone; the
+    field may be None when the matrices have no rows or no columns.
     """
     count, rows, width = stack.shape
     packed = cols is not None
@@ -131,11 +130,10 @@ def _twist_kernel_dimension(
         cols = width
     if not (rows and cols):
         return np.full(count, cols, dtype=np.int64)
-    if count == 1:
-        mat = unpack_bits(stack[0], cols) if packed else stack[0]
-        return np.array([cols - FieldMatrix(field, mat).rank()])
     if packed:
         return cols - packed_rank(stack)
+    if count == 1:
+        return np.array([cols - FieldMatrix(field, stack[0]).rank()])
     return cols - stacked_rank(field, stack)
 
 
@@ -282,8 +280,9 @@ class SectionPairing:
     ``saturate`` finds the saturation of W through the kernel of the pairing
     E* -> O^w against the sections of W, probed on global sections of each
     twist j.  That twist matrix is linear in the sections: for W spanned by
-    the rows of B V, M_j(W) = (B (x) I_{j+1}) M_j(V).  So M_j(V) is built once
-    per twist, and all W of one dimension are ranked in one stacked
+    the rows of B V, M_j(W) = (B (x) I_{j+1}) M_j(V).  So M_j(V), the twist
+    matrix of the pairing E* -> O^k against all k sections, is built once per
+    twist, and all W of one dimension are ranked in one stacked
     elimination.  Over F_2, M_j(V) is packed into bit rows once per twist, and
     each row block of M_j(W) is the XOR of the packed blocks its row of B
     picks, so no int64 stack is built.
@@ -311,17 +310,21 @@ class SectionPairing:
         ).reshape(len(self.sections), 3, self.e.rank)
 
     def at(self, j: int) -> np.ndarray:
-        """M_j(V), shape (k, j + 1, cols): section l's twist matrix in slice l.
+        """M_j(V), shape (k, max(0, j + 1), cols) with cols = h0(E*(j)).
 
+        It is one twist matrix of E* -> O^k, whose k row blocks of j + 1 rows
+        are the sections' own pairings: slice l pairs against section l.
         Over F_2 its rows come packed by ``pack_bits``, shape
-        (k, j + 1, words), with cols = h0(E*(j)) bit columns.
+        (k, max(0, j + 1), words), with cols bit columns.
         """
         if j not in self._pairings:
-            one = SplittingType((0,))
+            k = len(self.sections)
             # saturate's column order: the dual reverses the components
-            pairing = np.stack(
-                [_twist_matrix(self.e.dual(), one, [s[::-1]], j) for s in self.sections]
+            pairing = _twist_matrix(
+                self.e.dual(), SplittingType((0,) * k), [s[::-1] for s in self.sections], j
             )
+            # explicit sizes: rows or columns may be 0, where -1 cannot be inferred
+            pairing = pairing.reshape(k, max(0, j + 1), pairing.shape[1])
             self._pairings[j] = pack_bits(pairing) if self.field.q == 2 else pairing
         return self._pairings[j]
 

@@ -11,12 +11,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NoReturn
 
 from .classification import AlphaInterval, Status, Verdict, classify, cross_check, slope_bounds
-from .delta import delta_bruteforce, delta_closure, delta_formula, sample_delta_input
+from .delta import ScanBelowClosure, check_pencil_cell, delta_formula
 from .exactmath import PrimeField
 from .numerology import decompose
 from .stability import (
@@ -105,19 +105,11 @@ class VerifyCampaignConfig:
     require_generation: bool = False
 
     def to_json_dict(self) -> dict:
+        # the fields in order, with exact fractions as strings
         return {
-            "n_values": list(self.n_values),
-            "d_values": list(self.d_values),
-            "k_values": list(self.k_values),
-            "q": self.q,
-            "trials": self.trials,
-            "seed": self.seed,
-            "alpha_rule": self.alpha_rule,
+            **asdict(self),
             "alphas": [str(a) for a in self.alphas],
             "min_stable_frac": str(self.min_stable_frac),
-            "empty_samples": self.empty_samples,
-            "force_large": self.force_large,
-            "require_generation": self.require_generation,
         }
 
 
@@ -308,21 +300,9 @@ def _table_rows(n_values, d_values, k_values) -> list[dict]:
                 num = decompose(n, d, k)
                 verdict = classify(n, d, k)
                 lo, hi = _interval_cells(verdict.stable_interval)
-                rows.append(
-                    {
-                        "n": n,
-                        "d": d,
-                        "k": k,
-                        "beta": num.beta,
-                        "a": num.a,
-                        "t": num.t,
-                        "l": num.l,
-                        "m": num.m,
-                        "lower": lo,
-                        "upper": hi,
-                        "status": verdict.status.value,
-                    }
-                )
+                status = verdict.status.value
+                values = (n, d, k, num.beta, num.a, num.t, num.l, num.m, lo, hi, status)
+                rows.append(dict(zip(TABLE_HEADER, values)))
     return rows
 
 
@@ -361,35 +341,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_delta_check(args: argparse.Namespace) -> int:
     formula = delta_formula(args.a, args.t)
-    closure_vals = []
-    rational_vals = []
-    for i in range(args.trials):
-        inp = sample_delta_input(args.a, args.t, args.q, mix_seed(args.seed, i))
-        closure_vals.append(delta_closure(inp))
-        rational_vals.append(delta_bruteforce(inp, args.force_large))
-        # the closure minimum ranges over more points than the scan's
-        if rational_vals[-1] < closure_vals[-1]:
-            print(
-                f"error: trial {i}: the rational scan's rank {rational_vals[-1]} is below "
-                f"the closure minimum {closure_vals[-1]}",
-                file=sys.stderr,
-            )
-            return 1
-    matches = sum(1 for v in closure_vals if v == formula)
+    seeds = (mix_seed(args.seed, i) for i in range(args.trials))
+    try:
+        closure, rational, holds = check_pencil_cell(
+            args.a, args.t, args.q, seeds, args.force_large
+        )
+    except ScanBelowClosure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = {
         "a": args.a,
         "t": args.t,
         "q": args.q,
         "trials": args.trials,
         "formula": formula,
-        "observed_max": max(closure_vals),
-        "observed_min": min(closure_vals),
-        "match_fraction": matches / args.trials,
-        "rational_scan_max": max(rational_vals),
+        "observed_max": max(closure),
+        "observed_min": min(closure),
+        "match_fraction": closure.count(formula) / args.trials,
+        "rational_scan_max": max(rational),
     }
     print(json.dumps(report, indent=2))
-    ok = report["observed_max"] == formula and all(v <= formula for v in closure_vals)
-    return 0 if ok else 1
+    return 0 if holds else 1
 
 
 def _cmd_check_instance(args: argparse.Namespace) -> int:

@@ -13,6 +13,9 @@ two oracles recompute it directly:
   point iff all (r+1)-minors (binary forms in (b, c)) share a projective
   zero, which is a gcd computation.  The least rank at (1 : 0), (0 : 1) and
   (1 : 1) bounds the minimum, and the minors of that size are tested first.
+
+``check_pencil_cell`` runs both oracles on a cell's draws and judges the
+formula, for ``cohsys delta-check`` and ``scripts/delta_survey.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -177,3 +180,30 @@ def sample_delta_input(a: int, t: int, q: int, seed: int) -> DeltaInput:
     return DeltaInput(
         a, t, tuple(draw() for _ in range(t)), tuple(draw() for _ in range(t))
     )
+
+
+class ScanBelowClosure(RuntimeError):
+    """A rational scan read below the closure minimum, which ranges over more points."""
+
+
+def check_pencil_cell(
+    a: int, t: int, q: int, seeds: Iterable[int], allow_large: bool = False
+) -> tuple[list[int], list[int], bool]:
+    """Both oracles on the draw at each seed, and whether the formula holds there.
+
+    Returns the closure values, the rational-scan values and the verdict:
+    the formula is attained by some draw and exceeded by none.  The first
+    draw whose scan reads below its closure minimum, an oracle bug, raises
+    ``ScanBelowClosure``; the scan's cost guard raises ``ValueError``.
+    """
+    closure, rational = [], []
+    for trial, seed in enumerate(seeds):
+        inp = sample_delta_input(a, t, q, seed)
+        closure.append(delta_closure(inp))
+        rational.append(delta_bruteforce(inp, allow_large))
+        if rational[-1] < closure[-1]:
+            raise ScanBelowClosure(
+                f"trial {trial}: the rational scan's rank {rational[-1]} "
+                f"is below the closure minimum {closure[-1]}"
+            )
+    return closure, rational, max(closure) == delta_formula(a, t)

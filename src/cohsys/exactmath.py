@@ -312,11 +312,13 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     return rank
 
 
-def multiplication_matrix(f: BinaryForm, j: int) -> FieldMatrix:
+def multiplication_matrix(f: BinaryForm, j: int) -> np.ndarray:
     """Matrix of multiplication-by-f from forms of degree j to degree j + deg f.
 
     Bases are the monomials ordered big-endian in x (index i of degree-e forms
     is x**(e-i) y**i).  The zero form has no degree, hence no target shape.
+    The matrix is a plain int64 array; its entries are f's coefficients,
+    which ``BinaryForm`` keeps reduced, so they are residues already.
     """
     if f.is_zero:
         raise ValueError("the zero form has no degree to fix the target shape")
@@ -327,7 +329,7 @@ def multiplication_matrix(f: BinaryForm, j: int) -> FieldMatrix:
         for u, cu in enumerate(f.coeffs):
             if cu:
                 np.fill_diagonal(data[u : u + cols, :], cu)
-    return FieldMatrix(f.field, data)
+    return data
 
 
 # -- polynomials over F_q as big-endian coefficient lists --------------------

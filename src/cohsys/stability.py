@@ -79,7 +79,9 @@ class SystemInstance:
         h0 = cohomology(self.splitting, 0)[0]
         if k > h0:
             raise ValueError(f"{k} sections exceed h0 = {h0}")
-        if not _independent(self.field, self.splitting, self.sections):
+        # independent in the monomial basis of H^0
+        rows = [list(itertools.chain(*_padded(self.splitting, s))) for s in self.sections]
+        if FieldMatrix.from_rows(self.field, rows).rank() != k:
             raise ValueError("sections are linearly dependent")
 
     @property
@@ -128,14 +130,6 @@ class SystemInstance:
                 comps.append(BinaryForm(field, tuple(_json_int(c, "coefficient") for c in coeffs)))
             sections.append(tuple(comps))
         return cls(field, splitting, tuple(sections))
-
-
-def _independent(
-    field: PrimeField, splitting: SplittingType, sections: Sequence[Sequence[BinaryForm]]
-) -> bool:
-    """Whether the sections are linearly independent in the monomial basis of H^0."""
-    rows = [list(itertools.chain(*_padded(splitting, s))) for s in sections]
-    return FieldMatrix.from_rows(field, rows).rank() == len(sections)
 
 
 def _json_list(value: object, what: str) -> list:
@@ -437,8 +431,12 @@ def sample_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance
             )
             for _ in range(k)
         ]
-        if _independent(field, splitting, sections):
+        try:
             return SystemInstance(field, splitting, tuple(sections))
+        except ValueError:
+            # k <= h0 is checked above and the draw has its degree profile by
+            # construction, so the instance refuses a dependent draw only
+            continue
     raise RuntimeError("failed to draw independent sections; is h0 >= k?")
 
 

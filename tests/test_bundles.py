@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohsys import bundles
@@ -26,6 +26,7 @@ from cohsys.exactmath import (
     generic_rank,
     pack_bits,
     stacked_combination,
+    unpack_bits,
     vanishing_divisor_degree,
 )
 from cohsys.numerology import decompose
@@ -374,6 +375,21 @@ class TestSectionPairing:
             got = pairing.saturate_stack(bases)
         assert packed.called == (q == 2)
         assert got == [saturate(t, combine_sections(field, t, sections, b)) for b in bases]
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 150),
+        st.sampled_from([0.05, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(rows=5, cols=130, density=0.05, seed=0)  # three words per row
+    @settings(max_examples=60, deadline=None)
+    def test_lone_packed_probe_matches_field_matrix_rank(self, rows, cols, density, seed):
+        # a packed stack of one is ranked packed, with no unpacking first
+        bits = (np.random.default_rng(seed).random((1, rows, cols)) < density).astype(np.int64)
+        words = pack_bits(bits)
+        want = cols - FieldMatrix(PrimeField(2), unpack_bits(words[0], cols)).rank()
+        assert bundles._twist_kernel_dimension(PrimeField(2), words, cols).tolist() == [want]
 
     @given(
         st.sampled_from(["uniform", "vanishing", "one-component"]),

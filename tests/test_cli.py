@@ -276,7 +276,7 @@ class TestDeltaCheckCommand:
     def test_scan_below_closure_exits_1(self, capsys, monkeypatch):
         # the closure minimum ranges over more points than the rational scan,
         # so a scan below it is an oracle bug: the first such trial stops the run
-        import cohsys.cli as cli_mod
+        import cohsys.delta as delta_mod
 
         trials = []
 
@@ -284,7 +284,7 @@ class TestDeltaCheckCommand:
             trials.append(inp)
             return delta_closure(inp) - 1
 
-        monkeypatch.setattr(cli_mod, "delta_bruteforce", scan)
+        monkeypatch.setattr(delta_mod, "delta_bruteforce", scan)
         code, out, err = run_cli(capsys, "delta-check", "3", "3", "--trials", "5")
         assert code == 1
         assert out == ""

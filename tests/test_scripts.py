@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from cohsys import delta
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -94,10 +96,22 @@ def test_bad_argument_exits_2(argv):
             "delta_check_4_4_q3_trials20.json",
             0,
         ),
+        # 32 cells of random draws and their stability intervals; odd n keeps
+        # the k = 2 closure candidates out of it
+        (
+            [
+                "-m", "cohsys", "verify", "--n", "3", "--d", "1..8", "--k", "1..4",
+                "--trials", "2", "--q", "3", "--alpha-rule", "cell-midpoints",
+            ],
+            "verify_n3_d1-8_k1-4_q3_trials2_cell_midpoints.json",
+            0,
+        ),
     ],
 )
 def test_small_field_output_is_unchanged(argv, golden, code):
-    # outputs recorded from the sweep that tested every minor size from 1 up
+    # the delta outputs were recorded from the sweep that tested every minor
+    # size from 1 up; the verify output before the section pairing became one
+    # twist matrix and each draw was ranked once
     proc = subprocess.run(
         [sys.executable, *argv],
         cwd=ROOT,
@@ -116,7 +130,9 @@ def test_survey_stops_when_the_scan_is_below_the_closure(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("delta_survey", ROOT / "scripts/delta_survey.py")
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
-    monkeypatch.setattr(survey, "delta_bruteforce", lambda inp: survey.delta_closure(inp) - 1)
+    monkeypatch.setattr(
+        delta, "delta_bruteforce", lambda inp, allow_large=False: delta.delta_closure(inp) - 1
+    )
     monkeypatch.setattr(
         sys, "argv", ["delta_survey.py", "--a-max", "2", "--t-max", "2", "--trials", "3"]
     )

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from cohsys import bundles
-from cohsys.bundles import SectionPairing, max_subbundle_degree, saturate
+from cohsys.bundles import SectionPairing, cohomology, max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
     STACK_CAP,
     BinaryForm,
+    FieldMatrix,
     PrimeField,
     vanishing_divisor_degree,
 )
@@ -127,6 +128,25 @@ class TestSampling:
         assert a == b
         c = sample_instance(3, 5, 2, 101, 43)
         assert a != c
+
+    def test_an_accepted_draw_is_ranked_once(self, monkeypatch):
+        # the instance's own independence check is the only rank of a draw
+        calls = []
+        real = FieldMatrix.rank
+
+        def counted(self):
+            calls.append(self.data.shape)
+            return real(self)
+
+        monkeypatch.setattr(FieldMatrix, "rank", counted)
+        inst = sample_instance(4, 6, 2, 101, 3)
+        assert calls == [(2, cohomology(inst.splitting, 0)[0])]
+
+    def test_a_dependent_draw_is_drawn_again(self):
+        # over F_2 a one-coefficient section is zero in half the draws
+        for seed in range(12):
+            (section,) = sample_instance(1, 0, 1, 2, seed).sections
+            assert section == (BinaryForm(PrimeField(2), (1,)),)
 
     def test_generating_sampler(self):
         inst = sample_generating_instance(3, 3, 4, 7, 1)
