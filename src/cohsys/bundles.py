@@ -121,8 +121,9 @@ def _twist_kernel_dimension(
     The stack is an int64 array of shape (N, rows, cols); or, over F_2 and
     with cols given, bit rows packed by ``pack_bits``, of shape
     (N, rows, words), which ``packed_rank`` ranks at any N.  An int64 stack
-    of one goes through ``FieldMatrix.rank``, which is faster alone; the
-    field may be None when the matrices have no rows or no columns.
+    of one goes through ``FieldMatrix.rank``, which reduces a small matrix on
+    Python ints and hands a large one back to ``stacked_rank``; the field may
+    be None when the matrices have no rows or no columns.
     """
     count, rows, width = stack.shape
     packed = cols is not None

@@ -14,13 +14,16 @@ Conventions used throughout the package:
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
 pivoting: the pivot of a column is the first row that is nonzero there.  Over
 an exact field there is no stability concern, and the pivot rule keeps runs
-reproducible.  ``FieldMatrix.rank`` moves its pivot row up and scales it by
-an inverse.  ``stacked_rank`` ranks a whole stack of matrices of one shape,
-which its callers build with ``stacked_combination``, in one elimination
-that moves no row: each pivot row clears its column and is zeroed with it.
-It reduces mod q lazily, tracking a bound on how far its entries have grown
-so that every product stays exact in int64.  Over F_2 it packs each row into
-uint64 words, one bit per column (``pack_bits``), and eliminates with the same
+reproducible.  ``FieldMatrix.rank`` reduces a matrix of at most
+``SMALL_RANK_ENTRIES`` entries on Python ints, each pivot row scaled by its
+inverse, and ranks a larger one as a stack of one.  ``stacked_rank`` ranks a
+whole stack of matrices of one shape, which its callers build with
+``stacked_combination`` (one int64 matrix product per chunk of terms), in one
+numpy elimination that moves no row: each pivot row clears its column and is
+zeroed with it.  It steps over the shorter side of the matrices and reduces
+mod q lazily, tracking a bound on how far its entries have grown so that
+every product stays exact in int64.  Over F_2 it packs each row into uint64
+words, one bit per column (``pack_bits``), and eliminates with the same
 pivot rule by XOR (``packed_rank``), the dense GF(2) technique of M4RI
 (Albrecht, Bard and Hart, ACM TOMS 2010).
 Matrices of binary forms, with the degree profile their caller states, go
@@ -30,6 +33,7 @@ generic rank and their determinant.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -141,27 +145,48 @@ class FieldMatrix:
         return cls(field, np.zeros((0, 0), dtype=np.int64))
 
     def rank(self) -> int:
-        a = self.data.copy()
-        q = self.field.q
-        nrows, ncols = a.shape
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
+        """Rank over F_q.
+
+        A matrix of at most ``SMALL_RANK_ENTRIES`` entries is reduced on Python
+        ints by ``_small_rank``.  A larger one, where numpy's fixed cost per
+        step no longer dominates, is ranked as a stack of one by ``stacked_rank``.
+        """
+        if self.data.size > SMALL_RANK_ENTRIES:
+            return int(stacked_rank(self.field, self.data[None])[0])
+        return _small_rank(self.data.tolist(), self.field.q)
+
+
+# ``FieldMatrix.rank`` reduces a matrix of at most this many entries on Python
+# ints.  Against a stack of one, the Python loop took a quarter of the time at
+# 36 entries or fewer, won on every matrix of 145 to 432 entries, tied from
+# 433 to 576 and lost above: measured on the lone twist and pencil matrices
+# of k = 2 campaigns and delta checks over F_101 (2 CPUs, Python 3.11.7,
+# numpy 2.4.6).
+SMALL_RANK_ENTRIES = 432
+
+
+def _small_rank(rows: list[list[int]], q: int) -> int:
+    """Rank of a matrix of residues, as lists of Python ints; the lists are consumed.
+
+    Each step takes the first column left.  Its pivot is the first row that
+    is nonzero there: that row is removed and scaled by the inverse of its
+    entry, and every other row with a nonzero entry there subtracts that
+    multiple of it.  Then every row drops the column.
+    """
+    rank = 0
+    while rows and rows[0]:
+        for i, row in enumerate(rows):
+            if row[0]:
+                top = rows.pop(i)
+                inv = pow(top[0], -1, q)
+                top = [v * inv % q for v in top[1:]]
+                rank += 1
                 break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                a[[r, p]] = a[[p, r]]
-            inv = pow(int(a[r, c]), q - 2, q)
-            a[r] = a[r] * inv % q
-            below = np.nonzero(a[r + 1 :, c])[0]
-            if below.size:
-                idx = below + r + 1
-                a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % q
-            r += 1
-        return r
+        for n, row in enumerate(rows):
+            lead = row.pop(0)
+            if lead:  # every lead is zero in a column with no pivot
+                rows[n] = [(v - lead * t) % q for v, t in zip(row, top)]
+    return rank
 
 
 # Stacked callers rank at most this many matrices at a time, which bounds the
@@ -171,23 +196,31 @@ STACK_CAP = 128
 # Enumerations that visit every subspace of a vector space over F_q (the
 # subspaces of F_q^k for candidates, the q + 1 lines of F_q^2 for a pencil's
 # rational points) refuse to visit more than this many unless the caller
-# allows it.
+# allows it.  An instance whose h0(E) exceeds it is refused outright, with no
+# option to allow it: each section is padded to h0(E) coefficients, so a
+# short instance file with one summand of huge degree would cost time and
+# memory linear in that degree.
 COST_GUARD_MAX_SUBSPACES = 2_000_000
 
 
 def stacked_combination(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     """sum over l of bases[..., l] * mats[l], mod q, for a stack of bases.
 
-    Each product is reduced before the sum, since k * q**2 overflows int64
-    for q near 2**31.
+    mats holds residues and the bases are reduced on entry, so a term is at
+    most (q - 1)**2.  The sum is one int64 matrix product per chunk of terms,
+    each chunk as long as its sum stays below 2**63: all k terms for small q,
+    two at q = 2**31 - 1.  Each chunk's product is reduced before it is added.
     """
-    spread = (Ellipsis,) + (None,) * (mats.ndim - 1)
-    out = np.zeros(bases.shape[:-1] + mats.shape[1:], dtype=np.int64)
-    term = np.empty_like(out)
-    for idx, mat in enumerate(mats):
-        np.multiply(bases[..., idx][spread], mat, out=term)
-        out += np.remainder(term, q, out=term)
-    return np.remainder(out, q, out=out)
+    k = len(mats)
+    lead, tail = np.shape(bases)[:-1], np.shape(mats)[1:]
+    b = np.remainder(np.asarray(bases, dtype=np.int64), q).reshape(math.prod(lead), k)
+    m = np.reshape(mats, (k, math.prod(tail)))
+    chunk = (2**63 - 1) // (q - 1) ** 2
+    out = b[:, :chunk] @ m[:chunk] % q
+    for start in range(chunk, k, chunk):
+        out += b[:, start : start + chunk] @ m[start : start + chunk] % q
+        out %= q
+    return out.reshape(lead + tail)
 
 
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
@@ -259,20 +292,24 @@ def packed_rank(words: np.ndarray) -> np.ndarray:
 def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices over F_q, shape (N, rows, cols), in one elimination.
 
-    In each column every matrix takes its first row that is nonzero there as
-    its pivot, with value p; a matrix with no such row takes p = 1.  Every row,
+    Each column takes one step, so a stack with more columns than rows is
+    transposed first: rank does not change under transposition.  In each
+    column every matrix takes its first row that is nonzero there as its
+    pivot, with value p; a matrix with no such row takes p = 1.  Every row,
     the pivot row included, becomes p * row - row[col] * pivot_row.  That
     needs no inverse, clears column col and zeroes the pivot row, so no row
-    moves and a used pivot row is never picked again.  Column col is not read
-    again, so only the columns right of it are updated.  A matrix's rank is
-    the number of columns in which it had a pivot.  One matrix alone is still
-    faster through ``FieldMatrix.rank``.
+    moves and a used pivot row is never picked again.  A matrix's rank is the
+    number of columns in which it had a pivot.  Column col and the ones
+    before it are never read again, but the update runs over the whole
+    array: one pass over contiguous memory is faster than one over the
+    strided columns right of col, and those columns keep within the same
+    bound as the rest.
 
     Reduction mod q is lazy.  Each step reduces its pivot column, so p and
     row[col] are residues below q, and a step takes a bound B on the absolute
-    value of the entries to 2 q B.  The columns right of col are reduced, and
-    B reset to q - 1, only when 2 q B would reach 2**62, so every product and
-    difference stays exact in int64.  For q near 2**31 that is every step.
+    value of the entries to 2 q B.  The array is reduced, and B reset to
+    q - 1, only when 2 q B would reach 2**62, so every product and difference
+    stays exact in int64.  For q near 2**31 that is every step.
 
     For q = 2 the rows are packed into bit words and ranked by
     ``packed_rank``: the same pivots, with one XOR per row and word in place
@@ -281,33 +318,35 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     q = field.q
     if np.ndim(stack) != 3:
         raise ValueError("a stack of matrices must be 3-dimensional")
-    a = np.asarray(stack, dtype=np.int64) % q
+    a = np.asarray(stack, dtype=np.int64)
     count, nrows, ncols = a.shape
     rank = np.zeros(count, dtype=np.int64)
     if not (count and nrows and ncols):
         return rank
     if q == 2:
-        return packed_rank(pack_bits(a))
+        return packed_rank(pack_bits(a % 2))
+    if ncols > nrows:
+        a, ncols = a.transpose(0, 2, 1), nrows
+    a = np.remainder(a, q, order="C")
     mats = np.arange(count)
     bound = q - 1
     for col in range(ncols):
         column = np.remainder(a[:, :, col], q)
-        nonzero = column != 0
-        piv = nonzero.argmax(axis=1)
-        has = nonzero[mats, piv]
+        piv = (column != 0).argmax(axis=1)
+        p = column[mats, piv]
+        has = p != 0
         if not has.any():
             continue
         rank += has
         if col + 1 == ncols:
             break
-        rest = a[:, :, col + 1 :]
         if 2 * q * bound >= 2**62:
-            np.remainder(rest, q, out=rest)
+            np.remainder(a, q, out=a)
             bound = q - 1
-        pivot_row = rest[mats, piv]
+        pivot_row = a[mats, piv]
         # p = 1 leaves a matrix without a pivot here unchanged: its column is zero
-        rest *= (column[mats, piv] + ~has)[:, None, None]
-        rest -= column[:, :, None] * pivot_row[:, None, :]
+        a *= (p + ~has)[:, None, None]
+        a -= column[:, :, None] * pivot_row[:, None, :]
         bound *= 2 * q
     return rank
 

@@ -77,6 +77,9 @@ class SystemInstance:
         check_profile(self.sections, [0] * len(self.sections), self.splitting.degrees)
         k = len(self.sections)
         h0 = cohomology(self.splitting, 0)[0]
+        if h0 > COST_GUARD_MAX_SUBSPACES:
+            # refused before any section is padded to h0 coefficients
+            raise ValueError(f"h0 = {h0} exceeds the limit {COST_GUARD_MAX_SUBSPACES}")
         if k > h0:
             raise ValueError(f"{k} sections exceed h0 = {h0}")
         # independent in the monomial basis of H^0

@@ -7,11 +7,14 @@ unsorted degrees for building test inputs, the per-component sum behind
 ``combine_sections``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
-at a point, the tuple-by-tuple generator of echelon bases, and the lock-step
-kernel scan with no last-summand read.
+at a point, the tuple-by-tuple generator of echelon bases, the lock-step
+kernel scan with no last-summand read, the row-swapping numpy elimination
+for ranks, and the term-by-term sum behind ``stacked_combination``.
 """
 
 import itertools
+
+import numpy as np
 
 from cohsys.bundles import SplittingType
 from cohsys.exactmath import BinaryForm, FieldMatrix
@@ -187,3 +190,50 @@ def lockstep_scan(source, target, rhos, probe):
             prev_h[m], prev_c[m] = h, c
         live = [m for m in live if prev_c[m] < rhos[m]]
     return degrees
+
+
+# -- matrices over F_q ---------------------------------------------------------
+
+
+def row_swap_rank(q: int, data) -> int:
+    """Rank of one matrix over F_q by Gaussian elimination on int64 rows.
+
+    The first row that is nonzero in a column is swapped up, scaled by its
+    inverse and subtracted from every row below with a nonzero there; every
+    product is reduced at once.
+    """
+    a = np.asarray(data, dtype=np.int64) % q
+    nrows, ncols = a.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        inv = pow(int(a[r, c]), q - 2, q)
+        a[r] = a[r] * inv % q
+        below = np.nonzero(a[r + 1 :, c])[0]
+        if below.size:
+            idx = below + r + 1
+            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % q
+        r += 1
+    return r
+
+
+def termwise_combination(bases, mats, q: int):
+    """sum over l of bases[..., l] * mats[l], mod q, one term at a time.
+
+    Each product is reduced before it is added, which keeps every value
+    below 2 * q**2 even for q near 2**31.
+    """
+    bases = np.asarray(bases, dtype=np.int64) % q
+    mats = np.asarray(mats, dtype=np.int64) % q
+    spread = (Ellipsis,) + (None,) * (mats.ndim - 1)
+    out = np.zeros(bases.shape[:-1] + mats.shape[1:], dtype=np.int64)
+    for idx, mat in enumerate(mats):
+        out = (out + bases[..., idx][spread] * mat % q) % q
+    return out

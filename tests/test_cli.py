@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -400,6 +401,17 @@ class TestCheckInstanceCommand:
         assert out == ""
         assert_one_line_error(code, err)
         assert "subspaces" in err
+
+    def test_oversized_summand_exits_2_at_once(self, capsys, tmp_path):
+        # h0 = 10**9 + 1: refused before one section is padded to h0 coefficients
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": 2, "splitting": [10**9], "sections": [[[]]]}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "check-instance", str(path), "1")
+        assert time.perf_counter() - t0 < 1
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert "h0" in err
 
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

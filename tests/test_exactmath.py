@@ -16,17 +16,19 @@ from cohsys.exactmath import (
     BinaryForm,
     FieldMatrix,
     PrimeField,
+    SMALL_RANK_ENTRIES,
     check_profile,
     form_determinant,
     generic_rank,
     multiplication_matrix,
     pack_bits,
     packed_rank,
+    stacked_combination,
     stacked_rank,
     unpack_bits,
     vanishing_divisor_degree,
 )
-from oracles import add, compose_linear, mul, scale
+from oracles import add, compose_linear, mul, row_swap_rank, scale, termwise_combination
 
 F101 = PrimeField(101)
 F7 = PrimeField(7)
@@ -202,9 +204,46 @@ class TestKernelDimension:
             )
             assert m.rank() == FieldMatrix(F101, m.data.T).rank()
 
+    @given(
+        st.sampled_from([3, 101, 2**31 - 1]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_swap_elimination(self, q, large, wide, seed):
+        # shapes on both sides of the Python-int cutoff, wide and tall, of a
+        # forced low rank, with entries drawn near q as well as uniformly
+        rng = np.random.default_rng(seed)
+        short = int(rng.integers(1, 21))
+        cap = SMALL_RANK_ENTRIES // short  # the longest side of a small matrix
+        longer = int(rng.integers(cap + 1, cap + 9) if large else rng.integers(short, cap + 1))
+        rows, cols = (short, longer) if wide else (longer, short)
+        bound = int(rng.integers(0, short + 1))
+        left = q - 1 - rng.integers(0, 3, size=(rows, bound))
+        right = rng.integers(0, q, size=(bound, cols))
+        data = termwise_combination(left, right, q)
+        assert (data.size > SMALL_RANK_ENTRIES) == large
+        got = FieldMatrix(PrimeField(q), data).rank()
+        assert got == row_swap_rank(q, data) <= bound
+
+    @pytest.mark.parametrize("entries", [SMALL_RANK_ENTRIES, SMALL_RANK_ENTRIES + 1])
+    def test_cutoff_selects_the_elimination(self, entries):
+        # at the cutoff the Python loop runs, one entry past it a stack of one
+        calls = []
+
+        def counted(field, stack):
+            calls.append(stack.shape)
+            return stacked_rank(field, stack)
+
+        data = np.eye(1, entries, dtype=np.int64)
+        with mock.patch.object(exactmath, "stacked_rank", counted):
+            assert FieldMatrix(F101, data).rank() == 1
+        assert calls == ([] if entries == SMALL_RANK_ENTRIES else [(1, 1, entries)])
+
 
 def per_matrix_ranks(field, stack):
-    return [FieldMatrix(field, m).rank() for m in stack]
+    return [row_swap_rank(field.q, m) for m in stack]
 
 
 def staggered_stack(rng, q, count, rows, cols):
@@ -343,7 +382,7 @@ F2 = PrimeField(2)
 
 
 class TestPackedRank:
-    """The F_2 elimination on bit rows against ``FieldMatrix.rank`` of each matrix."""
+    """The F_2 elimination on bit rows against the row-swap elimination of each matrix."""
 
     @given(
         st.integers(0, 5),
@@ -423,6 +462,40 @@ class TestPackedRank:
             assert calls == [(2, 3, 1)]
             assert stacked_rank(F7, stack).tolist() == [1, 1]
             assert calls == [(2, 3, 1)]
+
+
+class TestStackedCombination:
+    @given(
+        st.sampled_from([2, 3, 101, 2**31 - 1]),
+        st.integers(0, 6),
+        st.lists(st.integers(0, 4), max_size=2),
+        st.lists(st.integers(0, 4), max_size=2),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_termwise_sum(self, q, k, lead, tail, near_q, seed):
+        # bases of any sign are reduced on entry; residues near q make every
+        # term nearly (q - 1)**2, so at q = 2**31 - 1 a chunk of three terms
+        # would overflow int64
+        rng = np.random.default_rng(seed)
+        if near_q:
+            bases = q - 1 - rng.integers(0, 2, size=(*lead, k))
+            mats = q - 1 - rng.integers(0, 2, size=(k, *tail))
+        else:
+            bases = rng.integers(-3 * q, 3 * q, size=(*lead, k))
+            mats = rng.integers(0, q, size=(k, *tail))
+        got = stacked_combination(bases, mats, q)
+        assert got.shape == (*lead, *tail)
+        assert (got == termwise_combination(bases, mats, q)).all()
+
+    @pytest.mark.parametrize("q", [3, 101, 2**31 - 1])
+    def test_top_residues(self, q):
+        # (q - 1)**2 = 1 mod q, so k terms of top residues sum to k
+        k = 7
+        bases = np.full((2, k), q - 1, dtype=np.int64)
+        mats = np.full((k, 3, 4), q - 1, dtype=np.int64)
+        assert (stacked_combination(bases, mats, q) == k % q).all()
 
 
 class TestMultiplicationMatrix:
