@@ -21,6 +21,7 @@ from .exactmath import (
     BinaryForm,
     FieldMatrix,
     PrimeField,
+    _bareiss,
     check_profile,
     generic_rank,
     multiplication_matrix,
@@ -152,15 +153,21 @@ def _count_scan(
     start at zero below -max(source), are monotone, and end at the kernel
     rank rho, so a map leaves the stack once its counts reach its rho.
 
-    Once a single map is left with one summand b_rho to find, one probe reads
-    it.  The image of the map is a rank g = rank(source) - rho subsheaf of the
+    The image of a map is a rank g = rank(source) - rho subsheaf of the
     target, so deg N >= floor = deg(source) - max_subbundle_degree(target, g).
-    With b_1 ... b_{rho-1} known, j* = sum(b_i) - floor is at least -b_rho, so
-    every summand of N(j*) has sections and
+    After each probe at twist j, and once at the base twist before the first,
+    a map with c summands found leaves at the floor: its rho - c unknown
+    summands are each <= -j - 1, so
+    deg N <= sum(found) + (rho - c)(-j - 1), and when that bound equals the
+    floor it is deg N, which forces every unknown summand to be -j - 1.
+
+    Once a single map is left with one summand b_rho to find, one probe reads
+    it.  With b_1 ... b_{rho-1} known, j* = sum(b_i) - floor is at least
+    -b_rho, so every summand of N(j*) has sections and
     b_rho = h(j*) - sum_{i<rho}(b_i + j* + 1) - j* - 1.  It must lie in
     [-j*, -j), below every twist j already probed (hence b_rho <= b_{rho-1}).
-    That bound and the window bound are tripwires only; failing one would
-    signal a bug, not bad input.
+    That bound, the window bound and a degree bound below the floor are
+    tripwires only; failing one would signal a bug, not bad input.
     """
     bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
     window_hi = 2 * bound + 2
@@ -168,13 +175,28 @@ def _count_scan(
     degrees: list[list[int]] = [[] for _ in rhos]
     prev_h = [0] * len(rhos)
     prev_c = [0] * len(rhos)
-    live = [m for m, rho in enumerate(rhos) if rho > 0]
+    floors = {
+        rho: source.degree - max_subbundle_degree(target, source.rank - rho)
+        for rho in set(rhos)
+        if rho > 0
+    }
+
+    def finished(m: int) -> bool:
+        """Whether map m's summands are all known, the unknown ones read at the floor."""
+        unknown = rhos[m] - prev_c[m]
+        slack = sum(degrees[m]) - unknown * (j + 1) - floors[rhos[m]]
+        if slack < 0:
+            raise RuntimeError("kernel degree bound lies below its floor; elimination bug")
+        if unknown and not slack:
+            degrees[m] += [-j - 1] * unknown
+        return not (unknown and slack)
+
+    live = [m for m, rho in enumerate(rhos) if rho > 0 and not finished(m)]
     while live:
         if len(live) == 1 and prev_c[live[0]] == rhos[live[0]] - 1:
             (m,) = live
             known = degrees[m]
-            floor = source.degree - max_subbundle_degree(target, source.rank - rhos[m])
-            top = sum(known) - floor
+            top = sum(known) - floors[rhos[m]]
             if top > window_hi:
                 raise RuntimeError("the kernel degree floor lies outside the safe window")
             (h,) = probe(live, top).tolist()
@@ -192,7 +214,7 @@ def _count_scan(
                 raise RuntimeError("kernel probe counts are not monotone; elimination bug")
             degrees[m] += [-j] * (c - prev_c[m])
             prev_h[m], prev_c[m] = h, c
-        live = [m for m in live if prev_c[m] < rhos[m]]
+        live = [m for m in live if not finished(m)]
     return degrees
 
 
@@ -334,11 +356,12 @@ class SectionPairing:
 
         The values of a span at a point of P^1(F_q) have rank at most its
         generic rank, itself at most min(w, n).  So values of full rank at
-        (1 : 0), (0 : 1) or (1 : 1) settle it; ``generic_rank`` decides the rest.
-        The N spans' values at the three points are 3N matrices of shape
-        w x n, built in one combination and ranked in one elimination.  The
-        sections of all the spans left to ``generic_rank`` are built in one
-        combination too.
+        (1 : 0), (0 : 1) or (1 : 1) settle it; the Bareiss elimination
+        decides the rest, with no second look at (1 : 0) through
+        ``generic_rank``.  The N spans' values at the three points are 3N
+        matrices of shape w x n, built in one combination and ranked in one
+        elimination.  The sections of all the spans left to the elimination
+        are built in one combination too.
         """
         count, w, k = bases.shape
         n = self.e.rank
@@ -351,7 +374,7 @@ class SectionPairing:
             coeffs = bases[fallback].reshape(-1, k)  # w rows per span
             rows = combine_sections(self.field, self.e, self.sections, coeffs)
             for i, m in enumerate(fallback):
-                ranks[m] = generic_rank(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees)
+                ranks[m] = _bareiss(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees)[0]
         return ranks
 
     def saturate_stack(self, bases: np.ndarray) -> list[SaturationResult]:

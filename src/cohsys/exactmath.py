@@ -28,7 +28,8 @@ pivot rule by XOR (``packed_rank``), the dense GF(2) technique of M4RI
 (Albrecht, Bard and Hart, ACM TOMS 2010).
 Matrices of binary forms, with the degree profile their caller states, go
 through one fraction-free elimination over F_q[x, y], which gives both their
-generic rank and their determinant.
+generic rank and their determinant; a generic rank needs none when the
+leading coefficients already have full rank.
 """
 
 from __future__ import annotations
@@ -519,7 +520,18 @@ def generic_rank(
 
     The profile (deg entry(i, j) = row_degrees[i] + col_degrees[j] at nonzero
     entries) keeps every minor a binary form; ``check_profile`` enforces it.
+    Under it the leading coefficients are the values at (1 : 0), a matrix
+    whose rank is at most the generic rank, itself at most min(rows, cols).
+    So leading coefficients of full rank settle it, ranked over F_q by
+    ``FieldMatrix.rank``; the Bareiss elimination decides the rest.
     """
+    check_profile(entries, row_degrees, col_degrees)
+    full = min(len(row_degrees), len(col_degrees))
+    if not full:
+        return 0
+    leads = [[f.coeffs[0] if f.coeffs else 0 for f in row] for row in entries]
+    if FieldMatrix.from_rows(entries[0][0].field, leads).rank() == full:
+        return full
     return _bareiss(entries, row_degrees, col_degrees)[0]
 
 

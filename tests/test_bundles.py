@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cohsys import bundles
@@ -457,6 +457,22 @@ def probe_count(run):
         return run(), calls
 
 
+def probe_twists(run):
+    """run()'s result and the (twist, live count) of each probe its kernel scans made."""
+    calls = []
+    real = bundles._count_scan
+
+    def recorded(source, target, rhos, probe):
+        def traced(live, j):
+            calls.append((j, len(live)))
+            return probe(live, j)
+
+        return real(source, target, rhos, traced)
+
+    with mock.patch.object(bundles, "_count_scan", recorded):
+        return run(), calls
+
+
 def lockstep(run):
     """run() with the lock-step reference scan in place of ``_count_scan``."""
     with mock.patch.object(bundles, "_count_scan", lockstep_scan):
@@ -568,19 +584,104 @@ class TestLastSummandRead:
         assert len(lockstep(run)[1]) == 17
 
     def test_stack_tail_goes_lone(self):
-        # in O(2) + O(2), (x^2, x y) vanishes at x = 0: the kernel O(-3) of its
-        # pairing shows at j = 3, a twist before the O(-4) of (y^2, x^2), which
-        # is then read alone in one probe
-        t = splitting_type(2, 2)
-        sections = [(mul(X, X), mul(X, Y)), (mul(Y, Y), mul(X, X))]
+        # in O(3) + O(3), the pairing of (x^3, 0) has kernel O(-3), found at
+        # j = 3; (x^3, x y^2) = x (x^2, y^2) has kernel O(-5), above the floor
+        # -6, so it is left alone and read in one probe at j* = 6, where the
+        # lock-step scan steps through j = 4 and 5
+        t = splitting_type(3, 3)
+        x3 = mul(mul(X, X), X)
+        sections = [(x3, mul(mul(X, Y), Y)), (x3, ZERO)]
         pairing = SectionPairing(F, t, sections)
         run = lambda: pairing.saturate_stack(np.array([[[0, 1]], [[1, 0]]]))
         got, probes = probe_count(run)
-        assert got == lockstep(run)[0]
-        assert [r.degree for r in got] == [0, 1]
+        want, lockstep_probes = lockstep(run)
+        assert got == want
+        assert [r.degree for r in got] == [3, 1]
         assert probes[-1] == 1 and probes[0] == 2
+        assert probe_twists(run)[1] == [(3, 2), (6, 1)]
+        assert lockstep_probes == [2, 1, 1]
 
     def test_floor_tripwire(self):
         # a probe that reports no kernel sections at j* contradicts the floor
         with pytest.raises(RuntimeError, match="degree bounds"):
             _count_scan(splitting_type(-1, -1), splitting_type(0), [1], lambda live, j: np.zeros(1))
+
+    def test_below_floor_tripwire(self):
+        # the kernel of the zero map O + O(-1) -> O is the source, of degree
+        # -1 = floor; a probe that reports no sections at j = 0 bounds the
+        # degree by -2, below the floor
+        with pytest.raises(RuntimeError, match="below its floor"):
+            source, target = splitting_type(0, -1), splitting_type(0)
+            _count_scan(source, target, [2], lambda live, j: np.zeros(len(live), int))
+
+
+class TestFloorExit:
+    """A map leaves the scan once the degree floor forces its unknown summands."""
+
+    def test_generic_section_leaves_at_the_floor(self):
+        # one generic section of O(8)^3: the kernel O(-12)^2 of its pairing
+        # has degree -24, the floor; after j = 11 both summands are known to
+        # be <= -12, so the scan ends there, where the lock-step scan reads
+        # them at j = 12
+        rng = random.Random(0)
+        t = splitting_type(8, 8, 8)
+        section = tuple(rand_form(rng, 8) for _ in range(3))
+        run = lambda: saturate(t, [section])
+        sat, twists = probe_twists(run)
+        assert sat.quotient_type == splitting_type(12, 12)
+        assert twists == [(8, 1), (9, 1), (10, 1), (11, 1)]
+        with mock.patch.object(bundles, "_count_scan", lockstep_scan):
+            want, lockstep_twists = probe_twists(run)
+        assert want == sat
+        assert [j for j, _ in lockstep_twists] == [8, 9, 10, 11, 12]
+
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_a_fake_kernel(self, source, target, data):
+        # each map's kernel N has rho summands <= max(source) and degree at
+        # least the floor; "at floor" lowers its last summand to meet it
+        source, target = splitting_type(*source), splitting_type(*target)
+        top = source[0]
+        kernels = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            rho = data.draw(st.integers(max(1, source.rank - target.rank), source.rank))
+            floor = source.degree - max_subbundle_degree(target, source.rank - rho)
+            assume(rho * top >= floor)  # else no such map exists
+            drops = data.draw(st.lists(st.integers(0, 6), min_size=rho, max_size=rho))
+            kern = sorted((top - d for d in drops), reverse=True)
+            while sum(kern) < floor:
+                kern[kern.index(min(kern))] += 1
+            if data.draw(st.booleans(), label="at floor"):
+                kern[-1] -= sum(kern) - floor
+            kernels.append(kern)
+
+        def probe(live, j):
+            return np.array([sum(max(0, b + j + 1) for b in kernels[m]) for m in live])
+
+        def recorded(scan):
+            calls = []
+
+            def traced(live, j):
+                calls.append((j, set(live)))
+                return probe(live, j)
+
+            return scan(source, target, [len(k) for k in kernels], traced), calls
+
+        got, probes = recorded(_count_scan)
+        want, lockstep_probes = recorded(lockstep_scan)
+        assert got == want == kernels
+        live_at = dict(lockstep_probes)
+        prev = -top - 1
+        for n, (j, live) in enumerate(probes):
+            if j in live_at and live <= live_at[j]:
+                prev = j
+                continue
+            # only a last-summand read of a lone map jumps past the lock-step twists
+            assert n == len(probes) - 1 and len(live) == 1 and live <= live_at[prev + 1]
+        for m in range(len(kernels)):
+            taken = sum(m in live for _, live in probes)
+            assert taken <= sum(m in live for _, live in lockstep_probes)

@@ -639,6 +639,56 @@ class TestGenericRank:
             replace_last_row_by_combination(rng, field, r, entries)
         assert generic_rank(entries, r, c) == sympy_rank(entries, q)
 
+    @given(
+        st.sampled_from(["pairing", "generation"]),
+        st.lists(st.integers(-1, 5), min_size=1, max_size=4),
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 101, 2**31 - 1]),
+        st.floats(0, 1),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bareiss_on_kernel_profiles(self, kind, degrees, w, q, y_share, dep, seed):
+        # the profiles of the callers: a w x n pairing against sections of a
+        # bundle (saturate, SectionPairing._generic_ranks) and an n x w
+        # evaluation O^w -> E (check_global_generation); a y_share of the
+        # entries are multiples of y, whose leading coefficients vanish, and
+        # dep makes the last row a combination of the others
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        zeros = [0] * w
+        r, c = (zeros, degrees) if kind == "pairing" else (degrees, zeros)
+
+        def entry(d):
+            if d < 0 or rng.random() < 0.2:
+                return BinaryForm.zero(field)
+            if d >= 1 and rng.random() < y_share:
+                return mul(form(0, 1, field=field), random_form(rng, field, d - 1, zero_prob=0))
+            return random_form(rng, field, d, zero_prob=0)
+
+        entries = [[entry(ri + ci) for ci in c] for ri in r]
+        if dep and len(r) >= 2:
+            replace_last_row_by_combination(rng, field, r, entries)
+        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)[0]
+
+    def test_full_rank_leads_skip_the_elimination(self):
+        # [[x, y], [y, x]] leads with the identity; [[y, x], [y, x]] leads with
+        # a rank-1 matrix, and so does [[x, y], [x, 0]], whose generic rank is 2
+        calls = []
+        real = exactmath._bareiss
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with mock.patch.object(exactmath, "_bareiss", counted):
+            assert generic_rank([[X, Y], [Y, X]], [0, 0], [1, 1]) == 2
+            assert not calls
+            assert generic_rank([[Y, X], [Y, X]], [0, 0], [1, 1]) == 1
+            assert generic_rank([[X, Y], [X, ZERO]], [0, 0], [1, 1]) == 2
+            assert len(calls) == 2
+
 
 class TestFormDeterminant:
     def test_empty_matrix_is_one(self):
