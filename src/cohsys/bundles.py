@@ -27,6 +27,7 @@ from .exactmath import (
     multiplication_matrix,
     pack_bits,
     packed_rank,
+    stack_size,
     stacked_combination,
     stacked_rank,
 )
@@ -305,10 +306,10 @@ class SectionPairing:
     twist j.  That twist matrix is linear in the sections: for W spanned by
     the rows of B V, M_j(W) = (B (x) I_{j+1}) M_j(V).  So M_j(V), the twist
     matrix of the pairing E* -> O^k against all k sections, is built once per
-    twist, and all W of one dimension are ranked in one stacked
-    elimination.  Over F_2, M_j(V) is packed into bit rows once per twist, and
-    each row block of M_j(W) is the XOR of the packed blocks its row of B
-    picks, so no int64 stack is built.
+    twist, and a stack of W of one dimension is ranked together, in
+    eliminations of at most ``STACK_CELLS`` entries.  Over F_2, M_j(V) is
+    packed into bit rows once per twist, and each row block of M_j(W) is the
+    XOR of the packed blocks its row of B picks, so no int64 stack is built.
     """
 
     def __init__(
@@ -318,7 +319,6 @@ class SectionPairing:
         self.e = e
         self.sections = [tuple(s) for s in sections]
         self._pairings: dict[int, np.ndarray] = {}
-        self._results: dict[tuple[int, ...], SaturationResult] = {}
 
     @functools.cached_property
     def _point_values(self) -> np.ndarray:
@@ -359,16 +359,20 @@ class SectionPairing:
         (1 : 0), (0 : 1) or (1 : 1) settle it; the Bareiss elimination
         decides the rest, with no second look at (1 : 0) through
         ``generic_rank``.  The N spans' values at the three points are 3N
-        matrices of shape w x n, built in one combination and ranked in one
-        elimination.  The sections of all the spans left to the elimination
-        are built in one combination too.
+        matrices of shape w x n, built in one combination and ranked
+        ``stack_size(w * n)`` at a time.  The sections of all the spans left
+        to the elimination are built in one combination too.
         """
         count, w, k = bases.shape
         n = self.e.rank
         # (N, w, 3, n) -> (N, 3, w, n): one w x n value matrix per span and point
         values = stacked_combination(bases, self._point_values, self.field.q)
         values = values.transpose(0, 2, 1, 3).reshape(3 * count, w, n)
-        ranks = stacked_rank(self.field, values).reshape(count, 3).max(axis=1).tolist()
+        size = stack_size(w * n)
+        ranks = np.concatenate(
+            [stacked_rank(self.field, values[i : i + size]) for i in range(0, 3 * count, size)]
+        )
+        ranks = ranks.reshape(count, 3).max(axis=1).tolist()
         fallback = [m for m in range(count) if ranks[m] < min(w, n)]
         if fallback:
             coeffs = bases[fallback].reshape(-1, k)  # w rows per span
@@ -377,12 +381,16 @@ class SectionPairing:
                 ranks[m] = _bareiss(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees)[0]
         return ranks
 
-    def saturate_stack(self, bases: np.ndarray) -> list[SaturationResult]:
+    def saturate_stack(self, bases: np.ndarray) -> tuple[list[SaturationResult], np.ndarray]:
         """``saturate`` of the span of B V, for each w x k basis B in the stack.
 
-        For w = 1 the section must be nonzero: its kernel rank rho is n - 1.
-        For w >= 2, rho is n minus the generic rank of the span.  The stack is
-        ranked whole, so its size bounds the memory held.
+        Returns the stack's distinct saturations, in order of first
+        appearance, and for each basis the index of its saturation in that
+        list.  For w = 1 the section must be nonzero: its kernel rank rho is
+        n - 1.  For w >= 2, rho is n minus the generic rank of the span.  Each
+        probe ranks the live twist matrices ``stack_size`` of them at a time,
+        building each chunk only when it is ranked, so a probe holds at most
+        ``STACK_CELLS`` entries or one matrix.
         """
         bases = np.asarray(bases, dtype=np.int64)
         count, w, _ = bases.shape
@@ -396,22 +404,25 @@ class SectionPairing:
         def probe(live: list[int], j: int) -> np.ndarray:
             pairing = self.at(j)
             _, rows, width = pairing.shape
-            if q == 2:
-                # (N, w, k, rows, words) -> (N, w, rows, words): XOR the picked blocks
-                picked = bits[live][:, :, :, None, None] * pairing
-                stack = np.bitwise_xor.reduce(picked, axis=2)
-                cols = cohomology(self.e.dual(), j)[0]
-                return _twist_kernel_dimension(
-                    self.field, stack.reshape(len(live), w * rows, width), cols
-                )
-            stack = stacked_combination(bases[live], pairing, q)
-            return _twist_kernel_dimension(self.field, stack.reshape(len(live), w * rows, width))
+            # over F_2 the rows are packed: width counts words, cols bit columns
+            cols = cohomology(self.e.dual(), j)[0] if q == 2 else None
+            size = stack_size(w * rows * width)
+            out = []
+            for start in range(0, len(live), size):
+                chunk = live[start : start + size]
+                if q == 2:
+                    # (N, w, k, rows, words) -> (N, w, rows, words): XOR the picked blocks
+                    picked = bits[chunk][:, :, :, None, None] * pairing
+                    stack = np.bitwise_xor.reduce(picked, axis=2)
+                else:
+                    stack = stacked_combination(bases[chunk], pairing, q)
+                stack = stack.reshape(len(chunk), w * rows, width)
+                out.append(_twist_kernel_dimension(self.field, stack, cols))
+            return np.concatenate(out)
 
         kernels = _count_scan(self.e.dual(), SplittingType((0,) * w), rhos, probe)
-        # many spans share a kernel type: each type's result is built once
-        out = []
-        for kern in map(tuple, kernels):
-            if kern not in self._results:
-                self._results[kern] = _saturation(self.e, SplittingType(kern))
-            out.append(self._results[kern])
-        return out
+        # many spans share a kernel type, and the kernel fixes the saturation
+        ids: dict[tuple[int, ...], int] = {}
+        index = [ids.setdefault(tuple(kern), len(ids)) for kern in kernels]
+        distinct = [_saturation(self.e, SplittingType(kern)) for kern in ids]
+        return distinct, np.array(index, dtype=np.int64)

@@ -29,12 +29,12 @@ import numpy as np
 
 from .exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    STACK_CAP,
     BinaryForm,
     FieldMatrix,
     PrimeField,
     check_profile,
     form_determinant,
+    stack_size,
     stacked_combination,
     stacked_rank,
     vanishing_divisor_degree,
@@ -89,12 +89,13 @@ def _pencil_coefficient_matrices(
 def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
     """Least rank of the specialized pencil b*A + c*B over the q + 1 rational points.
 
-    The points are (1 : c) for c in F_q, then (0 : 1).  Their matrices are
-    built and ranked in stacks of at most ``STACK_CAP`` points, which bounds
-    the memory for large q, and the scan stops at the first stack that holds
-    a point of rank 0.  The points are the one-dimensional subspaces of
-    F_q^2, so more than ``COST_GUARD_MAX_SUBSPACES`` of them are refused
-    unless ``allow_large`` is set.
+    The points are (1 : c) for c in F_q, then (0 : 1).  Their a x t matrices
+    are built and ranked ``stack_size(a * t)`` points at a time, which bounds
+    the memory for large q by ``STACK_CELLS`` entries or one matrix, and the
+    scan stops at the first stack that holds a point of rank 0.  The points
+    are the one-dimensional subspaces of F_q^2, so more than
+    ``COST_GUARD_MAX_SUBSPACES`` of them are refused unless ``allow_large``
+    is set.
     """
     q = inp.field.q
     if q + 1 > COST_GUARD_MAX_SUBSPACES and not allow_large:
@@ -104,8 +105,9 @@ def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
         )
     pencil = np.stack(_pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1))
     least = inp.t
-    for start in range(0, q + 1, STACK_CAP):
-        index = np.arange(start, min(start + STACK_CAP, q + 1), dtype=np.int64)
+    size = stack_size(pencil[0].size)
+    for start in range(0, q + 1, size):
+        index = np.arange(start, min(start + size, q + 1), dtype=np.int64)
         finite = index < q
         points = np.stack([finite.astype(np.int64), np.where(finite, index, 1)], axis=1)
         ranks = stacked_rank(inp.field, stacked_combination(points, pencil, q))

@@ -20,12 +20,15 @@ inverse, and ranks a larger one as a stack of one.  ``stacked_rank`` ranks a
 whole stack of matrices of one shape, which its callers build with
 ``stacked_combination`` (one int64 matrix product per chunk of terms), in one
 numpy elimination that moves no row: each pivot row clears its column and is
-zeroed with it.  It steps over the shorter side of the matrices and reduces
-mod q lazily, tracking a bound on how far its entries have grown so that
-every product stays exact in int64.  Over F_2 it packs each row into uint64
-words, one bit per column (``pack_bits``), and eliminates with the same
-pivot rule by XOR (``packed_rank``), the dense GF(2) technique of M4RI
-(Albrecht, Bard and Hart, ACM TOMS 2010).
+zeroed with it.  Callers size their stacks by entries, not by matrix count:
+``stack_size`` gives how many matrices of a shape fit the budget of
+``STACK_CELLS`` entries, so one stacked elimination holds at most that many
+entries or one matrix, whichever is larger.  It steps over the shorter side
+of the matrices and reduces mod q lazily, tracking a bound on how far its
+entries have grown so that every product stays exact in int64.  Over F_2 it
+packs each row into uint64 words, one bit per column (``pack_bits``), and
+eliminates with the same pivot rule by XOR (``packed_rank``), the dense GF(2)
+technique of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).
 Matrices of binary forms, with the degree profile their caller states, go
 through one fraction-free elimination over F_q[x, y], which gives both their
 generic rank and their determinant; a generic rank needs none when the
@@ -190,9 +193,15 @@ def _small_rank(rows: list[list[int]], q: int) -> int:
     return rank
 
 
-# Stacked callers rank at most this many matrices at a time, which bounds the
-# memory one stacked elimination holds.
-STACK_CAP = 128
+# Stacked callers rank their matrices at most this many entries at a time,
+# which bounds the memory one stacked elimination holds: small matrices fill
+# one stack, and a matrix larger than the budget is ranked on its own.
+STACK_CELLS = 2**16
+
+
+def stack_size(cells: int) -> int:
+    """How many matrices of ``cells`` entries each one stacked elimination takes."""
+    return max(1, STACK_CELLS // max(1, cells))
 
 # Enumerations that visit every subspace of a vector space over F_q (the
 # subspaces of F_q^k for candidates, the q + 1 lines of F_q^2 for a pencil's
@@ -306,11 +315,13 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     strided columns right of col, and those columns keep within the same
     bound as the rest.
 
-    Reduction mod q is lazy.  Each step reduces its pivot column, so p and
-    row[col] are residues below q, and a step takes a bound B on the absolute
-    value of the entries to 2 q B.  The array is reduced, and B reset to
-    q - 1, only when 2 q B would reach 2**62, so every product and difference
-    stays exact in int64.  For q near 2**31 that is every step.
+    Reduction mod q is lazy.  The input is copied when its entries are
+    residues already, as every program caller's are, and reduced otherwise,
+    so it starts at residues either way.  Each step reduces its pivot column,
+    so p and row[col] are residues below q, and a step takes a bound B on the
+    absolute value of the entries to 2 q B.  The array is reduced, and B
+    reset to q - 1, only when 2 q B would reach 2**62, so every product and
+    difference stays exact in int64.  For q near 2**31 that is every step.
 
     For q = 2 the rows are packed into bit words and ranked by
     ``packed_rank``: the same pivots, with one XOR per row and word in place
@@ -328,7 +339,10 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
         return packed_rank(pack_bits(a % 2))
     if ncols > nrows:
         a, ncols = a.transpose(0, 2, 1), nrows
-    a = np.remainder(a, q, order="C")
+    if a.min() >= 0 and a.max() < q:
+        a = np.array(a, order="C")  # residues, from every program caller: a plain copy
+    else:
+        a = np.remainder(a, q, order="C")
     mats = np.arange(count)
     bound = q - 1
     for col in range(ncols):

@@ -55,11 +55,11 @@ from .classification import AlphaInterval
 from .delta import pencil_min_rank
 from .exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    STACK_CAP,
     BinaryForm,
     FieldMatrix,
     PrimeField,
     check_profile,
+    stack_size,
 )
 
 
@@ -200,10 +200,12 @@ def echelon_stacks(k: int, w: int, q: int) -> Iterator[np.ndarray]:
     Ordered by pivot-column combination, then lexicographically in the free
     entries, so enumeration order is deterministic: the t-th basis of a pivot
     combination holds the base-q digits of t in its free entries, most
-    significant first.  Yields arrays of shape (m, w, k) with m <= STACK_CAP,
-    each built from its range of counts; every stack but the last is full, so
-    a stack can span pivot combinations.
+    significant first.  Yields arrays of shape (m, w, k) with
+    m <= stack_size(w * k), so a stack holds at most ``STACK_CELLS`` entries
+    or one basis; each is built from its range of counts, and every stack but
+    the last is full, so a stack can span pivot combinations.
     """
+    size = stack_size(w * k)
     pieces: list[np.ndarray] = []
     held = 0
     for pivots in itertools.combinations(range(k), w):
@@ -222,13 +224,13 @@ def echelon_stacks(k: int, w: int, q: int) -> Iterator[np.ndarray]:
         rows, cols = [row for row, _ in free], [col for _, col in free]
         start = 0
         while start < total:
-            stop = min(total, start + STACK_CAP - held)
+            stop = min(total, start + size - held)
             block = np.repeat(template, stop - start, axis=0)
             block[:, rows, cols] = np.arange(start, stop, dtype=kind)[:, None] // places % q
             pieces.append(block)
             held += stop - start
             start = stop
-            if held == STACK_CAP:
+            if held == size:
                 yield np.concatenate(pieces)
                 pieces, held = [], 0
     if pieces:
@@ -248,14 +250,22 @@ def _subspace_count(k: int, q: int) -> int:
 def _saturations(
     inst: SystemInstance, pairing: SectionPairing, w: int
 ) -> Iterator[tuple[np.ndarray, SaturationResult]]:
-    """(basis, saturation) for every w-subspace, in enumeration order."""
+    """(basis, saturation) for each distinct saturation of a stack of w-subspaces.
+
+    Each stack's distinct saturations come in order of first appearance, each
+    with the first basis of the stack that has it, and the stacks come in
+    enumeration order.  A saturation may come again from a later stack.
+    """
     stacks = echelon_stacks(inst.k, w, inst.q)
     if w in (0, inst.k):  # one subspace: its single matrix is ranked alone
         ((basis,),) = stacks
         yield basis, saturate(inst.splitting, [inst.combine(row) for row in basis.tolist()])
         return
     for stack in stacks:
-        yield from zip(stack, pairing.saturate_stack(stack))
+        distinct, index = pairing.saturate_stack(stack)
+        # index numbers the distinct saturations in order of first appearance
+        first = np.unique(index, return_index=True)[1]
+        yield from zip(stack[first], distinct)
 
 
 @functools.lru_cache(maxsize=4096)

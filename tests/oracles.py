@@ -7,17 +7,19 @@ unsorted degrees for building test inputs, the per-component sum behind
 ``combine_sections``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
-at a point, the tuple-by-tuple generator of echelon bases, the lock-step
-kernel scan with no last-summand read, the row-swapping numpy elimination
-for ranks, and the term-by-term sum behind ``stacked_combination``.
+at a point, the tuple-by-tuple generator of echelon bases, the candidate
+walk that reads every basis's saturation, the lock-step kernel scan with no
+last-summand read, the row-swapping numpy elimination for ranks, and the
+term-by-term sum behind ``stacked_combination``.
 """
 
 import itertools
 
 import numpy as np
 
-from cohsys.bundles import SplittingType
+from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
 from cohsys.exactmath import BinaryForm, FieldMatrix
+from cohsys.stability import Candidate, echelon_stacks
 
 
 # -- binary forms --------------------------------------------------------------
@@ -166,6 +168,44 @@ def echelon_bases(k: int, w: int, q: int):
             for (row, col), v in zip(free, vals):
                 rows[row][col] = v
             yield tuple(tuple(r) for r in rows)
+
+
+def per_basis_saturations(pairing, stack) -> list:
+    """``pairing.saturate_stack(stack)`` read per basis: one saturation for each."""
+    distinct, index = pairing.saturate_stack(stack)
+    return [distinct[i] for i in index.tolist()]
+
+
+def per_basis_candidates(inst):
+    """The candidates of ``stability._rational_candidates`` from every basis in turn.
+
+    Walks each echelon stack basis by basis with its own saturation, skipping
+    a saturation already seen in that dimension, and keeps the first basis
+    that reaches the largest degree for each (rank, dim W).
+    """
+    n, k = inst.n, inst.k
+    pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
+    best = {}
+    for w in range(k + 1):
+        seen = set()
+        for stack in echelon_stacks(k, w, inst.q):
+            if w in (0, k):
+                (basis,) = stack.tolist()
+                sats = [saturate(inst.splitting, [inst.combine(row) for row in basis])]
+            else:
+                sats = per_basis_saturations(pairing, stack)
+            for basis, sat in zip(stack.tolist(), sats):
+                if sat in seen:
+                    continue
+                seen.add(sat)
+                for r in range(max(sat.rank, 1), n + 1):
+                    if (r, w) == (n, k):
+                        continue
+                    e = sat.degree + max_subbundle_degree(sat.quotient_type, r - sat.rank)
+                    cur = best.get((r, w))
+                    if cur is None or e > cur.degree:
+                        best[(r, w)] = Candidate(r, e, w, tuple(map(tuple, basis)))
+    return tuple(best[key] for key in sorted(best))
 
 
 # -- kernels -------------------------------------------------------------------

@@ -36,6 +36,7 @@ from oracles import (
     endomorphism_type,
     lockstep_scan,
     mul,
+    per_basis_saturations,
     row_swap_rank,
     shatz_embedding_exists,
     splitting_type,
@@ -322,7 +323,7 @@ class TestSectionPairing:
         if not bases:
             return
         sections = span_sections(field, t, vectors, np.eye(k, dtype=int).tolist())
-        got = SectionPairing(field, t, sections).saturate_stack(np.array(bases))
+        got = per_basis_saturations(SectionPairing(field, t, sections), np.array(bases))
         assert got == [saturate(t, secs) for secs in spans]
 
     @pytest.mark.parametrize("q", [3, 2**31 - 1])
@@ -373,7 +374,7 @@ class TestSectionPairing:
         bases = np.array([[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 1]]])
         pairing = SectionPairing(field, t, sections)
         with mock.patch.object(bundles, "packed_rank", wraps=bundles.packed_rank) as packed:
-            got = pairing.saturate_stack(bases)
+            got = per_basis_saturations(pairing, bases)
         assert packed.called == (q == 2)
         assert got == [saturate(t, combine_sections(field, t, sections, b)) for b in bases]
 
@@ -560,7 +561,7 @@ class TestLastSummandRead:
             ]
         if not bases:
             return
-        run = lambda: SectionPairing(field, t, sections).saturate_stack(np.array(bases))
+        run = lambda: per_basis_saturations(SectionPairing(field, t, sections), np.array(bases))
         got, probes = probe_count(run)
         want, lockstep_probes = lockstep(run)
         assert got == want
@@ -592,7 +593,7 @@ class TestLastSummandRead:
         x3 = mul(mul(X, X), X)
         sections = [(x3, mul(mul(X, Y), Y)), (x3, ZERO)]
         pairing = SectionPairing(F, t, sections)
-        run = lambda: pairing.saturate_stack(np.array([[[0, 1]], [[1, 0]]]))
+        run = lambda: per_basis_saturations(pairing, np.array([[[0, 1]], [[1, 0]]]))
         got, probes = probe_count(run)
         want, lockstep_probes = lockstep(run)
         assert got == want

@@ -1,10 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohsys import delta, exactmath
 from cohsys.delta import (
     DeltaInput,
     _pencil_coefficient_matrices,
@@ -16,7 +18,6 @@ from cohsys.delta import (
 )
 from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    STACK_CAP,
     BinaryForm,
     FieldMatrix,
     PrimeField,
@@ -318,9 +319,23 @@ def per_point_min_rank(inp):
     return least
 
 
+def stack_lengths(run):
+    """run()'s result and the number of points in each stack the scan ranked."""
+    lengths = []
+    real = delta.stacked_rank
+
+    def recorded(field, stack):
+        lengths.append(len(stack))
+        return real(field, stack)
+
+    with mock.patch.object(delta, "stacked_rank", recorded):
+        return run(), lengths
+
+
 class TestStackedScanEquivalence:
-    # q = 257 has 258 points: two full stacks of STACK_CAP and a short last
-    # one holding (0 : 1); the equal-pair kind reaches rank 0 and stops early
+    # a budget of 128 a t entries stacks 128 points of a x t: q = 257 has 258
+    # points, two full stacks and a short last one holding (0 : 1); the
+    # equal-pair kind reaches rank 0 and stops early
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from(DRAW_KINDS),
@@ -333,18 +348,42 @@ class TestStackedScanEquivalence:
         field = PrimeField(q)
         first, second = draw_pencil(random.Random(seed), kind, a, t, field)
         inp = DeltaInput(a, t, tuple(first), tuple(second))
-        assert delta_bruteforce(inp) == per_point_min_rank(inp)
+        with mock.patch.object(exactmath, "STACK_CELLS", 128 * a * t):
+            assert delta_bruteforce(inp) == per_point_min_rank(inp)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(DRAW_KINDS),
+        st.sampled_from([2, 3, 101, 257]),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_budget_does_not_change_the_scan(self, seed, kind, q, a, t):
+        # one point per stack, a few, and the default budget: the same least
+        # rank, and no stack above the budget or one point's a x t entries
+        field = PrimeField(q)
+        first, second = draw_pencil(random.Random(seed), kind, a, t, field)
+        inp = DeltaInput(a, t, tuple(first), tuple(second))
+        want = per_point_min_rank(inp)
+        for cells in (1, 40, exactmath.STACK_CELLS):
+            with mock.patch.object(exactmath, "STACK_CELLS", cells):
+                least, lengths = stack_lengths(lambda: delta_bruteforce(inp))
+            assert least == want
+            assert all(n * a * t <= max(cells, a * t) for n in lengths)
 
     def test_drop_at_infinity_in_last_stack(self):
-        # b*I + c*0 has full rank except at (0 : 1), the last point scanned,
-        # which F_257 puts alone with (1 : 256) in a short third stack
+        # b*I + c*0 has full rank except at (0 : 1), the last point scanned;
+        # a budget of 257 matrices of 2 x 2 puts it alone in a short last stack
         q = 257
-        assert 2 * STACK_CAP < q + 1 < 3 * STACK_CAP
         field = PrimeField(q)
         x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
         z = BinaryForm.zero(field)
         inp = DeltaInput(2, 2, (x, y), (z, z))
-        assert delta_bruteforce(inp) == per_point_min_rank(inp) == 0
+        with mock.patch.object(exactmath, "STACK_CELLS", 257 * 4):
+            least, lengths = stack_lengths(lambda: delta_bruteforce(inp))
+        assert lengths == [257, 1]
+        assert least == per_point_min_rank(inp) == 0
         assert delta_closure(inp) == 0
 
 

@@ -377,6 +377,36 @@ class TestStackedRank:
         with pytest.raises(ValueError):
             stacked_rank(F7, np.eye(3, dtype=np.int64))
 
+    @given(
+        st.sampled_from([2, 3, 101, 2**31 - 1]),
+        st.sampled_from(["negative", "past q", "near 2**62"]),
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_entries_that_are_not_residues(self, q, kind, count, rows, cols, seed):
+        # residues are copied, anything else is reduced first: some entries
+        # move by multiples of q, below 0, to q or past it, or up to about 2**62
+        field = PrimeField(q)
+        rng = np.random.default_rng(seed)
+        stack, ranks = staggered_stack(rng, q, count, rows, cols)
+        low, high = {
+            "negative": (-(2**20), -1),
+            "past q": (1, 2**20),
+            "near 2**62": (2**62 // q - 8, 2**62 // q),
+        }[kind]
+        shifts = rng.integers(low, high, size=stack.shape, endpoint=True)
+        shifts[rng.random(stack.shape) < 0.5] = 0
+        shifts.flat[rng.integers(stack.size)] = high  # at least one entry moves
+        shifted = stack + q * shifts
+        kept = shifted.copy()
+        assert per_matrix_ranks(field, shifted) == ranks
+        assert stacked_rank(field, shifted).tolist() == ranks
+        assert stacked_rank(field, shifted.transpose(0, 2, 1)).tolist() == ranks
+        assert (shifted == kept).all()  # the input is left as it was
+
 
 F2 = PrimeField(2)
 

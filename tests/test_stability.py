@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +10,15 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from cohsys import bundles
+from cohsys import bundles, exactmath
 from cohsys.bundles import SectionPairing, cohomology, max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    STACK_CAP,
     BinaryForm,
     FieldMatrix,
     PrimeField,
+    stack_size,
     vanishing_divisor_degree,
 )
 from cohsys.stability import (
@@ -33,7 +35,14 @@ from cohsys.stability import (
     stability_interval,
     subsystem_candidates,
 )
-from oracles import echelon_bases, evaluation_rank_at_point, scale, splitting_type
+from oracles import (
+    echelon_bases,
+    evaluation_rank_at_point,
+    per_basis_candidates,
+    per_basis_saturations,
+    scale,
+    splitting_type,
+)
 
 F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
@@ -95,22 +104,26 @@ class TestEchelonBases:
     @given(st.integers(0, 5), st.data(), st.sampled_from([2, 3, 5, 7, 11, 31, 101]))
     @settings(max_examples=150, deadline=None)
     def test_matches_tuple_generator(self, k, data, q):
-        # same bases in the same order, in full stacks of STACK_CAP but the last
+        # same bases in the same order, in full stacks of stack_size(w * k)
+        # bases but the last
         w = data.draw(st.integers(0, k))
         if q ** (w * (k - w)) > 20_000:
             w = data.draw(st.sampled_from([0, k]))
         old = list(echelon_bases(k, w, q))
         assert stacked_bases(k, w, q) == old
-        full, last = divmod(len(old), STACK_CAP)
+        size = stack_size(w * k)
+        full, last = divmod(len(old), size)
         sizes = [len(stack) for stack in echelon_stacks(k, w, q)]
-        assert sizes == [STACK_CAP] * full + ([last] if last else [])
+        assert sizes == [size] * full + ([last] if last else [])
 
     def test_counts_past_int64(self):
         # (6, 3) over F_(2^31 - 1): the first pivot pattern has q^9 > 2^63 bases
         q = 2**31 - 1
+        size = stack_size(3 * 6)
         stack = next(echelon_stacks(6, 3, q))
-        assert stack.dtype == np.int64 and stack.shape == (STACK_CAP, 3, 6)
-        assert stack[-1].tolist() == [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 127]]
+        assert stack.dtype == np.int64 and stack.shape == (size, 3, 6)
+        last = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, size - 1]]
+        assert stack[-1].tolist() == last
 
 
 class TestSampling:
@@ -478,7 +491,7 @@ class TestPackedEnumeration:
         pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
         for w in range(1, k):
             for stack in echelon_stacks(k, w, 2):
-                got = pairing.saturate_stack(stack)
+                got = per_basis_saturations(pairing, stack)
                 want = [saturate(inst.splitting, [inst.combine(row) for row in b]) for b in stack]
                 assert got == want
         got, widths = packed_probe_widths(lambda: _rational_candidates.__wrapped__(inst))
@@ -487,3 +500,136 @@ class TestPackedEnumeration:
         if max(degrees) >= 30:  # and its rows took more than one word
             assert max(widths) > 64
 
+
+
+def small_enumeration(data, qs, max_k, limit=1200):
+    """A drawn (q, k), 2 <= k <= max_k, whose subspaces number at most limit.
+
+    k = 1 has no subspace dimension besides 0 and k, so no stacked saturation.
+    """
+    q = data.draw(st.sampled_from(qs))
+    top = max(k for k in range(2, max_k + 1) if _subspace_count(k, q) <= limit)
+    return q, data.draw(st.integers(2, top))
+
+
+class TestPerBasisWalk:
+    """The walk over each stack's distinct saturations against the walk over every basis."""
+
+    @given(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=4),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_basis_walk(self, degrees, data, seed):
+        # witness bases included: Candidate equality compares them
+        q, k = small_enumeration(data, [2, 3, 5, 101], 4)
+        inst = random_instance(degrees, k, q, seed, zero_at_infinity=data.draw(st.booleans()))
+        if inst is None:
+            return
+        assert _rational_candidates.__wrapped__(inst) == per_basis_candidates(inst)
+
+
+# budgets of one matrix per elimination, of a few matrices, and the default
+BUDGETS = [1, 40, exactmath.STACK_CELLS]
+
+
+def held_entries(run):
+    """run()'s result and (entries held, entries of one matrix) of each stacked elimination.
+
+    Every binding of ``stacked_rank`` and ``packed_rank`` in the package is
+    wrapped, so the calls the eliminations make of each other count too.
+    """
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("cohsys.")]
+    with contextlib.ExitStack() as patches:
+        for name in ("stacked_rank", "packed_rank"):
+            real = getattr(exactmath, name)
+
+            def recorded(*args, real=real):
+                stack = args[-1]
+                calls.append((stack.size, stack[0].size if len(stack) else 0))
+                return real(*args)
+
+            for mod in modules:
+                if getattr(mod, name, None) is real:
+                    patches.enter_context(mock.patch.object(mod, name, recorded))
+        return run(), calls
+
+
+class TestStackBudget:
+    """Answers do not depend on the budget of entries per stacked elimination,
+    and no elimination holds more than the budget or one matrix."""
+
+    @given(
+        st.lists(st.integers(-1, 5), min_size=1, max_size=4),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_answers_match_under_every_budget(self, degrees, data, seed):
+        q, k = small_enumeration(data, [2, 3, 101], 3, limit=200)
+        inst = random_instance(degrees, k, q, seed, zero_at_infinity=data.draw(st.booleans()))
+        if inst is None:
+            return
+        answers = []
+        for cells in BUDGETS:
+            with mock.patch.object(exactmath, "STACK_CELLS", cells):
+                pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
+                sats = [
+                    per_basis_saturations(pairing, stack)
+                    for w in range(1, k)
+                    for stack in echelon_stacks(k, w, q)
+                ]
+                # per basis, whatever stacks the budget makes
+                sats = [sat for stack in sats for sat in stack]
+                answers.append((_rational_candidates.__wrapped__(inst), sats))
+        assert answers[0] == answers[1] == answers[2]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_chunks_of_one_take_the_lone_paths(self, q):
+        # a budget of one entry ranks each probe's twist matrices one at a
+        # time: packed over F_2, through FieldMatrix.rank otherwise; the
+        # whole space (w = k = 3 < n) is saturated unpacked at every q
+        inst = sample_instance(4, 8, 3, q, 1)
+        lone = []
+        real = bundles._twist_kernel_dimension
+
+        def recorded(field, stack, cols=None):
+            lone.append((len(stack), cols is not None))
+            return real(field, stack, cols)
+
+        want = _rational_candidates.__wrapped__(inst)
+        with mock.patch.object(exactmath, "STACK_CELLS", 1):
+            with mock.patch.object(bundles, "_twist_kernel_dimension", recorded):
+                with mock.patch.object(
+                    FieldMatrix, "rank", autospec=True, side_effect=FieldMatrix.rank
+                ) as rank:
+                    assert _rational_candidates.__wrapped__(inst) == want
+        assert lone and {count for count, _ in lone} == {1}
+        assert {packed for _, packed in lone} == ({True, False} if q == 2 else {False})
+        # each unpacked lone matrix is ranked by FieldMatrix.rank
+        assert rank.call_count >= sum(not packed for _, packed in lone)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_a_small_budget_bounds_every_elimination(self, q):
+        inst = sample_instance(3, 6, 3, q, 1)
+        want = _rational_candidates.__wrapped__(inst)
+        with mock.patch.object(exactmath, "STACK_CELLS", 64):
+            got, calls = held_entries(lambda: _rational_candidates.__wrapped__(inst))
+        assert got == want
+        assert all(held <= max(64, one) for held, one in calls)
+        assert any(held > one for held, one in calls)  # some eliminations stack matrices
+
+    def test_default_budget_bounds_a_line_stack(self):
+        # the 10303 lines of F_101^3 fit one stack of bases, whose probes
+        # are ranked in chunks
+        inst = sample_instance(3, 6, 3, 101, 1)
+        pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
+        (stack,) = echelon_stacks(3, 1, 101)
+        assert len(stack) == 10303
+        got, calls = held_entries(lambda: per_basis_saturations(pairing, stack))
+        assert got == per_basis_saturations(pairing, stack)
+        cells = exactmath.STACK_CELLS
+        assert all(held <= max(cells, one) for held, one in calls)
+        assert any(held > cells // 2 for held, _ in calls)  # chunks fill the budget
