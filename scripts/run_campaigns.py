@@ -40,11 +40,12 @@ def run(cfg: VerifyCampaignConfig, label: str) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=positive_int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+    # a config's class attributes are its field defaults
+    parser.add_argument("--trials", type=positive_int, default=VerifyCampaignConfig.trials)
+    parser.add_argument("--seed", type=int, default=VerifyCampaignConfig.seed)
     # every k = 2 family starts at d = 1, so a positive bound always tests a cell
     parser.add_argument("--d-max", type=positive_int, default=24)
-    parser.add_argument("--q", type=prime_modulus, default=101)
+    parser.add_argument("--q", type=prime_modulus, default=VerifyCampaignConfig.q)
     args = parser.parse_args()
 
     ok = True

@@ -324,13 +324,18 @@ class SectionPairing:
     def _point_values(self) -> np.ndarray:
         """Shape (k, 3, n): section l's component values at (1 : 0), (0 : 1) and (1 : 1).
 
-        Only spans of two or more sections read them, so they are built on first use.
+        A form's value at (1 : 0) is its first coefficient, at (0 : 1) its
+        last, and at (1 : 1) the sum of its coefficients mod q; a zero form's
+        are all 0.  Only spans of two or more sections read them, so they are
+        built on first use.
         """
-        points = ((1, 0), (0, 1), (1, 1))
-        return np.array(
-            [[[f.evaluate(b, c) for f in s] for b, c in points] for s in self.sections],
-            dtype=np.int64,
-        ).reshape(len(self.sections), 3, self.e.rank)
+        q = self.field.q
+        values = [
+            [(f.coeffs[0], f.coeffs[-1], sum(f.coeffs) % q) if f.coeffs else (0, 0, 0) for f in s]
+            for s in self.sections
+        ]
+        values = np.array(values, dtype=np.int64).reshape(len(values), self.e.rank, 3)
+        return values.transpose(0, 2, 1)
 
     def at(self, j: int) -> np.ndarray:
         """M_j(V), shape (k, max(0, j + 1), cols) with cols = h0(E*(j)).
@@ -411,9 +416,12 @@ class SectionPairing:
             for start in range(0, len(live), size):
                 chunk = live[start : start + size]
                 if q == 2:
-                    # (N, w, k, rows, words) -> (N, w, rows, words): XOR the picked blocks
-                    picked = bits[chunk][:, :, :, None, None] * pairing
-                    stack = np.bitwise_xor.reduce(picked, axis=2)
+                    # XOR in the blocks each row of B picks, one section at a time,
+                    # so the chunk's (N, w, rows, words) stack is the largest array
+                    picks = bits[chunk]
+                    stack = np.zeros((len(chunk), w, rows, width), dtype=np.uint64)
+                    for l, block in enumerate(pairing):
+                        stack ^= picks[:, :, l, None, None] * block
                 else:
                     stack = stacked_combination(bases[chunk], pairing, q)
                 stack = stack.reshape(len(chunk), w * rows, width)

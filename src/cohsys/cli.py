@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import NoReturn
 
@@ -318,19 +318,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    names = {field.name for field in fields(VerifyCampaignConfig)}
+    options = {name: value for name, value in vars(args).items() if name in names}
     cfg = VerifyCampaignConfig(
-        n_values=_parse_range(args.n),
-        d_values=_parse_range(args.d),
-        k_values=_parse_range(args.k),
-        q=args.q,
-        trials=args.trials,
-        seed=args.seed,
-        alpha_rule=args.alpha_rule,
-        alphas=args.alphas,
-        min_stable_frac=args.min_stable_frac,
-        empty_samples=args.empty_samples,
-        force_large=args.force_large,
-        require_generation=args.require_generation,
+        _parse_range(args.n), _parse_range(args.d), _parse_range(args.k), **options
     )
     if cfg.alpha_rule == "explicit" and not cfg.alphas:
         raise ValueError("--alpha-rule explicit needs --alphas")
@@ -409,21 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("verify", help="randomized agreement campaign")
+    # the defaults are VerifyCampaignConfig's: an option not given is left out
+    p = sub.add_parser(
+        "verify", help="randomized agreement campaign", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--n", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--q", type=prime_modulus, default=101)
-    p.add_argument("--trials", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--alpha-rule",
-        choices=["interval-midpoint", "cell-midpoints", "explicit"],
-        default="interval-midpoint",
-    )
-    p.add_argument("--alphas", type=fractions, default=(), help="comma-separated exact fractions")
-    p.add_argument("--min-stable-frac", type=unit_fraction, default=Fraction(4, 5))
-    p.add_argument("--empty-samples", type=nonnegative_int, default=10)
+    p.add_argument("--q", type=prime_modulus)
+    p.add_argument("--trials", type=positive_int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--alpha-rule", choices=["interval-midpoint", "cell-midpoints", "explicit"])
+    p.add_argument("--alphas", type=fractions, help="comma-separated exact fractions")
+    p.add_argument("--min-stable-frac", type=unit_fraction)
+    p.add_argument("--empty-samples", type=nonnegative_int)
     p.add_argument("--force-large", action="store_true")
     p.add_argument("--require-generation", action="store_true")
     p.set_defaults(func=_cmd_verify)

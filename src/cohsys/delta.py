@@ -73,17 +73,14 @@ def delta_formula(a: int, t: int) -> int:
 
 def _pencil_coefficient_matrices(
     first: Sequence[BinaryForm], second: Sequence[BinaryForm], slot_degree: int
-) -> tuple[np.ndarray, np.ndarray]:
-    nrows = slot_degree + 1
-    ncols = len(first)
-    A = np.zeros((nrows, ncols), dtype=np.int64)
-    B = np.zeros((nrows, ncols), dtype=np.int64)
-    for c, (f, fp) in enumerate(zip(first, second)):
-        if not f.is_zero:
-            A[:, c] = f.coeffs
-        if not fp.is_zero:
-            B[:, c] = fp.coeffs
-    return A, B
+) -> np.ndarray:
+    """The two families' coefficient matrices A and B, stacked: shape (2, slot_degree + 1, t)."""
+    pencil = np.zeros((2, slot_degree + 1, len(first)), dtype=np.int64)
+    for m, family in enumerate((first, second)):
+        for c, f in enumerate(family):
+            if not f.is_zero:
+                pencil[m, :, c] = f.coeffs
+    return pencil
 
 
 def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
@@ -103,7 +100,7 @@ def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
             f"refusing to scan {q + 1} rational points over F_{q} "
             f"(limit {COST_GUARD_MAX_SUBSPACES}); pass allow_large=True / --force-large"
         )
-    pencil = np.stack(_pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1))
+    pencil = _pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1)
     least = inp.t
     size = stack_size(pencil[0].size)
     for start in range(0, q + 1, size):

@@ -3,12 +3,14 @@
 Conventions used throughout the package:
 
 * Scalars over F_q are plain integers in [0, q); a ``PrimeField`` carries the
-  modulus and supplies inverses.  q must be prime (validated once).
+  modulus.  q must be prime (validated once).
 * A binary form of degree d is a homogeneous polynomial in (x, y); its
   coefficient tuple has length d + 1 and index i holds the coefficient of
   x**(d-i) * y**i (big-endian in x).  The zero form is the empty tuple,
   reported as degree -1, so matrices of forms can keep fixed per-slot degree
-  profiles while allowing zero entries.
+  profiles while allowing zero entries.  A form carries data only: its value
+  at (1 : 0) is its first coefficient, at (0 : 1) its last, and the power of
+  y dividing it is its count of leading zeros.
 * Rationals are ``fractions.Fraction``: exact, always in lowest terms.
 
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
@@ -84,8 +86,9 @@ class BinaryForm:
 
     ``coeffs[i]`` multiplies x**(d-i) * y**i.  The all-zero coefficient vector
     collapses to the canonical zero form ``()`` of degree -1.  A form carries
-    data, evaluation and valuation only: products of forms happen inside the
-    eliminations, and sums of sections in ``bundles.combine_sections``.
+    data only: products of forms happen inside the eliminations, sums of
+    sections in ``bundles.combine_sections``, and its callers read values and
+    powers of y straight off the coefficients.
     """
 
     field: PrimeField
@@ -110,23 +113,6 @@ class BinaryForm:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def evaluate(self, b: int, c: int) -> int:
-        """Value at the point (b : c), as a residue."""
-        q = self.field.q
-        b %= q
-        c %= q
-        d = self.degree
-        acc = 0
-        for i, coeff in enumerate(self.coeffs):
-            acc = (acc + coeff * pow(b, d - i, q) * pow(c, i, q)) % q
-        return acc
-
-    def y_valuation(self) -> int:
-        """Largest power of y dividing the form (None-free: zero form rejected)."""
-        if self.is_zero:
-            raise ValueError("zero form has no y-valuation")
-        return _leading_zeros(self.coeffs)
 
 
 @dataclass(eq=False)
@@ -448,7 +434,7 @@ def vanishing_divisor_degree(forms: Iterable[BinaryForm]) -> int:
     for f in forms:
         if f.is_zero:
             continue
-        v = f.y_valuation()
+        v = _leading_zeros(f.coeffs)
         y_part = v if y_part is None else min(y_part, v)
         a, b = f.coeffs[v:], g
         while b:

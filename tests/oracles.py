@@ -3,7 +3,8 @@
 The program never calls these.  Each is written the plain way, with loops
 over coefficients or a direct enumeration, so that it does not share the
 shortcuts of the code it checks: form arithmetic and splitting types from
-unsorted degrees for building test inputs, the per-component sum behind
+unsorted degrees for building test inputs, the value of a form at a point
+behind ``SectionPairing._point_values``, the per-component sum behind
 ``combine_sections``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
@@ -50,6 +51,13 @@ def mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         for j, b in enumerate(g.coeffs):
             out[i + j] += a * b
     return BinaryForm(f.field, tuple(out))
+
+
+def evaluate(f: BinaryForm, b: int, c: int) -> int:
+    """f(b, c) mod q, term by term: the zero form is 0 everywhere."""
+    q = f.field.q
+    d = f.degree
+    return sum(coeff * b ** (d - i) * c ** i for i, coeff in enumerate(f.coeffs)) % q
 
 
 def compose_linear(f: BinaryForm, m00: int, m01: int, m10: int, m11: int) -> BinaryForm:
@@ -141,7 +149,7 @@ def evaluation_rank_at_point(inst, b: int, c: int) -> int:
     q = inst.q
     if b % q == 0 and c % q == 0:
         raise ValueError("(0, 0) is not a projective point")
-    rows = [[f.evaluate(b, c) for f in s] for s in inst.sections]
+    rows = [[evaluate(f, b, c) for f in s] for s in inst.sections]
     return FieldMatrix.from_rows(inst.field, rows).rank()
 
 

@@ -34,6 +34,7 @@ from cohsys.stability import sample_instance
 from oracles import (
     componentwise_sum,
     endomorphism_type,
+    evaluate,
     lockstep_scan,
     mul,
     per_basis_saturations,
@@ -395,6 +396,37 @@ class TestSectionPairing:
         assert bundles._twist_kernel_dimension(PrimeField(2), words, cols).tolist() == [want]
 
     @given(
+        st.lists(st.integers(-3, 5), min_size=1, max_size=4),
+        st.sampled_from([2, 3, 101]),
+        st.integers(2, 4),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_point_values_match_evaluation(self, degrees, q, k, data):
+        # zero components, forms divisible by x (last coefficient 0) or by y
+        # (first coefficient 0), and the zero components of negative summands
+        field = PrimeField(q)
+        t = splitting_type(*degrees)
+
+        def component(a):
+            kind = data.draw(st.sampled_from(["zero", "x", "y", "any"]))
+            if a < 0 or kind == "zero":
+                return BinaryForm.zero(field)
+            coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=a + 1, max_size=a + 1))
+            if kind == "x":
+                coeffs[-1] = 0
+            elif kind == "y":
+                coeffs[0] = 0
+            return BinaryForm(field, tuple(coeffs))
+
+        sections = [tuple(component(a) for a in t) for _ in range(k)]
+        got = SectionPairing(field, t, sections)._point_values
+        points = [(1, 0), (0, 1), (1, 1)]
+        want = [[[evaluate(f, b, c) for f in s] for b, c in points] for s in sections]
+        assert got.shape == (k, 3, t.rank)
+        assert got.tolist() == want
+
+    @given(
         st.sampled_from(["uniform", "vanishing", "one-component"]),
         st.lists(st.integers(-1, 5), min_size=1, max_size=4),
         st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
@@ -439,7 +471,7 @@ class TestSectionPairing:
         sections = [(BinaryForm(F, (1, 100, 0)), ZERO), (ZERO, Y)]
         t = splitting_type(2, 1)
         for b, c in [(1, 0), (0, 1), (1, 1)]:
-            values = [[f.evaluate(b, c) for f in sec] for sec in sections]
+            values = [[evaluate(f, b, c) for f in sec] for sec in sections]
             assert FieldMatrix.from_rows(F, values).rank() == 1
         pairing = SectionPairing(F, t, sections)
         assert pairing._generic_ranks(np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]]])) == [2, 2]

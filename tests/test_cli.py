@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import cohsys
 from cohsys.cli import (
     TABLE_HEADER,
     VerifyCampaignConfig,
+    build_parser,
     main,
     run_verify_campaign,
 )
@@ -241,6 +243,60 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert all(c["violations"] == 0 for c in report["cells"])
+
+
+def verify_config(monkeypatch, capsys, *options):
+    """The config ``cohsys verify --n 2..3 --d 4 --k 1..2`` builds with these options."""
+    import cohsys.cli as cli_mod
+
+    built = []
+
+    def campaign(cfg):
+        built.append(cfg)
+        return {"config": cfg.to_json_dict(), "cells": [], "all_agree": True}
+
+    monkeypatch.setattr(cli_mod, "run_verify_campaign", campaign)
+    code = main(["verify", "--n", "2..3", "--d", "4", "--k", "1..2", *options])
+    capsys.readouterr()
+    assert code == 0
+    (cfg,) = built
+    return cfg
+
+
+# one value other than the default for each option of verify, and its field
+VERIFY_OPTIONS = [
+    (["--q", "7"], "q", 7),
+    (["--trials", "3"], "trials", 3),
+    (["--seed", "5"], "seed", 5),
+    (["--alpha-rule", "cell-midpoints"], "alpha_rule", "cell-midpoints"),
+    (["--alphas", "1/2,3"], "alphas", (Fraction(1, 2), Fraction(3))),
+    (["--min-stable-frac", "1/3"], "min_stable_frac", Fraction(1, 3)),
+    (["--empty-samples", "0"], "empty_samples", 0),
+    (["--force-large"], "force_large", True),
+    (["--require-generation"], "require_generation", True),
+]
+
+
+class TestVerifyConfig:
+    """``VerifyCampaignConfig`` is the one definition of the verify defaults."""
+
+    def test_no_options_give_the_config_defaults(self, monkeypatch, capsys):
+        cfg = verify_config(monkeypatch, capsys)
+        assert cfg == VerifyCampaignConfig((2, 3), (4,), (1, 2))
+
+    @pytest.mark.parametrize("options,name,value", VERIFY_OPTIONS)
+    def test_each_option_sets_only_its_field(self, monkeypatch, capsys, options, name, value):
+        cfg = verify_config(monkeypatch, capsys, *options)
+        assert cfg == replace(VerifyCampaignConfig((2, 3), (4,), (1, 2)), **{name: value})
+
+    def test_every_field_has_an_option(self):
+        names = [field.name for field in fields(VerifyCampaignConfig)]
+        assert names[3:] == [name for _, name, _ in VERIFY_OPTIONS]
+
+    def test_parser_states_no_default(self):
+        # an option not given leaves no attribute, so the config's default holds
+        args = build_parser().parse_args(["verify", "--n", "2", "--d", "2", "--k", "1"])
+        assert set(vars(args)) & {field.name for field in fields(VerifyCampaignConfig)} == set()
 
 
 class TestDeltaCheckCommand:

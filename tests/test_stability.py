@@ -1,6 +1,7 @@
 import contextlib
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from cohsys.stability import (
 )
 from oracles import (
     echelon_bases,
+    evaluate,
     evaluation_rank_at_point,
     per_basis_candidates,
     per_basis_saturations,
@@ -440,7 +442,7 @@ class TestStackedEnumeration:
         inst = random_instance(degrees, k, q, seed, zero_at_infinity=True)
         if inst is None:
             return
-        assert all(f.evaluate(1, 0) == 0 for sec in inst.sections for f in sec)
+        assert all(evaluate(f, 1, 0) == 0 for sec in inst.sections for f in sec)
         assert _rational_candidates.__wrapped__(inst) == per_subspace_candidates(inst)
 
     @pytest.mark.parametrize("n,d,k,q", [(4, 14, 2, 101), (3, 3, 4, 5), (2, 2, 3, 31)])
@@ -620,6 +622,38 @@ class TestStackBudget:
         assert got == want
         assert all(held <= max(64, one) for held, one in calls)
         assert any(held > one for held, one in calls)  # some eliminations stack matrices
+
+    def test_packed_probe_memory_does_not_grow_with_the_sections(self):
+        # over F_2 a probe XORs the blocks its bases pick into one stack of
+        # at most the budget, one section at a time.  The same 84 planes
+        # among 3 or among 12 sections make the same probes, and the 9 unused
+        # sections may cost less than one budget; a (N, w, k, rows, words)
+        # product of every picked block would hold 9 more stacks
+        field = PrimeField(2)
+        rng = random.Random(0)
+        e = splitting_type(12, 12, 12)
+        sections = [
+            tuple(BinaryForm(field, tuple(rng.randrange(2) for _ in range(13))) for _ in e)
+            for _ in range(12)
+        ]
+        (planes,) = echelon_stacks(3, 2, 2)
+        planes = np.tile(planes, (12, 1, 1))
+        cells = 2**12
+        peaks, answers = [], []
+        for k in (3, 12):
+            bases = np.zeros((len(planes), 2, k), dtype=np.int64)
+            bases[:, :, :3] = planes
+            with mock.patch.object(exactmath, "STACK_CELLS", cells):
+                pairing = SectionPairing(field, e, sections[:k])
+                pairing.saturate_stack(bases)  # builds every twist's pairing, which is kept
+                tracemalloc.start()
+                try:
+                    answers.append(per_basis_saturations(pairing, bases))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert answers[0] == answers[1]
+        assert peaks[1] - peaks[0] < 8 * cells  # bytes: a budget of uint64 words
 
     def test_default_budget_bounds_a_line_stack(self):
         # the 10303 lines of F_101^3 fit one stack of bases, whose probes
