@@ -162,13 +162,27 @@ def _count_scan(
     deg N <= sum(found) + (rho - c)(-j - 1), and when that bound equals the
     floor it is deg N, which forces every unknown summand to be -j - 1.
 
+    Before the first step, one probe may read a map that sits balanced at its
+    floor.  Write floor = rho * beta + r with 0 <= r < rho, and let
+    J = -beta - 1.  Then h(J) = sum(max(0, b_i - beta)) >= deg N - rho * beta
+    >= r, with equality exactly when deg N = floor and every b_i >= beta;
+    for r <= 1 that leaves N = O(beta + 1)^r + O(beta)^(rho - r).  So every
+    live map with r <= 1 and J at least two steps past the base twist (one
+    step would be the lock-step's own first probe) is probed once at its J,
+    one probe per distinct J, unless the last-summand read below already
+    applies.  A map with h(J) = r leaves with that kernel; any other keeps
+    h(J), and the lock-step probe at J reads it instead of ranking the map
+    again.  The last-summand read never needs it: while J lies ahead, the
+    found summands are all >= beta + 2, so that read's twist j* is above J.
+    So no map is probed twice at one twist.
+
     Once a single map is left with one summand b_rho to find, one probe reads
     it.  With b_1 ... b_{rho-1} known, j* = sum(b_i) - floor is at least
     -b_rho, so every summand of N(j*) has sections and
     b_rho = h(j*) - sum_{i<rho}(b_i + j* + 1) - j* - 1.  It must lie in
     [-j*, -j), below every twist j already probed (hence b_rho <= b_{rho-1}).
-    That bound, the window bound and a degree bound below the floor are
-    tripwires only; failing one would signal a bug, not bad input.
+    That bound, the window bound and a degree bound below the floor (h(J) < r
+    is one) are tripwires only; failing one would signal a bug, not bad input.
     """
     bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
     window_hi = 2 * bound + 2
@@ -193,6 +207,30 @@ def _count_scan(
         return not (unknown and slack)
 
     live = [m for m, rho in enumerate(rhos) if rho > 0 and not finished(m)]
+    # held[J][m] is h(J) of map m, probed by the balanced read
+    held: dict[int, dict[int, int]] = {}
+    # a lone map of rank one goes straight to the last-summand read
+    if not (len(live) == 1 and rhos[live[0]] == 1):
+        # rho -> (beta, r) for each kernel rank the balanced read applies to
+        balanced: dict[int, tuple[int, int]] = {}
+        for rho, floor in floors.items():
+            beta, r = divmod(floor, rho)
+            if r <= 1 and -beta - 1 >= j + 2:
+                balanced[rho] = (beta, r)
+        reads: dict[int, list[int]] = {}
+        for m in live:
+            if rhos[m] in balanced:
+                reads.setdefault(-balanced[rhos[m]][0] - 1, []).append(m)
+        for twist, group in reads.items():
+            held[twist] = dict(zip(group, probe(group, twist).tolist()))
+            for m, h in held[twist].items():
+                beta, r = balanced[rhos[m]]
+                if h < r:
+                    raise RuntimeError("kernel degree bound lies below its floor; elimination bug")
+                if h == r:
+                    degrees[m] = [beta + 1] * r + [beta] * (rhos[m] - r)
+        if reads:
+            live = [m for m in live if not degrees[m]]
     while live:
         if len(live) == 1 and prev_c[live[0]] == rhos[live[0]] - 1:
             (m,) = live
@@ -209,7 +247,15 @@ def _count_scan(
         j += 1
         if j > window_hi:
             raise RuntimeError("kernel probe counts failed to stabilize inside the safe window")
-        for m, h in zip(live, probe(live, j).tolist()):
+        counts = held.pop(j, None)
+        if counts is None:
+            hs = probe(live, j).tolist()
+        else:
+            fresh = [m for m in live if m not in counts]
+            if fresh:
+                counts.update(zip(fresh, probe(fresh, j).tolist()))
+            hs = [counts[m] for m in live]
+        for m, h in zip(live, hs):
             c = h - prev_h[m]
             if c < prev_c[m]:
                 raise RuntimeError("kernel probe counts are not monotone; elimination bug")
@@ -363,26 +409,29 @@ class SectionPairing:
         generic rank, itself at most min(w, n).  So values of full rank at
         (1 : 0), (0 : 1) or (1 : 1) settle it; the Bareiss elimination
         decides the rest, with no second look at (1 : 0) through
-        ``generic_rank``.  The N spans' values at the three points are 3N
-        matrices of shape w x n, built in one combination and ranked
-        ``stack_size(w * n)`` at a time.  The sections of all the spans left
-        to the elimination are built in one combination too.
+        ``generic_rank``.  The values of ``stack_size(3 * w * n)`` spans at
+        the three points, three w x n matrices each, are built in one
+        combination and ranked in one elimination.  The sections of the spans
+        left to the elimination are built ``stack_size(w * h0(E))`` spans at
+        a time, so no array holds more than ``STACK_CELLS`` entries or one
+        span.
         """
         count, w, k = bases.shape
-        n = self.e.rank
-        # (N, w, 3, n) -> (N, 3, w, n): one w x n value matrix per span and point
-        values = stacked_combination(bases, self._point_values, self.field.q)
-        values = values.transpose(0, 2, 1, 3).reshape(3 * count, w, n)
-        size = stack_size(w * n)
-        ranks = np.concatenate(
-            [stacked_rank(self.field, values[i : i + size]) for i in range(0, 3 * count, size)]
-        )
-        ranks = ranks.reshape(count, 3).max(axis=1).tolist()
+        n, q = self.e.rank, self.field.q
+        ranks: list[int] = []
+        size = stack_size(3 * w * n)
+        for start in range(0, count, size):
+            # (N, w, 3, n) -> (N, 3, w, n): one w x n value matrix per span and point
+            values = stacked_combination(bases[start : start + size], self._point_values, q)
+            values = values.transpose(0, 2, 1, 3).reshape(-1, w, n)
+            ranks += stacked_rank(self.field, values).reshape(-1, 3).max(axis=1).tolist()
         fallback = [m for m in range(count) if ranks[m] < min(w, n)]
-        if fallback:
-            coeffs = bases[fallback].reshape(-1, k)  # w rows per span
+        size = stack_size(w * cohomology(self.e, 0)[0])
+        for start in range(0, len(fallback), size):
+            spans = fallback[start : start + size]
+            coeffs = bases[spans].reshape(-1, k)  # w rows per span
             rows = combine_sections(self.field, self.e, self.sections, coeffs)
-            for i, m in enumerate(fallback):
+            for i, m in enumerate(spans):
                 ranks[m] = _bareiss(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees)[0]
         return ranks
 

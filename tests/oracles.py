@@ -222,8 +222,9 @@ def per_basis_candidates(inst):
 def lockstep_scan(source, target, rhos, probe):
     """Kernel summand degrees of a stack of maps, stepping every twist to the end.
 
-    The scan of ``bundles._count_scan`` without its last-summand read: every
-    live map is probed at each twist j until its counts reach its rho.
+    The scan of ``bundles._count_scan`` without its floor exit, its balanced
+    read or its last-summand read: every live map is probed at each twist j
+    until its counts reach its rho.
     """
     j = -max(source.degrees) - 1
     degrees = [[] for _ in rhos]

@@ -512,6 +512,48 @@ def lockstep(run):
         return probe_count(run)
 
 
+def checked_scan(source, target, rhos, probe):
+    """``_count_scan``'s kernels, checked against ``lockstep_scan`` on the same probe.
+
+    Each map's twists are recorded under both scans.  A map is probed at most
+    once per twist, and at most one probe more than under the lock-step scan,
+    that one at its balanced twist J = -beta - 1, where floor = rho * beta + r.
+    A map whose kernel is balanced at its floor with r <= 1 and J at least two
+    steps past the base twist takes exactly one probe.
+    """
+
+    def traced(scan):
+        twists = [[] for _ in rhos]
+
+        def recorded(live, j):
+            for m in live:
+                twists[m].append(j)
+            return probe(live, j)
+
+        return scan(source, target, rhos, recorded), twists
+
+    got, twists = traced(_count_scan)
+    want, lockstep_twists = traced(lockstep_scan)
+    assert got == want
+    base = -source[0] - 1
+    for m, rho in enumerate(rhos):
+        if not rho:
+            continue
+        floor = source.degree - max_subbundle_degree(target, source.rank - rho)
+        beta, r = divmod(floor, rho)
+        assert len(set(twists[m])) == len(twists[m])
+        assert len([j for j in twists[m] if j != -beta - 1]) <= len(lockstep_twists[m])
+        if r <= 1 and -beta - 1 >= base + 2 and sum(got[m]) == floor and got[m][-1] >= beta:
+            assert len(twists[m]) == 1
+    return got
+
+
+def costed(run):
+    """run() with every kernel scan it makes checked by ``checked_scan``."""
+    with mock.patch.object(bundles, "_count_scan", checked_scan):
+        return run()
+
+
 def shared_root_sections(field, t, k, rng, kind):
     """k random sections of type t; under "shared-root" every component is a
     multiple of one product of one or two linear forms, so the saturation of
@@ -561,10 +603,9 @@ class TestLastSummandRead:
             run = lambda: kernel_splitting(source, t, entries)
         else:
             run = lambda: saturate(t, sections)
-        got, probes = probe_count(run)
-        want, lockstep_probes = lockstep(run)
+        got = costed(run)
+        want, _ = lockstep(run)
         assert got == want
-        assert len(probes) <= len(lockstep_probes)
 
     @given(
         st.lists(st.integers(0, 5), min_size=2, max_size=4),
@@ -594,10 +635,9 @@ class TestLastSummandRead:
         if not bases:
             return
         run = lambda: per_basis_saturations(SectionPairing(field, t, sections), np.array(bases))
-        got, probes = probe_count(run)
-        want, lockstep_probes = lockstep(run)
+        got = costed(run)
+        want, _ = lockstep(run)
         assert got == want
-        assert len(probes) <= len(lockstep_probes)
 
     def test_rank_one_kernel_takes_one_probe(self):
         run = lambda: kernel_splitting(splitting_type(-1, -1), splitting_type(0), [[X, Y]])
@@ -620,7 +660,9 @@ class TestLastSummandRead:
         # in O(3) + O(3), the pairing of (x^3, 0) has kernel O(-3), found at
         # j = 3; (x^3, x y^2) = x (x^2, y^2) has kernel O(-5), above the floor
         # -6, so it is left alone and read in one probe at j* = 6, where the
-        # lock-step scan steps through j = 4 and 5
+        # lock-step scan steps through j = 4 and 5.  Neither kernel sits at the
+        # floor, so the balanced read at J = 5 settles neither, and neither
+        # map reaches j = 5 in the lock-step that follows
         t = splitting_type(3, 3)
         x3 = mul(mul(X, X), X)
         sections = [(x3, mul(mul(X, Y), Y)), (x3, ZERO)]
@@ -628,10 +670,10 @@ class TestLastSummandRead:
         run = lambda: per_basis_saturations(pairing, np.array([[[0, 1]], [[1, 0]]]))
         got, probes = probe_count(run)
         want, lockstep_probes = lockstep(run)
-        assert got == want
+        assert got == want == costed(run)
         assert [r.degree for r in got] == [3, 1]
         assert probes[-1] == 1 and probes[0] == 2
-        assert probe_twists(run)[1] == [(3, 2), (6, 1)]
+        assert probe_twists(run)[1] == [(5, 2), (3, 2), (6, 1)]
         assert lockstep_probes == [2, 1, 1]
 
     def test_floor_tripwire(self):
@@ -653,16 +695,16 @@ class TestFloorExit:
 
     def test_generic_section_leaves_at_the_floor(self):
         # one generic section of O(8)^3: the kernel O(-12)^2 of its pairing
-        # has degree -24, the floor; after j = 11 both summands are known to
-        # be <= -12, so the scan ends there, where the lock-step scan reads
-        # them at j = 12
+        # has degree -24 = 2 * (-12) + 0, the floor, so it is balanced there:
+        # one probe at J = 11 reads h(11) = 0 = r, where the lock-step scan
+        # steps from j = 8 and reads the summands at j = 12
         rng = random.Random(0)
         t = splitting_type(8, 8, 8)
         section = tuple(rand_form(rng, 8) for _ in range(3))
         run = lambda: saturate(t, [section])
         sat, twists = probe_twists(run)
         assert sat.quotient_type == splitting_type(12, 12)
-        assert twists == [(8, 1), (9, 1), (10, 1), (11, 1)]
+        assert twists == [(11, 1)]
         with mock.patch.object(bundles, "_count_scan", lockstep_scan):
             want, lockstep_twists = probe_twists(run)
         assert want == sat
@@ -676,7 +718,9 @@ class TestFloorExit:
     @settings(max_examples=300, deadline=None)
     def test_scan_matches_a_fake_kernel(self, source, target, data):
         # each map's kernel N has rho summands <= max(source) and degree at
-        # least the floor; "at floor" lowers its last summand to meet it
+        # least the floor; "at floor" lowers its last summand to meet it, and
+        # "balanced" is O(beta + 1)^r + O(beta)^(rho - r) with floor =
+        # rho * beta + r, for r = 0, 1 or more
         source, target = splitting_type(*source), splitting_type(*target)
         top = source[0]
         kernels = []
@@ -684,37 +728,53 @@ class TestFloorExit:
             rho = data.draw(st.integers(max(1, source.rank - target.rank), source.rank))
             floor = source.degree - max_subbundle_degree(target, source.rank - rho)
             assume(rho * top >= floor)  # else no such map exists
+            shape = data.draw(st.sampled_from(["any", "at floor", "balanced"]), label="shape")
+            if shape == "balanced":
+                beta, r = divmod(floor, rho)
+                kernels.append([beta + 1] * r + [beta] * (rho - r))
+                continue
             drops = data.draw(st.lists(st.integers(0, 6), min_size=rho, max_size=rho))
             kern = sorted((top - d for d in drops), reverse=True)
             while sum(kern) < floor:
                 kern[kern.index(min(kern))] += 1
-            if data.draw(st.booleans(), label="at floor"):
+            if shape == "at floor":
                 kern[-1] -= sum(kern) - floor
             kernels.append(kern)
 
         def probe(live, j):
             return np.array([sum(max(0, b + j + 1) for b in kernels[m]) for m in live])
 
-        def recorded(scan):
-            calls = []
-
-            def traced(live, j):
-                calls.append((j, set(live)))
-                return probe(live, j)
-
-            return scan(source, target, [len(k) for k in kernels], traced), calls
-
-        got, probes = recorded(_count_scan)
-        want, lockstep_probes = recorded(lockstep_scan)
+        rhos = [len(k) for k in kernels]
+        got = checked_scan(source, target, rhos, probe)
+        want = lockstep_scan(source, target, rhos, probe)
         assert got == want == kernels
-        live_at = dict(lockstep_probes)
-        prev = -top - 1
-        for n, (j, live) in enumerate(probes):
-            if j in live_at and live <= live_at[j]:
-                prev = j
-                continue
-            # only a last-summand read of a lone map jumps past the lock-step twists
-            assert n == len(probes) - 1 and len(live) == 1 and live <= live_at[prev + 1]
-        for m in range(len(kernels)):
-            taken = sum(m in live for _, live in probes)
-            assert taken <= sum(m in live for _, live in lockstep_probes)
+
+    @pytest.mark.parametrize(
+        "source, target, kernels, twists",
+        [
+            # floors -6 = 1 * (-6) + 0 and -3 = 2 * (-2) + 1: one probe at
+            # each J = 5 and J = 1, from the base twist -1
+            ((0, 0, 0), (3, 3), [[-6], [-1, -2]], [5, 1]),
+            # floors -10 = 2 * (-5) + 0 and -5 = 3 * (-2) + 1: two maps share J = 4
+            ((0, 0, 0, 0), (5, 5), [[-5, -5], [-1, -2, -2], [-5, -5]], [4, 1]),
+            # floor -7 = 3 * (-3) + 2: r = 2 is not read, and the floor exit
+            # ends the lock-step at j = 2
+            ((0, 0, 0, 0), (7,), [[-2, -2, -3]], [0, 1, 2]),
+        ],
+    )
+    def test_balanced_kernels_take_one_probe(self, source, target, kernels, twists):
+        # kernels balanced at their floors, checked against the lock-step scan
+        source, target = splitting_type(*source), splitting_type(*target)
+        rhos = [len(k) for k in kernels]
+        calls = []
+
+        def probe(live, j):
+            return np.array([sum(max(0, b + j + 1) for b in kernels[m]) for m in live])
+
+        def recorded(live, j):
+            calls.append(j)
+            return probe(live, j)
+
+        assert checked_scan(source, target, rhos, probe) == kernels
+        _count_scan(source, target, rhos, recorded)
+        assert calls == twists

@@ -532,6 +532,28 @@ class TestPerBasisWalk:
         assert _rational_candidates.__wrapped__(inst) == per_basis_candidates(inst)
 
 
+class TestKernelProbes:
+    def test_k2_probe_calls_stay_at_their_recorded_count(self):
+        # the kernel-scan probe calls of the k = 2 enumeration on nine cells:
+        # 29 with the balanced read of _count_scan, so a change that gives up
+        # part of its saving fails here
+        calls = []
+        real = bundles._count_scan
+
+        def recorded(source, target, rhos, probe):
+            def counted(live, j):
+                calls.append(j)
+                return probe(live, j)
+
+            return real(source, target, rhos, counted)
+
+        with mock.patch.object(bundles, "_count_scan", recorded):
+            for n in (3, 4, 5):
+                for d in (8, 16, 24):
+                    _rational_candidates.__wrapped__(sample_instance(n, d, 2, 101, 0))
+        assert len(calls) <= 29
+
+
 # budgets of one matrix per elimination, of a few matrices, and the default
 BUDGETS = [1, 40, exactmath.STACK_CELLS]
 
@@ -667,3 +689,30 @@ class TestStackBudget:
         cells = exactmath.STACK_CELLS
         assert all(held <= max(cells, one) for held, one in calls)
         assert any(held > cells // 2 for held, _ in calls)  # chunks fill the budget
+
+    def test_default_budget_bounds_the_generic_ranks_of_a_plane_stack(self):
+        # the 10303 planes of F_101^3 fit one stack of bases; their values at
+        # three points, 2 x 6 each, would fill one 370908-entry array, so
+        # they are built, like the sections of the spans left to Bareiss, a
+        # budget at a time.  A budget that holds the whole stack gives the
+        # same ranks
+        inst = sample_instance(6, 30, 3, 101, 1)
+        (bases,) = echelon_stacks(3, 2, 101)
+        sizes = []
+        real = bundles.stacked_combination
+
+        def recorded(*args):
+            out = real(*args)
+            sizes.append(out.size)
+            return out
+
+        def ranks():
+            return SectionPairing(inst.field, inst.splitting, inst.sections)._generic_ranks(bases)
+
+        with mock.patch.object(bundles, "stacked_combination", recorded):
+            got = ranks()
+        span = 2 * max(3 * inst.n, cohomology(inst.splitting, 0)[0])
+        assert len(bases) == 10303 and len(sizes) > 1
+        assert max(sizes) <= max(exactmath.STACK_CELLS, span)
+        with mock.patch.object(exactmath, "STACK_CELLS", 3 * 2 * 6 * len(bases)):
+            assert got == ranks()
