@@ -170,9 +170,11 @@ def _count_scan(
     live map with r <= 1 and J at least two steps past the base twist (one
     step would be the lock-step's own first probe) is probed once at its J,
     one probe per distinct J, unless the last-summand read below already
-    applies.  A map with h(J) = r leaves with that kernel; any other keeps
-    h(J), and the lock-step probe at J reads it instead of ranking the map
-    again.  The last-summand read never needs it: while J lies ahead, the
+    applies.  A map with h(J) = r leaves with that kernel.  A rank-one map
+    leaves whatever h(J) is: floor = beta and r = 0, and its kernel O(b) has
+    b >= beta, so h(J) = b - beta names it.  Any other map keeps h(J), and
+    the lock-step probe at J reads it instead of ranking the map again.  The
+    last-summand read never needs it: while J lies ahead, the
     found summands are all >= beta + 2, so that read's twist j* is above J.
     So no map is probed twice at one twist.
 
@@ -181,8 +183,9 @@ def _count_scan(
     -b_rho, so every summand of N(j*) has sections and
     b_rho = h(j*) - sum_{i<rho}(b_i + j* + 1) - j* - 1.  It must lie in
     [-j*, -j), below every twist j already probed (hence b_rho <= b_{rho-1}).
-    That bound, the window bound and a degree bound below the floor (h(J) < r
-    is one) are tripwires only; failing one would signal a bug, not bad input.
+    That bound, the window bound, a degree bound below the floor (h(J) < r
+    is one) and a rank-one kernel read above max(source) are tripwires only;
+    failing one would signal a bug, not bad input.
     """
     bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
     window_hi = 2 * bound + 2
@@ -227,7 +230,12 @@ def _count_scan(
                 beta, r = balanced[rhos[m]]
                 if h < r:
                     raise RuntimeError("kernel degree bound lies below its floor; elimination bug")
-                if h == r:
+                if rhos[m] == 1:
+                    # O(b) with b >= floor = beta, so h(J) = b - beta
+                    if beta + h > source[0]:
+                        raise RuntimeError("rank-one kernel lies above the source; elimination bug")
+                    degrees[m] = [beta + h]
+                elif h == r:
                     degrees[m] = [beta + 1] * r + [beta] * (rhos[m] - r)
         if reads:
             live = [m for m in live if not degrees[m]]

@@ -163,7 +163,8 @@ class Candidate:
 
     def slope(self, alpha: Fraction) -> Fraction:
         """The weighted slope (degree + alpha * dim W) / rank."""
-        return Fraction(self.degree + self.sections_dim * alpha, self.rank)
+        p, s = alpha.numerator, alpha.denominator
+        return Fraction(self.degree * s + self.sections_dim * p, self.rank * s)
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,23 @@ def subsystem_candidates(inst: SystemInstance, allow_large: bool = False) -> tup
 
 
 def total_slope(inst: SystemInstance, alpha: Fraction) -> Fraction:
-    return Fraction(inst.d, inst.n) + alpha * Fraction(inst.k, inst.n)
+    """The weighted slope (d + alpha * k) / n of the whole pair."""
+    p, s = alpha.numerator, alpha.denominator
+    return Fraction(inst.d * s + inst.k * p, inst.n * s)
+
+
+def _constraints(inst: SystemInstance, allow_large: bool) -> list[tuple[int, int, Candidate]]:
+    """(N, D, candidate) for each candidate, with N = n e - r d and D = r k - n w.
+
+    A candidate of rank r, degree e and section dimension w violates at the
+    weight alpha when (e + alpha w) / r >= (d + alpha k) / n, which clears to
+    the linear constraint N >= alpha D.
+    """
+    n, d, k = inst.n, inst.d, inst.k
+    return [
+        (n * cand.degree - cand.rank * d, cand.rank * k - n * cand.sections_dim, cand)
+        for cand in subsystem_candidates(inst, allow_large)
+    ]
 
 
 def is_alpha_stable(
@@ -345,36 +362,43 @@ def is_alpha_stable(
 
     Stability fails when any candidate slope reaches the total slope;
     semistability fails only on a strictly larger *rational* candidate (see
-    the module docstring for why that is sound).
+    the module docstring for why that is sound).  At alpha = p / s a
+    candidate reaches the total slope exactly when N s >= p D, and exceeds it
+    when N s > p D (``_constraints``), so each is decided by integer
+    cross-products.  Fractions are built only for the outputs: the slopes of
+    the violators, which choose and report the witness, and the total slope.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("weight must be >= 0")
-    mu = total_slope(inst, alpha)
+    p, s = alpha.numerator, alpha.denominator
     violators = []
-    for cand in subsystem_candidates(inst, allow_large):
-        slope = cand.slope(alpha)
-        if slope >= mu:
-            violators.append((slope, cand.basis is not None, cand))
-    semistable = not any(slope > mu and rational for slope, rational, _ in violators)
+    semistable = True
+    for num, den, cand in _constraints(inst, allow_large):
+        excess = num * s - p * den
+        if excess >= 0:
+            rational = cand.basis is not None
+            violators.append((cand.slope(alpha), rational, cand))
+            if excess and rational:
+                semistable = False
     # the first steepest violator, a rational one on a tie
     witness = max(violators, key=lambda v: v[:2])[2] if violators else None
-    return StabilityReport(alpha, not violators, semistable, mu, witness)
+    return StabilityReport(alpha, not violators, semistable, total_slope(inst, alpha), witness)
 
 
 def critical_alphas(inst: SystemInstance, allow_large: bool = False) -> list[Fraction]:
-    """Weights where some rational candidate slope crosses the total slope."""
-    n, d, k = inst.n, inst.d, inst.k
+    """Weights where some rational candidate slope crosses the total slope.
+
+    A rational candidate's constraint N >= alpha D is tight at alpha = N / D,
+    a weight only when D != 0 and N / D >= 0 (N D >= 0), so the fraction is
+    built for those alone.
+    """
     crits: set[Fraction] = set()
-    for cand in subsystem_candidates(inst, allow_large):
+    for num, den, cand in _constraints(inst, allow_large):
         if cand.basis is None:
             continue  # closure candidates have proportional invariants: no crossing
-        denom = cand.rank * k - n * cand.sections_dim
-        if denom == 0:
-            continue
-        alpha = Fraction(n * cand.degree - cand.rank * d, denom)
-        if alpha >= 0:
-            crits.add(alpha)
+        if den and num * den >= 0:
+            crits.add(Fraction(num, den))
     return sorted(crits)
 
 

@@ -9,18 +9,21 @@ behind ``SectionPairing._point_values``, the per-component sum behind
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
 at a point, the tuple-by-tuple generator of echelon bases, the candidate
-walk that reads every basis's saturation, the lock-step kernel scan with no
-last-summand read, the row-swapping numpy elimination for ranks, and the
-term-by-term sum behind ``stacked_combination``.
+walk that reads every basis's saturation, the verdict and critical weights
+from ``Fraction`` slopes, the lock-step kernel scan with no floor exit,
+balanced read, held rank-one read or last-summand read, the row-swapping
+numpy elimination for ranks, and the term-by-term sum behind
+``stacked_combination``.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
 from cohsys.exactmath import BinaryForm, FieldMatrix
-from cohsys.stability import Candidate, echelon_stacks
+from cohsys.stability import Candidate, StabilityReport, echelon_stacks, subsystem_candidates
 
 
 # -- binary forms --------------------------------------------------------------
@@ -216,6 +219,44 @@ def per_basis_candidates(inst):
     return tuple(best[key] for key in sorted(best))
 
 
+# -- verdicts ------------------------------------------------------------------
+
+
+def fraction_verdict(inst, alpha) -> StabilityReport:
+    """``is_alpha_stable(inst, alpha)`` by comparing ``Fraction`` slopes.
+
+    Every candidate's slope (e + alpha w) / r is built and compared with the
+    total slope (d + alpha k) / n: a slope that reaches it breaks stability,
+    and a rational one above it breaks semistability.  The witness is the
+    first steepest violator, a rational one on a tie.
+    """
+    alpha = Fraction(alpha)
+    mu = Fraction(inst.d, inst.n) + alpha * Fraction(inst.k, inst.n)
+    violators = []
+    for cand in subsystem_candidates(inst):
+        slope = Fraction(cand.degree + cand.sections_dim * alpha, cand.rank)
+        if slope >= mu:
+            violators.append((slope, cand.basis is not None, cand))
+    semistable = not any(slope > mu and rational for slope, rational, _ in violators)
+    witness = max(violators, key=lambda v: v[:2])[2] if violators else None
+    return StabilityReport(alpha, not violators, semistable, mu, witness)
+
+
+def fraction_critical_alphas(inst) -> list:
+    """``critical_alphas(inst)``: each rational candidate's crossing weight, if >= 0."""
+    crits = set()
+    for cand in subsystem_candidates(inst):
+        if cand.basis is None:
+            continue
+        denom = cand.rank * inst.k - inst.n * cand.sections_dim
+        if denom == 0:
+            continue
+        alpha = Fraction(inst.n * cand.degree - cand.rank * inst.d, denom)
+        if alpha >= 0:
+            crits.add(alpha)
+    return sorted(crits)
+
+
 # -- kernels -------------------------------------------------------------------
 
 
@@ -223,8 +264,8 @@ def lockstep_scan(source, target, rhos, probe):
     """Kernel summand degrees of a stack of maps, stepping every twist to the end.
 
     The scan of ``bundles._count_scan`` without its floor exit, its balanced
-    read or its last-summand read: every live map is probed at each twist j
-    until its counts reach its rho.
+    read, its held rank-one read or its last-summand read: every live map is
+    probed at each twist j until its counts reach its rho.
     """
     j = -max(source.degrees) - 1
     degrees = [[] for _ in rhos]

@@ -518,8 +518,9 @@ def checked_scan(source, target, rhos, probe):
     Each map's twists are recorded under both scans.  A map is probed at most
     once per twist, and at most one probe more than under the lock-step scan,
     that one at its balanced twist J = -beta - 1, where floor = rho * beta + r.
-    A map whose kernel is balanced at its floor with r <= 1 and J at least two
-    steps past the base twist takes exactly one probe.
+    A map whose J lies at least two steps past the base twist takes exactly
+    one probe when it has rank one (h(J) names its summand) or when its
+    kernel is balanced at its floor with r <= 1.
     """
 
     def traced(scan):
@@ -543,7 +544,8 @@ def checked_scan(source, target, rhos, probe):
         beta, r = divmod(floor, rho)
         assert len(set(twists[m])) == len(twists[m])
         assert len([j for j in twists[m] if j != -beta - 1]) <= len(lockstep_twists[m])
-        if r <= 1 and -beta - 1 >= base + 2 and sum(got[m]) == floor and got[m][-1] >= beta:
+        balanced = r <= 1 and sum(got[m]) == floor and got[m][-1] >= beta
+        if -beta - 1 >= base + 2 and (rho == 1 or balanced):
             assert len(twists[m]) == 1
     return got
 
@@ -657,29 +659,38 @@ class TestLastSummandRead:
         assert len(lockstep(run)[1]) == 17
 
     def test_stack_tail_goes_lone(self):
-        # in O(3) + O(3), the pairing of (x^3, 0) has kernel O(-3), found at
-        # j = 3; (x^3, x y^2) = x (x^2, y^2) has kernel O(-5), above the floor
-        # -6, so it is left alone and read in one probe at j* = 6, where the
-        # lock-step scan steps through j = 4 and 5.  Neither kernel sits at the
-        # floor, so the balanced read at J = 5 settles neither, and neither
-        # map reaches j = 5 in the lock-step that follows
-        t = splitting_type(3, 3)
-        x3 = mul(mul(X, X), X)
-        sections = [(x3, mul(mul(X, Y), Y)), (x3, ZERO)]
+        # in O(5)^3 both kernels have rank two and the floor -15 = 2 * (-8) + 1,
+        # so one balanced probe at J = 7 reads both maps and settles neither.
+        # The pairing of (x^5, 0, 0) has kernel O(-5)^2, found at j = 5;
+        # (x^5, x y^4, 0) has kernel O(-5) + O(-9), above the floor, so once
+        # its O(-5) is found it is left alone and its O(-9) is read in one
+        # probe at j* = -5 + 15 = 10, where the lock-step scan steps through
+        # j = 6 ... 9
+        t = splitting_type(5, 5, 5)
+        x5 = BinaryForm(F, (1, 0, 0, 0, 0, 0))
+        xy4 = BinaryForm(F, (0, 0, 0, 0, 1, 0))
+        sections = [(x5, xy4, ZERO), (x5, ZERO, ZERO)]
         pairing = SectionPairing(F, t, sections)
-        run = lambda: per_basis_saturations(pairing, np.array([[[0, 1]], [[1, 0]]]))
+        run = lambda: per_basis_saturations(pairing, np.array([[[1, 0]], [[0, 1]]]))
         got, probes = probe_count(run)
         want, lockstep_probes = lockstep(run)
         assert got == want == costed(run)
-        assert [r.degree for r in got] == [3, 1]
-        assert probes[-1] == 1 and probes[0] == 2
-        assert probe_twists(run)[1] == [(5, 2), (3, 2), (6, 1)]
-        assert lockstep_probes == [2, 1, 1]
+        assert [r.quotient_type for r in got] == [splitting_type(9, 5), splitting_type(5, 5)]
+        assert probe_twists(run)[1] == [(7, 2), (5, 2), (10, 1)]
+        assert probes == [2, 2, 1]
+        assert lockstep_probes == [2, 1, 1, 1, 1]
 
     def test_floor_tripwire(self):
         # a probe that reports no kernel sections at j* contradicts the floor
         with pytest.raises(RuntimeError, match="degree bounds"):
             _count_scan(splitting_type(-1, -1), splitting_type(0), [1], lambda live, j: np.zeros(1))
+
+    def test_rank_one_above_source_tripwire(self):
+        # O^3 -> O(3)^2: a rank-one kernel has floor -6, read at J = 5, where
+        # h(5) = 7 would name O(1), above the source's summands O(0)
+        source, target = splitting_type(0, 0, 0), splitting_type(3, 3)
+        with pytest.raises(RuntimeError, match="above the source"):
+            _count_scan(source, target, [1, 2], lambda live, j: np.full(len(live), 7))
 
     def test_below_floor_tripwire(self):
         # the kernel of the zero map O + O(-1) -> O is the source, of degree

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unittest import mock
@@ -40,6 +40,8 @@ from oracles import (
     echelon_bases,
     evaluate,
     evaluation_rank_at_point,
+    fraction_critical_alphas,
+    fraction_verdict,
     per_basis_candidates,
     per_basis_saturations,
     scale,
@@ -532,6 +534,64 @@ class TestPerBasisWalk:
         assert _rational_candidates.__wrapped__(inst) == per_basis_candidates(inst)
 
 
+def verdict_weights(crits):
+    """Every critical weight, each cell midpoint, one past the last, and huge terms.
+
+    Weights a 1/(10^25 + 7) step to either side of each cut test near-ties
+    with huge denominators; 1/10^20 and (10^30 + 1)/3 sit near 0 and far
+    past every cut.
+    """
+    cuts = [Fraction(0)] + [c for c in crits if c > 0]
+    step = Fraction(1, 10**25 + 7)
+    weights = set(crits) | {Fraction(0), cuts[-1] + 1, Fraction(1, 10**20), Fraction(10**30 + 1, 3)}
+    weights |= {(a + b) / 2 for a, b in zip(cuts, cuts[1:])}
+    weights |= {c + step for c in cuts} | {c - step for c in cuts if c > step}
+    return sorted(weights)
+
+
+class TestIntegerVerdict:
+    """The verdict by integer cross-products against the ``Fraction``-slope reference:
+    the same ``StabilityReport``, witness ``Candidate`` included, and the same
+    critical weights."""
+
+    @staticmethod
+    def check(inst):
+        crits = critical_alphas(inst)
+        assert crits == fraction_critical_alphas(inst)
+        for alpha in verdict_weights(crits):
+            assert is_alpha_stable(inst, alpha) == fraction_verdict(inst, alpha), alpha
+
+    @given(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fraction_slopes(self, degrees, k, q, seed):
+        inst = random_instance(degrees, k, q, seed)
+        if inst is None:
+            return
+        self.check(inst)
+
+    @given(
+        st.sampled_from([2, 4, 6]),
+        st.integers(1, 3),
+        st.integers(0, 5),
+        st.sampled_from([3, 5, 7, 11, 101]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 1, 2, 101, 0)  # (4, 6, 2): the closure candidate is the witness at 2
+    @settings(max_examples=60, deadline=None)
+    def test_matches_on_closure_cells(self, n, a, extra, q, seed):
+        # k = 2 on a balanced type of even rank and degree d >= n: the
+        # closure candidate is always among the candidates
+        d = n * a + extra % n
+        inst = sample_instance(n, d, 2, q, seed)
+        assert any(cand.basis is None for cand in subsystem_candidates(inst))
+        self.check(inst)
+
+
 class TestKernelProbes:
     def test_k2_probe_calls_stay_at_their_recorded_count(self):
         # the kernel-scan probe calls of the k = 2 enumeration on nine cells:
@@ -552,6 +612,26 @@ class TestKernelProbes:
                 for d in (8, 16, 24):
                     _rational_candidates.__wrapped__(sample_instance(n, d, 2, 101, 0))
         assert len(calls) <= 29
+
+    def test_rank_one_stack_probe_calls_stay_at_their_recorded_count(self):
+        # the kernel-scan probe calls of the enumeration of three generated
+        # (n, n, n + 1) pairs: 10 before a rank-one map read its summand from
+        # the balanced probe's h(J), 7 with it
+        calls = []
+        real = bundles._count_scan
+
+        def recorded(source, target, rhos, probe):
+            def counted(live, j):
+                calls.append(j)
+                return probe(live, j)
+
+            return real(source, target, rhos, counted)
+
+        insts = [sample_generating_instance(n, n, n + 1, q, 0) for n, q in ((2, 11), (3, 3), (4, 2))]
+        with mock.patch.object(bundles, "_count_scan", recorded):
+            for inst in insts:
+                _rational_candidates.__wrapped__(inst)
+        assert len(calls) <= 7
 
 
 # budgets of one matrix per elimination, of a few matrices, and the default
