@@ -140,6 +140,30 @@ def _twist_kernel_dimension(
     return cols - stacked_rank(field, stack)
 
 
+def _missing_summands(
+    rho: int, floor: int, found: int, rest: int, j: int, twist: int, h: int
+) -> list[int] | None:
+    """The kernel summands a count scan lacks, if h = h(twist) fixes them; else None.
+
+    The scan has probed up to twist j <= twist and found ``found`` of the rho
+    summands, each >= -j, which fall short of the floor by rest.
+    """
+    slack = h - floor - rho * (twist + 1)
+    if slack < 0:
+        raise RuntimeError("kernel degree bounds fall below its floor; elimination bug")
+    u = rho - found
+    if slack and u > 1:
+        return None
+    excess = rest + u * (twist + 1)
+    if u == 1 and excess >= 0:
+        if rest + slack > -j - 1:
+            raise RuntimeError("summand read above the source or a probed twist; elimination bug")
+        return [rest + slack]
+    if not slack and excess <= 1:
+        return [-twist] * excess + [-twist - 1] * (u - excess)
+    return None if u else []
+
+
 def _count_scan(
     source: SplittingType,
     target: SplittingType,
@@ -151,107 +175,73 @@ def _count_scan(
     ``probe(live, j)`` gives h(j), the kernel dimension on global sections at
     twist j, for the maps indexed by ``live``.  The first difference
     c(j) = h(j) - h(j-1) counts the kernel summands of degree >= -j.  Counts
-    start at zero below -max(source), are monotone, and end at the kernel
-    rank rho, so a map leaves the stack once its counts reach its rho.
+    start at zero at the base twist -max(source) - 1, are monotone, and end
+    at the kernel rank rho; the lock-step probes the live maps at each twist
+    after the base in turn.
 
     The image of a map is a rank g = rank(source) - rho subsheaf of the
-    target, so deg N >= floor = deg(source) - max_subbundle_degree(target, g).
-    After each probe at twist j, and once at the base twist before the first,
-    a map with c summands found leaves at the floor: its rho - c unknown
-    summands are each <= -j - 1, so
-    deg N <= sum(found) + (rho - c)(-j - 1), and when that bound equals the
-    floor it is deg N, which forces every unknown summand to be -j - 1.
+    target, so its kernel N = O(b_1) + ... + O(b_rho) has deg N >= floor =
+    deg(source) - max_subbundle_degree(target, g).  At every twist J,
+    h(J) = sum(max(0, b_i + J + 1)) >= deg N + rho * (J + 1), so
+    slack = h(J) - floor - rho * (J + 1) >= 0, with equality exactly when
+    deg N = floor and every b_i >= -J - 1.  After the lock-step's last twist
+    j, the u summands not yet found are each <= -j - 1 and have degree
+    >= rest = floor - sum(found) together.  With excess = rest + u(J + 1),
+    one h(J) at J >= j settles the map (``_missing_summands``): if u = 1 and
+    excess >= 0 the missing summand is rest + slack; if slack = 0 and
+    excess <= 1 they are excess copies of -J and the others -J - 1.
 
-    Before the first step, one probe may read a map that sits balanced at its
-    floor.  Write floor = rho * beta + r with 0 <= r < rho, and let
-    J = -beta - 1.  Then h(J) = sum(max(0, b_i - beta)) >= deg N - rho * beta
-    >= r, with equality exactly when deg N = floor and every b_i >= beta;
-    for r <= 1 that leaves N = O(beta + 1)^r + O(beta)^(rho - r).  So every
-    live map with r <= 1 and J at least two steps past the base twist (one
-    step would be the lock-step's own first probe) is probed once at its J,
-    one probe per distinct J, unless the last-summand read below already
-    applies.  A map with h(J) = r leaves with that kernel.  A rank-one map
-    leaves whatever h(J) is: floor = beta and r = 0, and its kernel O(b) has
-    b >= beta, so h(J) = b - beta names it.  Any other map keeps h(J), and
-    the lock-step probe at J reads it instead of ranking the map again.  The
-    last-summand read never needs it: while J lies ahead, the
-    found summands are all >= beta + 2, so that read's twist j* is above J.
-    So no map is probed twice at one twist.
-
-    Once a single map is left with one summand b_rho to find, one probe reads
-    it.  With b_1 ... b_{rho-1} known, j* = sum(b_i) - floor is at least
-    -b_rho, so every summand of N(j*) has sections and
-    b_rho = h(j*) - sum_{i<rho}(b_i + j* + 1) - j* - 1.  It must lie in
-    [-j*, -j), below every twist j already probed (hence b_rho <= b_{rho-1}).
-    That bound, the window bound, a degree bound below the floor (h(J) < r
-    is one) and a rank-one kernel read above max(source) are tripwires only;
-    failing one would signal a bug, not bad input.
+    Every map is read at the base twist and after each lock-step probe, at
+    J = j.  A lone map with one summand left is probed once, at j* = -rest
+    (excess = 1).  Before the lock-step, each map with floor = rho * beta + r,
+    r <= 1 and J = -beta - 1 two or more steps past the base twist is probed
+    at J (excess = r), one probe per distinct J.  A map left live keeps h(J)
+    for the lock-step; its found summands are >= beta + 2 while J lies ahead,
+    so j* > J and no map is probed twice at one twist.  slack < 0, a summand
+    read above -j - 1, falling counts and a twist past the safe window are
+    tripwires only; failing one would signal a bug, not bad input.
     """
     bound = sum(abs(s) for s in source) + sum(abs(t) for t in target) + source.rank
     window_hi = 2 * bound + 2
     j = -max(source.degrees) - 1
-    degrees: list[list[int]] = [[] for _ in rhos]
     prev_h = [0] * len(rhos)
-    prev_c = [0] * len(rhos)
     floors = {
         rho: source.degree - max_subbundle_degree(target, source.rank - rho)
         for rho in set(rhos)
         if rho > 0
     }
-
-    def finished(m: int) -> bool:
-        """Whether map m's summands are all known, the unknown ones read at the floor."""
-        unknown = rhos[m] - prev_c[m]
-        slack = sum(degrees[m]) - unknown * (j + 1) - floors[rhos[m]]
-        if slack < 0:
-            raise RuntimeError("kernel degree bound lies below its floor; elimination bug")
-        if unknown and not slack:
-            degrees[m] += [-j - 1] * unknown
-        return not (unknown and slack)
-
-    live = [m for m, rho in enumerate(rhos) if rho > 0 and not finished(m)]
-    # held[J][m] is h(J) of map m, probed by the balanced read
+    # at the base twist h = 0 and nothing is found, so the read rests on rho
+    # alone; the maps it settles share their rank's list, never extended
+    based = {rho: _missing_summands(rho, f, 0, f, j, j, 0) for rho, f in floors.items()}
+    degrees = [based.get(rho) or [] for rho in rhos]
+    live = [m for m, rho in enumerate(rhos) if rho > 0 and based[rho] is None]
+    # floor - sum(found) of each map
+    rests = [floors.get(rho, 0) for rho in rhos]
+    # J -> the maps read at J = -beta - 1 before the lock-step
+    reads: dict[int, list[int]] = {}
+    for m in live:
+        beta, r = divmod(floors[rhos[m]], rhos[m])
+        if r <= 1 and -beta - 1 >= j + 2:
+            reads.setdefault(-beta - 1, []).append(m)
+    # held[J][m] is h(J) of map m, probed by those reads
     held: dict[int, dict[int, int]] = {}
-    # a lone map of rank one goes straight to the last-summand read
-    if not (len(live) == 1 and rhos[live[0]] == 1):
-        # rho -> (beta, r) for each kernel rank the balanced read applies to
-        balanced: dict[int, tuple[int, int]] = {}
-        for rho, floor in floors.items():
-            beta, r = divmod(floor, rho)
-            if r <= 1 and -beta - 1 >= j + 2:
-                balanced[rho] = (beta, r)
-        reads: dict[int, list[int]] = {}
-        for m in live:
-            if rhos[m] in balanced:
-                reads.setdefault(-balanced[rhos[m]][0] - 1, []).append(m)
-        for twist, group in reads.items():
-            held[twist] = dict(zip(group, probe(group, twist).tolist()))
-            for m, h in held[twist].items():
-                beta, r = balanced[rhos[m]]
-                if h < r:
-                    raise RuntimeError("kernel degree bound lies below its floor; elimination bug")
-                if rhos[m] == 1:
-                    # O(b) with b >= floor = beta, so h(J) = b - beta
-                    if beta + h > source[0]:
-                        raise RuntimeError("rank-one kernel lies above the source; elimination bug")
-                    degrees[m] = [beta + h]
-                elif h == r:
-                    degrees[m] = [beta + 1] * r + [beta] * (rhos[m] - r)
-        if reads:
-            live = [m for m in live if not degrees[m]]
     while live:
-        if len(live) == 1 and prev_c[live[0]] == rhos[live[0]] - 1:
-            (m,) = live
-            known = degrees[m]
-            top = sum(known) - floors[rhos[m]]
-            if top > window_hi:
+        m, rho = live[0], rhos[live[0]]
+        if len(live) == 1 and len(degrees[m]) == rho - 1:
+            if -rests[m] > window_hi:
                 raise RuntimeError("the kernel degree floor lies outside the safe window")
-            (h,) = probe(live, top).tolist()
-            last = h - sum(b + top + 1 for b in known) - top - 1
-            if not -top <= last < -j:
-                raise RuntimeError("last kernel summand breaks its degree bounds; elimination bug")
-            known.append(last)
+            (h,) = probe(live, -rests[m]).tolist()
+            degrees[m] += _missing_summands(rho, floors[rho], rho - 1, rests[m], j, -rests[m], h)
             break
+        if reads:
+            for twist, group in reads.items():
+                held[twist] = dict(zip(group, probe(group, twist).tolist()))
+                for m, h in held[twist].items():
+                    f = floors[rhos[m]]
+                    degrees[m] = _missing_summands(rhos[m], f, 0, f, j, twist, h) or []
+            reads = {}
+            live = [m for m in live if not degrees[m]]
+            continue
         j += 1
         if j > window_hi:
             raise RuntimeError("kernel probe counts failed to stabilize inside the safe window")
@@ -263,13 +253,21 @@ def _count_scan(
             if fresh:
                 counts.update(zip(fresh, probe(fresh, j).tolist()))
             hs = [counts[m] for m in live]
+        still = []
         for m, h in zip(live, hs):
-            c = h - prev_h[m]
-            if c < prev_c[m]:
+            found = degrees[m]
+            new = h - prev_h[m] - len(found)
+            if new < 0:
                 raise RuntimeError("kernel probe counts are not monotone; elimination bug")
-            degrees[m] += [-j] * (c - prev_c[m])
-            prev_h[m], prev_c[m] = h, c
-        live = [m for m in live if not finished(m)]
+            found += [-j] * new
+            rests[m] += j * new
+            prev_h[m] = h
+            missing = _missing_summands(rhos[m], floors[rhos[m]], len(found), rests[m], j, j, h)
+            if missing is None:
+                still.append(m)
+            else:
+                found += missing
+        live = still
     return degrees
 
 

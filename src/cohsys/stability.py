@@ -86,6 +86,11 @@ class SystemInstance:
         rows = [list(itertools.chain(*_padded(self.splitting, s))) for s in self.sections]
         if FieldMatrix.from_rows(self.field, rows).rank() != k:
             raise ValueError("sections are linearly dependent")
+        # the fields are immutable, so each candidate cache lookup reuses one hash
+        object.__setattr__(self, "_hash", hash((self.field, self.splitting, self.sections)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -10,10 +10,9 @@ endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
 at a point, the tuple-by-tuple generator of echelon bases, the candidate
 walk that reads every basis's saturation, the verdict and critical weights
-from ``Fraction`` slopes, the lock-step kernel scan with no floor exit,
-balanced read, held rank-one read or last-summand read, the row-swapping
-numpy elimination for ranks, and the term-by-term sum behind
-``stacked_combination``.
+from ``Fraction`` slopes, the lock-step kernel scan that never settles a
+map from one count, the row-swapping numpy elimination for ranks, and the
+term-by-term sum behind ``stacked_combination``.
 """
 
 import itertools
@@ -263,9 +262,9 @@ def fraction_critical_alphas(inst) -> list:
 def lockstep_scan(source, target, rhos, probe):
     """Kernel summand degrees of a stack of maps, stepping every twist to the end.
 
-    The scan of ``bundles._count_scan`` without its floor exit, its balanced
-    read, its held rank-one read or its last-summand read: every live map is
-    probed at each twist j until its counts reach its rho.
+    The scan of ``bundles._count_scan`` without its one rule
+    (``bundles._missing_summands``), which settles a map from one count:
+    every live map is probed at each twist j until its counts reach its rho.
     """
     j = -max(source.degrees) - 1
     degrees = [[] for _ in rhos]

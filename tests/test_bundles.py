@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cohsys import bundles
 from cohsys.bundles import (
     _count_scan,
+    _missing_summands,
     _twist_matrix,
     SectionPairing,
     SplittingType,
@@ -789,3 +790,77 @@ class TestFloorExit:
         assert checked_scan(source, target, rhos, probe) == kernels
         _count_scan(source, target, rhos, recorded)
         assert calls == twists
+
+
+class TestMissingSummands:
+    """The one rule that settles a map of ``_count_scan`` from one count h(J)."""
+
+    @staticmethod
+    def draw(data, source, target, below=False):
+        """A fake kernel's rank, floor and summands: at or above the floor,
+        balanced at it, or of rank one; ``below`` drops it under the floor."""
+        top = source[0]
+        rho = data.draw(st.integers(max(1, source.rank - target.rank), source.rank))
+        floor = source.degree - max_subbundle_degree(target, source.rank - rho)
+        assume(rho * top >= floor)  # else no such map exists
+        shape = data.draw(st.sampled_from(["any", "at floor", "balanced", "rank one"]))
+        if shape == "rank one":
+            assume(rho == 1)
+        if shape == "balanced":
+            beta, r = divmod(floor, rho)
+            kern = [beta + 1] * r + [beta] * (rho - r)
+        else:
+            drops = data.draw(st.lists(st.integers(0, 6), min_size=rho, max_size=rho))
+            kern = sorted((top - d for d in drops), reverse=True)
+            while sum(kern) < floor:
+                kern[kern.index(min(kern))] += 1
+            if shape == "at floor":
+                kern[-1] -= sum(kern) - floor
+        if below:
+            kern[-1] -= sum(kern) - floor + data.draw(st.integers(1, 3))
+        return rho, floor, kern
+
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reads_the_true_summands_or_declines(self, source, target, data):
+        # every twist j a lock-step can stop at, with the summands >= -j
+        # found, and every J >= j up to past the one where all have sections
+        source, target = splitting_type(*source), splitting_type(*target)
+        rho, floor, kern = self.draw(data, source, target)
+        base = -source[0] - 1
+        for j in range(base, max(base, -kern[-1] + 1) + 1):
+            found = [b for b in kern if b >= -j]
+            u, rest, missing = rho - len(found), floor - sum(found), kern[len(found) :]
+            for twist in range(j, max(j, -kern[-1] + 2) + 1):
+                h = sum(max(0, b + twist + 1) for b in kern)
+                assert h - floor - rho * (twist + 1) >= 0  # slack
+                got = _missing_summands(rho, floor, len(found), rest, j, twist, h)
+                assert got is None or got == missing
+                if not u or (u == 1 and rest >= -twist - 1):
+                    assert got == missing
+                at_floor = sum(kern) == floor and all(b >= -twist - 1 for b in missing)
+                if at_floor and sum(b + twist + 1 for b in missing) <= 1:
+                    assert got == missing
+
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_kernel_below_its_floor_trips(self, source, target, data):
+        # once every summand has sections, slack = deg N - floor < 0
+        source, target = splitting_type(*source), splitting_type(*target)
+        rho, floor, kern = self.draw(data, source, target, below=True)
+        base = -source[0] - 1
+        j = data.draw(st.integers(base, max(base, -kern[-1] + 1)), label="j")
+        low = max(j, -kern[-1] - 1)
+        twist = data.draw(st.integers(low, low + 6), label="J")
+        found = [b for b in kern if b >= -j]
+        h = sum(max(0, b + twist + 1) for b in kern)
+        with pytest.raises(RuntimeError, match="below its floor"):
+            _missing_summands(rho, floor, len(found), floor - sum(found), j, twist, h)

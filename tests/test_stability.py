@@ -85,6 +85,19 @@ class TestSystemInstance:
         back = SystemInstance.from_json_dict(data)
         assert back == pair_11
 
+    def test_an_equal_instance_hits_the_candidate_cache(self):
+        # the hash is computed once, from the fields, so an equal instance
+        # built separately finds the first one's candidates
+        inst = sample_instance(3, 5, 2, 101, 0)
+        again = SystemInstance.from_json_dict(inst.to_json_dict())
+        assert again is not inst and again == inst and hash(again) == hash(inst)
+        _rational_candidates.cache_clear()
+        subsystem_candidates(inst)
+        subsystem_candidates(again)
+        info = _rational_candidates.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert again != sample_instance(3, 5, 2, 101, 1)
+
 
 def stacked_bases(k, w, q):
     """The bases of ``echelon_stacks`` in order, each as a tuple of rows."""
@@ -632,6 +645,42 @@ class TestKernelProbes:
             for inst in insts:
                 _rational_candidates.__wrapped__(inst)
         assert len(calls) <= 7
+
+    @pytest.mark.parametrize(
+        "inst, schedule",
+        [
+            (lambda: sample_instance(3, 5, 2, 101, 0), [[(2, 102)], [(5, 1)]]),
+            (lambda: sample_instance(4, 6, 2, 101, 0), [[(1, 102)], [(2, 1)]]),
+            (lambda: sample_instance(5, 8, 2, 101, 0), [[(1, 102), (2, 2)], [(2, 1)]]),
+            (lambda: sample_generating_instance(2, 2, 3, 11, 0), [[(1, 133)], [], []]),
+            (lambda: sample_generating_instance(3, 3, 4, 3, 0), [[(1, 40)], [(2, 130)], [], []]),
+            (
+                lambda: sample_generating_instance(4, 4, 5, 2, 0),
+                [[(1, 31)], [(1, 155), (2, 84)], [(3, 155)], [], []],
+            ),
+        ],
+        ids=["3,5,2@101", "4,6,2@101", "5,8,2@101", "2,2,3@11", "3,3,4@3", "4,4,5@2"],
+    )
+    def test_probe_schedule_stays_as_recorded(self, inst, schedule):
+        # the (twist, live count) of every probe, one list per kernel scan:
+        # the guards above bound the probe count, this fixes the whole schedule
+        instance = inst()
+        scans = []
+        real = bundles._count_scan
+
+        def recorded(source, target, rhos, probe):
+            calls = []
+            scans.append(calls)
+
+            def traced(live, j):
+                calls.append((j, len(live)))
+                return probe(live, j)
+
+            return real(source, target, rhos, traced)
+
+        with mock.patch.object(bundles, "_count_scan", recorded):
+            _rational_candidates.__wrapped__(instance)
+        assert scans == schedule
 
 
 # budgets of one matrix per elimination, of a few matrices, and the default
