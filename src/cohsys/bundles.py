@@ -23,6 +23,7 @@ from .exactmath import (
     PrimeField,
     _bareiss,
     check_profile,
+    form_determinant,
     generic_rank,
     multiplication_matrix,
     pack_bits,
@@ -30,6 +31,7 @@ from .exactmath import (
     stack_size,
     stacked_combination,
     stacked_rank,
+    vanishing_divisor_degree,
 )
 
 
@@ -276,15 +278,35 @@ def kernel_splitting(
 ) -> SplittingType:
     """Splitting type of the kernel subbundle of a map given by a form matrix.
 
-    Entry (i, j) must be a form of degree target_i - source_j (or zero).  The
-    kernel N = O(b_1) + ... + O(b_r) is recovered by ``_count_scan`` from the
-    section counts of its twists; its rank is known independently from the
-    generic rank over F_q(t).
+    Entry (i, j) must be a form of degree target_i - source_j (or zero).  Its
+    rank rho is the source rank less the generic rank over F_q(t).
+
+    A generically onto map with one source summand more than the target has
+    a line kernel, read from its maximal minors (Cramer's rule; the graded
+    Hilbert-Burch setting).  The minor m_c with column c left out has degree
+    deg(target) - deg(source) + source_c, and the signed minors span the
+    kernel, so N = O(deg(source) - deg(target) + deg gcd(m_c)).  The minors
+    are made one at a time and ``vanishing_divisor_degree`` stops at a
+    constant gcd, so a generic map makes two.  Every other kernel
+    N = O(b_1) + ... + O(b_rho) is recovered by ``_count_scan`` from the
+    section counts of its twists.
     """
-    rho = source.rank - generic_rank(entries, target.degrees, [-s for s in source])
+    cols = [-s for s in source]
+    rho = source.rank - generic_rank(entries, target.degrees, cols)
     if source.rank == 0:
         return SplittingType(())
     field = entries[0][0].field if entries else None
+    if rho == 1 and source.rank == target.rank + 1 >= 2:
+        minors = (
+            form_determinant(
+                [row[:c] + row[c + 1 :] for row in entries],
+                field,
+                target.degrees,
+                cols[:c] + cols[c + 1 :],
+            )
+            for c in range(source.rank)
+        )
+        return SplittingType((source.degree - target.degree + vanishing_divisor_degree(minors),))
 
     def probe(live: list[int], j: int) -> np.ndarray:
         return _twist_kernel_dimension(field, _twist_matrix(source, target, entries, j)[None])
@@ -299,7 +321,10 @@ def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> Satu
     Works through the dual: the kernel N of E* -> O^w (pairing against the
     sections) is saturated, and the annihilator F = (E*/N)* is exactly the
     saturation, of rank n - rk N and degree deg E + deg N, with E/F = N*.
-    Zero sections are ignored.
+    Zero sections are ignored.  When the w = n - 1 live sections have generic
+    rank n - 1, N is a line bundle, which ``kernel_splitting`` reads from the
+    (n - 1) x (n - 1) minors of the section matrix with no twist probe; the
+    saturation then has the degree of their common divisor.
     """
     check_profile(sections, [0] * len(sections), e.degrees)
     n = e.rank

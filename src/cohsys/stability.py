@@ -436,7 +436,10 @@ def check_global_generation(inst: SystemInstance) -> bool:
 
     The evaluation map O^k -> E is onto iff its image subsheaf has full rank
     and full degree; the image degree is minus the degree of the kernel of
-    the section matrix viewed as a sheaf map.
+    the section matrix viewed as a sheaf map.  For k = n + 1 this is the
+    maximal-minor criterion: ``kernel_splitting`` reads the line kernel
+    O(-d + deg gcd) from the n x n minors, so the sections generate exactly
+    when some minor is nonzero and the minors share no zero on P^1.
     """
     if inst.k == 0:
         return False

@@ -8,20 +8,26 @@ behind ``SectionPairing._point_values``, the per-component sum behind
 ``combine_sections``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
-at a point, the tuple-by-tuple generator of echelon bases, the candidate
-walk that reads every basis's saturation, the verdict and critical weights
-from ``Fraction`` slopes, the lock-step kernel scan that never settles a
-map from one count, the row-swapping numpy elimination for ranks, and the
-term-by-term sum behind ``stacked_combination``.
+at a point, global generation from the sympy minors of the section matrix,
+the tuple-by-tuple generator of echelon bases, the candidate walk that reads
+every basis's saturation, the verdict and critical weights from ``Fraction``
+slopes, the lock-step kernel scan that never settles a map from one count
+(and ``kernel_splitting`` through it, with no maximal-minor read), sympy
+determinants over GF(q)[t], the row-swapping numpy elimination for ranks,
+and the term-by-term sum behind ``stacked_combination``.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
+from sympy import GF, Poly, symbols
+from sympy.polys.matrices import DomainMatrix
 
+from cohsys import bundles
 from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
-from cohsys.exactmath import BinaryForm, FieldMatrix
+from cohsys.exactmath import BinaryForm, FieldMatrix, generic_rank
 from cohsys.stability import Candidate, StabilityReport, echelon_stacks, subsystem_candidates
 
 
@@ -146,6 +152,27 @@ def valid_degrees_k1(n: int, d_max: int) -> list[int]:
 # -- instances -----------------------------------------------------------------
 
 
+def sympy_generates(inst) -> bool:
+    """``check_global_generation(inst)`` from the n x n minors of the section matrix.
+
+    The n x k matrix has entry (i, l) = component i of section l.  Its
+    sections generate E exactly when its n x n minors, forms of degree d,
+    share no zero on P^1: some minor is nonzero, the gcd of the minors
+    f(t, 1) over GF(q) is constant, and not every minor vanishes at (1 : 0),
+    where f(t, 1) has degree below d.
+    """
+    n, q = inst.n, inst.q
+    minors = [
+        sympy_det([[inst.sections[l][i] for l in cols] for i in range(n)], q)
+        for cols in itertools.combinations(range(inst.k), n)
+    ]
+    minors = [m for m in minors if m]
+    if not minors or all(len(m) - 1 < inst.d for m in minors):
+        return False
+    gcd = functools.reduce(Poly.gcd, (Poly(m, T, modulus=q) for m in minors))
+    return gcd.degree() == 0
+
+
 def evaluation_rank_at_point(inst, b: int, c: int) -> int:
     """Rank of the k x n matrix of section values at (b : c)."""
     q = inst.q
@@ -259,6 +286,25 @@ def fraction_critical_alphas(inst) -> list:
 # -- kernels -------------------------------------------------------------------
 
 
+def lockstep_kernel(source, target, entries):
+    """``kernel_splitting`` by ``lockstep_scan`` on the twist matrices, for every map.
+
+    The probes go through ``bundles._twist_kernel_dimension``, looked up at
+    each call, so a test that counts the program's probes counts these too.
+    """
+    rho = source.rank - generic_rank(entries, target.degrees, [-s for s in source])
+    if not source.rank:
+        return SplittingType(())
+    field = entries[0][0].field if entries else None
+
+    def probe(live, j):
+        twist = bundles._twist_matrix(source, target, entries, j)
+        return bundles._twist_kernel_dimension(field, twist[None])
+
+    (degrees,) = lockstep_scan(source, target, [rho], probe)
+    return SplittingType(tuple(degrees))
+
+
 def lockstep_scan(source, target, rhos, probe):
     """Kernel summand degrees of a stack of maps, stepping every twist to the end.
 
@@ -282,6 +328,24 @@ def lockstep_scan(source, target, rhos, probe):
 
 
 # -- matrices over F_q ---------------------------------------------------------
+
+
+T = symbols("t")
+
+
+def sympy_det(entries, q):
+    """det over GF(q)[t] of the entries f(t, 1): big-endian residues, [] for zero."""
+    ring = GF(q)[T]
+    n = len(entries)
+    rows = [
+        [ring.from_sympy(sum(c * T ** (f.degree - i) for i, c in enumerate(f.coeffs))) for f in row]
+        for row in entries
+    ]
+    det = DomainMatrix(rows, (n, n), ring).det()
+    coeffs = [int(c) % q for c in ring.to_sympy(det).as_poly(T, modulus=q).all_coeffs()]
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+    return coeffs
 
 
 def row_swap_rank(q: int, data) -> int:

@@ -31,11 +31,12 @@ from cohsys.exactmath import (
     vanishing_divisor_degree,
 )
 from cohsys.numerology import decompose
-from cohsys.stability import sample_instance
+from cohsys.stability import SystemInstance, sample_instance
 from oracles import (
     componentwise_sum,
     endomorphism_type,
     evaluate,
+    lockstep_kernel,
     lockstep_scan,
     mul,
     per_basis_saturations,
@@ -508,9 +509,11 @@ def probe_twists(run):
 
 
 def lockstep(run):
-    """run() with the lock-step reference scan in place of ``_count_scan``."""
+    """run() with the lock-step reference scan in place of ``_count_scan``, and
+    ``kernel_splitting`` through it with no maximal-minor read."""
     with mock.patch.object(bundles, "_count_scan", lockstep_scan):
-        return probe_count(run)
+        with mock.patch.object(bundles, "kernel_splitting", lockstep_kernel):
+            return probe_count(run)
 
 
 def checked_scan(source, target, rhos, probe):
@@ -560,17 +563,19 @@ def costed(run):
 def shared_root_sections(field, t, k, rng, kind):
     """k random sections of type t; under "shared-root" every component is a
     multiple of one product of one or two linear forms, so the saturation of
-    their span has positive degree."""
+    their span has positive degree, and under "y-multiple" of y."""
     q = field.q
     root = BinaryForm(field, (1,))
     if kind == "shared-root":
         for _ in range(rng.randrange(1, 3)):
             root = mul(root, BinaryForm(field, (1, rng.randrange(q))))
+    elif kind == "y-multiple":
+        root = BinaryForm(field, (0, 1))
 
     def component(a):
         if rng.random() < 0.15:
             return BinaryForm.zero(field)
-        if kind != "shared-root":
+        if root.degree == 0:
             return BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
         cofactor = a - root.degree
         if cofactor < 0:
@@ -603,7 +608,7 @@ class TestLastSummandRead:
         if kind == "generation":
             source = SplittingType((0,) * k)
             entries = [[sec[i] for sec in sections] for i in range(t.rank)]
-            run = lambda: kernel_splitting(source, t, entries)
+            run = lambda: bundles.kernel_splitting(source, t, entries)
         else:
             run = lambda: saturate(t, sections)
         got = costed(run)
@@ -642,22 +647,25 @@ class TestLastSummandRead:
         want, _ = lockstep(run)
         assert got == want
 
-    def test_rank_one_kernel_takes_one_probe(self):
-        run = lambda: kernel_splitting(splitting_type(-1, -1), splitting_type(0), [[X, Y]])
+    def test_rank_one_kernel_takes_no_probe(self):
+        # the minors of (x, y) are y and x, coprime: N = O(-2) from deg A - deg B
+        run = lambda: bundles.kernel_splitting(splitting_type(-1, -1), splitting_type(0), [[X, Y]])
         kern, probes = probe_count(run)
         assert kern == splitting_type(-2)
-        assert probes == [1]
-        assert len(lockstep(run)[1]) == 2
+        assert probes == []
+        assert lockstep(run) == (kern, [1, 1])
 
-    def test_whole_space_saturation_takes_one_probe(self):
-        # (3, 24, 2)@101: the kernel O(-24) of E* -> O^2; the lock-step scan
-        # steps through j = 8 ... 24
+    def test_whole_space_saturation_takes_no_probe(self):
+        # (3, 24, 2)@101: the kernel O(-24) of E* -> O^2 is read from its
+        # 2 x 2 minors; the lock-step scan steps through j = 8 ... 24
         inst = sample_instance(3, 24, 2, 101, 0)
         run = lambda: saturate(inst.splitting, list(inst.sections))
         sat, probes = probe_count(run)
         assert (sat.rank, sat.degree) == (2, 0)
-        assert probes == [1]
-        assert len(lockstep(run)[1]) == 17
+        assert probes == []
+        want, lockstep_probes = lockstep(run)
+        assert want == sat
+        assert len(lockstep_probes) == 17
 
     def test_stack_tail_goes_lone(self):
         # in O(5)^3 both kernels have rank two and the floor -15 = 2 * (-8) + 1,
@@ -700,6 +708,55 @@ class TestLastSummandRead:
         with pytest.raises(RuntimeError, match="below its floor"):
             source, target = splitting_type(0, -1), splitting_type(0)
             _count_scan(source, target, [2], lambda live, j: np.zeros(len(live), int))
+
+
+class TestMinorRead:
+    """A generically onto map with one source summand more than the target:
+    its line kernel is read from the maximal minors, with no twist probe."""
+
+    @given(
+        st.sampled_from(["saturate", "generation"]),
+        st.integers(2, 4),
+        st.sampled_from([2, 3, 5, 101]),
+        st.sampled_from(["uniform", "y-multiple", "shared-root"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_lockstep_scan(self, profile, n, q, kind, seed):
+        # "saturate": the pairing E* -> O^(n-1) against n - 1 sections;
+        # "generation": the evaluation O^(n+1) -> E.  Zero entries, and under
+        # "y-multiple" and "shared-root" a common factor of every entry, which
+        # lifts the kernel above its floor
+        field = PrimeField(q)
+        rng = random.Random(seed)
+        t = splitting_type(*(rng.randrange(0, 5) for _ in range(n)))
+        k = n - 1 if profile == "saturate" else n + 1
+        sections = shared_root_sections(field, t, k, rng, kind)
+        if profile == "saturate":
+            source, target = t.dual(), SplittingType((0,) * k)
+            entries = [[sec[n - 1 - i] for i in range(n)] for sec in sections]
+        else:
+            source, target = SplittingType((0,) * k), t
+            entries = [[sec[i] for sec in sections] for i in range(n)]
+        assume(generic_rank(entries, target.degrees, [-s for s in source]) == target.rank)
+        got, probes = probe_count(lambda: kernel_splitting(source, target, entries))
+        assert probes == []
+        assert got == lockstep_kernel(source, target, entries)
+
+    @pytest.mark.parametrize("constant", [7, 0])
+    def test_a_degree_1000_summand_takes_no_probe(self, constant):
+        # k = 1 on O(1000) + O: the balanced read of the count scan probes
+        # the twist 999, a 1000 x 1001 elimination.  The saturation is the
+        # line through the section, of the degree of its components' common
+        # divisor: 0 beside a nonzero constant, all 1000 zeros of f beside 0
+        f = rand_form(random.Random(1000), 1000)
+        inst = SystemInstance(F, splitting_type(1000, 0), ((f, BinaryForm(F, (constant,))),))
+        (section,) = inst.sections
+        sat, probes = probe_count(lambda: saturate(inst.splitting, [section]))
+        assert probes == []
+        assert sat.rank == 1
+        assert sat.degree == vanishing_divisor_degree([g for g in section if not g.is_zero])
+        assert sat.degree == (0 if constant else 1000)
 
 
 class TestFloorExit:

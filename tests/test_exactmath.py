@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, symbols
+from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from cohsys import exactmath
@@ -28,7 +28,16 @@ from cohsys.exactmath import (
     unpack_bits,
     vanishing_divisor_degree,
 )
-from oracles import add, compose_linear, evaluate, mul, row_swap_rank, scale, termwise_combination
+from oracles import (
+    add,
+    compose_linear,
+    evaluate,
+    mul,
+    row_swap_rank,
+    scale,
+    sympy_det,
+    termwise_combination,
+)
 
 F101 = PrimeField(101)
 F7 = PrimeField(7)
@@ -41,7 +50,6 @@ def form(*coeffs, field=F101):
 X = form(1, 0)
 Y = form(0, 1)
 ZERO = BinaryForm.zero(F101)
-T = symbols("t")
 
 
 def random_form(rng, field, degree, zero_prob=0.25):
@@ -66,21 +74,6 @@ def replace_last_row_by_combination(rng, field, r, rows):
         g = random_form(rng, field, r[-1] - r[i], zero_prob=0.2)
         new = [add(acc, mul(g, f)) for acc, f in zip(new, rows[i])]
     rows[-1] = new
-
-
-def sympy_det(entries, q):
-    """det over GF(q)[t] of the entries f(t, 1): big-endian residues, [] for zero."""
-    ring = GF(q)[T]
-    n = len(entries)
-    rows = [
-        [ring.from_sympy(sum(c * T ** (f.degree - i) for i, c in enumerate(f.coeffs))) for f in row]
-        for row in entries
-    ]
-    det = DomainMatrix(rows, (n, n), ring).det()
-    coeffs = [int(c) % q for c in ring.to_sympy(det).as_poly(T, modulus=q).all_coeffs()]
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-    return coeffs
 
 
 def sympy_rank(entries, q):

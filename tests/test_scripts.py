@@ -64,6 +64,11 @@ def test_script_runs_from_any_directory(argv, tmp_path):
         ["scripts/delta_survey.py", "--t-max", "0"],
         # 2**31 rational points per trial: refused by the scan's cost guard
         ["scripts/delta_survey.py", "--a-max", "1", "--t-max", "1", "--q", "2147483647"],
+        ["scripts/bench_pairs.py", "--workload", "verify-k2", "--seed", "1", "--pairs", "0"],
+        ["scripts/bench_pairs.py", "--workload", "verify-k2", "--seed", "1", "--seconds", "0"],
+        ["scripts/bench_pairs.py", "--workload", "verify-k3", "--seed", "1"],
+        # refused before any run: no such commit, or no repository to archive
+        ["scripts/bench_pairs.py", "--workload", "verify-k2", "--seed", "1", "--parent", "no-such-rev"],
     ],
 )
 def test_bad_argument_exits_2(argv):
@@ -141,3 +146,32 @@ def test_survey_stops_when_the_scan_is_below_the_closure(monkeypatch, capsys):
     assert len(out.splitlines()) == 1  # the header; no row of the failing cell
     (line,) = err.strip().splitlines()
     assert line.startswith("error: a=1 t=1 trial 0: ")
+
+
+def test_bench_pairs_summary_applies_the_gain_rule():
+    # ten canned pairs: items_per_s wins all ten by more than the parent's
+    # spread; item_ms_p50 wins nine by less than it; item_ms_tail wins eight
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts/bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def result(items_per_s, p50, tail):
+        values = {"items_per_s": items_per_s, "item_ms_p50": p50, "item_ms_tail": tail}
+        return {"correct": True, "failed": 0, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+    parent = [result(500 + i, 2.0 + i / 100, 3.0) for i in range(10)]
+    change = [
+        result(540 + i, 2.0 + i / 100 - (0.01 if i else -0.01), 2.9 if i < 8 else 3.1)
+        for i in range(10)
+    ]
+    directions = {"items_per_s": "higher", "item_ms_p50": "lower", "item_ms_tail": "lower"}
+    lines = bench.summarize(parent, change, directions)
+    assert lines == [
+        "items_per_s (higher is better): parent 504.5 [502.2, 506.8] -> change 544.5 [542.2, 546.8]"
+        " (+7.9 %), wins 10/10, gain holds",
+        "item_ms_p50 (lower is better): parent 2.045 [2.022, 2.067] -> change 2.035 [2.013, 2.058]"
+        " (-0.5 %), wins 9/10, gain does not hold",
+        "item_ms_tail (lower is better): parent 3 [3, 3] -> change 2.9 [2.9, 2.9]"
+        " (-3.3 %), wins 8/10, gain does not hold",
+    ]
+    assert set(bench.metric_directions()) >= set(directions)
