@@ -28,6 +28,7 @@ from .exactmath import (
     multiplication_matrix,
     pack_bits,
     packed_rank,
+    point_values,
     stack_size,
     stacked_combination,
     stacked_rank,
@@ -327,16 +328,17 @@ def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> Satu
     saturation then has the degree of their common divisor.
     """
     check_profile(sections, [0] * len(sections), e.degrees)
-    n = e.rank
     live = [s for s in sections if any(not f.is_zero for f in s)]
     if not live:
         return SaturationResult(0, 0, e)
-    w = len(live)
-    source = e.dual()
-    target = SplittingType((0,) * w)
-    # source index j corresponds to original component n-1-j (dual reverses order)
-    entries = [[live[i][n - 1 - jdx] for jdx in range(n)] for i in range(w)]
-    return _saturation(e, kernel_splitting(source, target, entries))
+    return _saturation(e, kernel_splitting(*_pairing(e, live)))
+
+
+def _pairing(
+    e: SplittingType, sections: Sequence[Sequence[BinaryForm]]
+) -> tuple[SplittingType, SplittingType, list[Sequence[BinaryForm]]]:
+    """(E*, O^w, entries) of E* -> O^w against w sections: the dual reverses the components."""
+    return e.dual(), SplittingType((0,) * len(sections)), [s[::-1] for s in sections]
 
 
 def _padded(e: SplittingType, section: Sequence[BinaryForm]) -> list[list[int]]:
@@ -399,20 +401,8 @@ class SectionPairing:
 
     @functools.cached_property
     def _point_values(self) -> np.ndarray:
-        """Shape (k, 3, n): section l's component values at (1 : 0), (0 : 1) and (1 : 1).
-
-        A form's value at (1 : 0) is its first coefficient, at (0 : 1) its
-        last, and at (1 : 1) the sum of its coefficients mod q; a zero form's
-        are all 0.  Only spans of two or more sections read them, so they are
-        built on first use.
-        """
-        q = self.field.q
-        values = [
-            [(f.coeffs[0], f.coeffs[-1], sum(f.coeffs) % q) if f.coeffs else (0, 0, 0) for f in s]
-            for s in self.sections
-        ]
-        values = np.array(values, dtype=np.int64).reshape(len(values), self.e.rank, 3)
-        return values.transpose(0, 2, 1)
+        """Shape (k, 3, n): section l's ``point_values``, built when a span of w >= 2 needs them."""
+        return np.array(list(point_values(self.sections)), dtype=np.int64).transpose(1, 0, 2)
 
     def at(self, j: int) -> np.ndarray:
         """M_j(V), shape (k, max(0, j + 1), cols) with cols = h0(E*(j)).
@@ -424,10 +414,7 @@ class SectionPairing:
         """
         if j not in self._pairings:
             k = len(self.sections)
-            # saturate's column order: the dual reverses the components
-            pairing = _twist_matrix(
-                self.e.dual(), SplittingType((0,) * k), [s[::-1] for s in self.sections], j
-            )
+            pairing = _twist_matrix(*_pairing(self.e, self.sections), j)
             # explicit sizes: rows or columns may be 0, where -1 cannot be inferred
             pairing = pairing.reshape(k, max(0, j + 1), pairing.shape[1])
             self._pairings[j] = pack_bits(pairing) if self.field.q == 2 else pairing
@@ -436,16 +423,13 @@ class SectionPairing:
     def _generic_ranks(self, bases: np.ndarray) -> list[int]:
         """Generic rank of the w x n form matrix of each span.
 
-        The values of a span at a point of P^1(F_q) have rank at most its
-        generic rank, itself at most min(w, n).  So values of full rank at
-        (1 : 0), (0 : 1) or (1 : 1) settle it; the Bareiss elimination
-        decides the rest, with no second look at (1 : 0) through
-        ``generic_rank``.  The values of ``stack_size(3 * w * n)`` spans at
-        the three points, three w x n matrices each, are built in one
-        combination and ranked in one elimination.  The sections of the spans
-        left to the elimination are built ``stack_size(w * h0(E))`` spans at
-        a time, so no array holds more than ``STACK_CELLS`` entries or one
-        span.
+        As in ``generic_rank``, values of full rank min(w, n) at one of the
+        three points of ``point_values`` settle it, and the Bareiss
+        elimination decides the rest.  The values of ``stack_size(3 * w * n)``
+        spans, three w x n matrices each, are built in one combination and
+        ranked in one elimination.  The sections of the spans left to the
+        elimination are built ``stack_size(w * h0(E))`` spans at a time, so no
+        array holds more than ``STACK_CELLS`` entries or one span.
         """
         count, w, k = bases.shape
         n, q = self.e.rank, self.field.q

@@ -325,6 +325,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     if cfg.alpha_rule == "explicit" and not cfg.alphas:
         raise ValueError("--alpha-rule explicit needs --alphas")
+    if cfg.alphas and cfg.alpha_rule != "explicit":
+        raise ValueError("--alphas needs --alpha-rule explicit")
     report = run_verify_campaign(cfg)
     print(json.dumps(report, indent=2))
     return 0 if report["all_agree"] else 1

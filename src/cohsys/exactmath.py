@@ -8,9 +8,9 @@ Conventions used throughout the package:
   coefficient tuple has length d + 1 and index i holds the coefficient of
   x**(d-i) * y**i (big-endian in x).  The zero form is the empty tuple,
   reported as degree -1, so matrices of forms can keep fixed per-slot degree
-  profiles while allowing zero entries.  A form carries data only: its value
-  at (1 : 0) is its first coefficient, at (0 : 1) its last, and the power of
-  y dividing it is its count of leading zeros.
+  profiles while allowing zero entries.  A form carries data only: its values
+  at three points are read off by ``point_values``, and the power of y
+  dividing it is its count of leading zeros.
 * Rationals are ``fractions.Fraction``: exact, always in lowest terms.
 
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
@@ -34,7 +34,7 @@ technique of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).
 Matrices of binary forms, with the degree profile their caller states, go
 through one fraction-free elimination over F_q[x, y], which gives both their
 generic rank and their determinant; a generic rank needs none when the
-leading coefficients already have full rank.
+values at (1 : 0), (0 : 1) or (1 : 1) already have full rank.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -513,6 +513,16 @@ def _bareiss(
     return rank, prev, sign
 
 
+def point_values(entries: Sequence[Sequence[BinaryForm]]) -> Iterator[list[list[int]]]:
+    """The values of a form matrix at (1 : 0), (0 : 1) and (1 : 1), one point at a time.
+
+    Each is read off the coefficients: the first, the last, and their sum mod q.
+    """
+    yield [[f.coeffs[0] if f.coeffs else 0 for f in row] for row in entries]
+    yield [[f.coeffs[-1] if f.coeffs else 0 for f in row] for row in entries]
+    yield [[sum(f.coeffs) % f.field.q for f in row] for row in entries]
+
+
 def generic_rank(
     entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
 ) -> int:
@@ -520,17 +530,17 @@ def generic_rank(
 
     The profile (deg entry(i, j) = row_degrees[i] + col_degrees[j] at nonzero
     entries) keeps every minor a binary form; ``check_profile`` enforces it.
-    Under it the leading coefficients are the values at (1 : 0), a matrix
-    whose rank is at most the generic rank, itself at most min(rows, cols).
-    So leading coefficients of full rank settle it, ranked over F_q by
-    ``FieldMatrix.rank``; the Bareiss elimination decides the rest.
+    The values at a point have rank at most the generic rank, itself at most
+    min(rows, cols).  So values of full rank at one of the three points of
+    ``point_values``, ranked in turn by ``FieldMatrix.rank``, settle it; the
+    Bareiss elimination decides the rest.
     """
     check_profile(entries, row_degrees, col_degrees)
     full = min(len(row_degrees), len(col_degrees))
     if not full:
         return 0
-    leads = [[f.coeffs[0] if f.coeffs else 0 for f in row] for row in entries]
-    if FieldMatrix.from_rows(entries[0][0].field, leads).rank() == full:
+    field = entries[0][0].field
+    if any(FieldMatrix.from_rows(field, v).rank() == full for v in point_values(entries)):
         return full
     return _bareiss(entries, row_degrees, col_degrees)[0]
 

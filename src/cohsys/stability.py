@@ -76,12 +76,7 @@ class SystemInstance:
             raise ValueError("the bundle must have rank >= 1")
         check_profile(self.sections, [0] * len(self.sections), self.splitting.degrees)
         k = len(self.sections)
-        h0 = cohomology(self.splitting, 0)[0]
-        if h0 > COST_GUARD_MAX_SUBSPACES:
-            # refused before any section is padded to h0 coefficients
-            raise ValueError(f"h0 = {h0} exceeds the limit {COST_GUARD_MAX_SUBSPACES}")
-        if k > h0:
-            raise ValueError(f"{k} sections exceed h0 = {h0}")
+        _check_size(self.splitting, k)
         # independent in the monomial basis of H^0
         rows = [list(itertools.chain(*_padded(self.splitting, s))) for s in self.sections]
         if FieldMatrix.from_rows(self.field, rows).rank() != k:
@@ -138,6 +133,15 @@ class SystemInstance:
                 comps.append(BinaryForm(field, tuple(_json_int(c, "coefficient") for c in coeffs)))
             sections.append(tuple(comps))
         return cls(field, splitting, tuple(sections))
+
+
+def _check_size(splitting: SplittingType, k: int) -> None:
+    """Refuse, before any section is drawn or padded, h0 above the cost guard or k above h0."""
+    h0 = cohomology(splitting, 0)[0]
+    if h0 > COST_GUARD_MAX_SUBSPACES:
+        raise ValueError(f"h0 = {h0} exceeds the limit {COST_GUARD_MAX_SUBSPACES}")
+    if k > h0:
+        raise ValueError(f"cannot draw {k} independent sections: h0 = {h0}")
 
 
 def _json_list(value: object, what: str) -> list:
@@ -464,9 +468,7 @@ def sample_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance
     """Deterministic random instance of balanced type with independent sections."""
     field = PrimeField(q)
     splitting = generic_splitting(n, d)
-    h0 = cohomology(splitting, 0)[0]
-    if k > h0:
-        raise ValueError(f"cannot draw {k} independent sections: h0 = {h0}")
+    _check_size(splitting, k)
     for attempt in range(1000):
         rng = random.Random(mix_seed(n, d, k, q, seed, attempt))
         sections = [
@@ -479,20 +481,21 @@ def sample_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance
         try:
             return SystemInstance(field, splitting, tuple(sections))
         except ValueError:
-            # k <= h0 is checked above and the draw has its degree profile by
+            # the size is checked above and the draw has its degree profile by
             # construction, so the instance refuses a dependent draw only
             continue
-    raise RuntimeError("failed to draw independent sections; is h0 >= k?")
+    raise RuntimeError("failed to draw independent sections in 1000 attempts")
 
 
-def sample_generating_instance(
-    n: int, d: int, k: int, q: int, seed: int, max_tries: int = 500
-) -> SystemInstance:
+_GENERATING_TRIES = 500  # draws before sample_generating_instance gives up
+
+
+def sample_generating_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance:
     """Like ``sample_instance`` but conditioned on globally generating sections."""
-    for offset in range(max_tries):
+    for offset in range(_GENERATING_TRIES):
         inst = sample_instance(n, d, k, q, mix_seed(seed, offset))
         if check_global_generation(inst):
             return inst
     raise RuntimeError(
-        f"no globally generating draw for ({n},{d},{k}) over F_{q} in {max_tries} tries"
+        f"no globally generating draw for ({n},{d},{k}) over F_{q} in {_GENERATING_TRIES} tries"
     )

@@ -4,7 +4,7 @@ The program never calls these.  Each is written the plain way, with loops
 over coefficients or a direct enumeration, so that it does not share the
 shortcuts of the code it checks: form arithmetic and splitting types from
 unsorted degrees for building test inputs, the value of a form at a point
-behind ``SectionPairing._point_values``, the per-component sum behind
+behind ``exactmath.point_values``, the per-component sum behind
 ``combine_sections``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
@@ -14,7 +14,10 @@ every basis's saturation, the verdict and critical weights from ``Fraction``
 slopes, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
 determinants over GF(q)[t], the row-swapping numpy elimination for ranks,
-and the term-by-term sum behind ``stacked_combination``.
+and the term-by-term sum behind ``stacked_combination``.  Two references
+take another route altogether: the stable interval in closed form from the
+candidates' linear constraints, and a rank-2 verdict over GF(q^m) that
+enumerates line subsheaves instead of section subspaces.
 """
 
 import functools
@@ -27,6 +30,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from cohsys import bundles
 from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
+from cohsys.classification import AlphaInterval
 from cohsys.exactmath import BinaryForm, FieldMatrix, generic_rank
 from cohsys.stability import Candidate, StabilityReport, echelon_stacks, subsystem_candidates
 
@@ -268,6 +272,28 @@ def fraction_verdict(inst, alpha) -> StabilityReport:
     return StabilityReport(alpha, not violators, semistable, mu, witness)
 
 
+def closed_form_interval(inst) -> AlphaInterval:
+    """``stability_interval(inst)`` from the candidates' linear constraints, with no sampling.
+
+    A candidate of rank r, degree e and section dimension w violates at alpha
+    when N >= alpha D, with N = n e - r d and D = r k - n w.  So the stable
+    set is empty when some candidate has D = 0 <= N, and otherwise it is the
+    open interval above every N / D with D > 0 (and above 0) and below every
+    N / D with D < 0.
+    """
+    lower, upper = Fraction(0), None
+    for cand in subsystem_candidates(inst):
+        num = inst.n * cand.degree - cand.rank * inst.d
+        den = cand.rank * inst.k - inst.n * cand.sections_dim
+        if den == 0 and num >= 0:
+            return AlphaInterval.EMPTY
+        if den > 0:
+            lower = max(lower, Fraction(num, den))
+        elif den < 0:
+            upper = Fraction(num, den) if upper is None else min(upper, Fraction(num, den))
+    return AlphaInterval.open_interval(lower, upper)
+
+
 def fraction_critical_alphas(inst) -> list:
     """``critical_alphas(inst)``: each rational candidate's crossing weight, if >= 0."""
     crits = set()
@@ -390,3 +416,132 @@ def termwise_combination(bases, mats, q: int):
     for idx, mat in enumerate(mats):
         out = (out + bases[..., idx][spread] * mat % q) % q
     return out
+
+
+# -- the sheaf side, over F_q and its extensions -------------------------------
+
+
+class ExtensionField:
+    """GF(q^m) for q^m <= 25, with addition, product, negation and inverse tables.
+
+    Element i is the polynomial in u whose coefficient of u^j is the j-th
+    base-q digit of i, taken modulo the first monic polynomial of degree m,
+    in the order of its digits, whose residues form a field: no two nonzero
+    ones multiply to zero.  So the residues 0..q-1 are F_q itself.
+    """
+
+    def __init__(self, q: int, m: int):
+        self.q, self.m, self.size = q, m, q**m
+        if self.size > 25:
+            raise ValueError(f"GF({q}^{m}) is too large for table arithmetic here")
+        digits = [self._digits(i) for i in range(self.size)]
+        self.add = [[self._index([a + b for a, b in zip(x, y)]) for y in digits] for x in digits]
+        self.neg = [self._index([-a for a in x]) for x in digits]
+        for tail in itertools.product(range(q), repeat=m):
+            mul = [[self._index(self._times(x, y, tail)) for y in digits] for x in digits]
+            if all(mul[a][b] for a in range(1, self.size) for b in range(1, self.size)):
+                break
+        self.mul = mul
+        self.inv = [0] + [row.index(1) for row in mul[1:]]
+
+    def _digits(self, i: int) -> list[int]:
+        return [i // self.q**j % self.q for j in range(self.m)]
+
+    def _index(self, digits) -> int:
+        return sum(d % self.q * self.q**j for j, d in enumerate(digits))
+
+    def _times(self, x, y, tail) -> list[int]:
+        """x * y reduced by u^m = -sum(tail[j] u^j)."""
+        prod = [0] * (2 * self.m - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        for top in range(2 * self.m - 2, self.m - 1, -1):
+            for j, c in enumerate(tail):
+                prod[top - self.m + j] -= prod[top] * c
+        return prod[: self.m]
+
+    def rank(self, rows) -> int:
+        """Rank of a matrix of elements, by Gaussian elimination with row swaps."""
+        rows = [list(row) for row in rows]
+        rank = 0
+        for col in range(len(rows[0]) if rows else 0):
+            piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            inv = self.inv[rows[rank][col]]
+            top = [self.mul[inv][v] for v in rows[rank]]
+            for i in range(rank + 1, len(rows)):
+                c = self.neg[rows[i][col]]
+                if c:
+                    rows[i] = [self.add[v][self.mul[c][t]] for v, t in zip(rows[i], top)]
+            rank += 1
+        return rank
+
+
+def _product_rows(form: list[int], degree: int) -> list[list[int]]:
+    """x^(degree - i) y^i * form for i = 0..degree, in the monomials of degree deg form + degree."""
+    return [[0] * i + form + [0] * (degree - i) for i in range(degree + 1)]
+
+
+def _coprime(field: ExtensionField, f1: list[int], f2: list[int]) -> bool:
+    """Whether two forms share no zero on P^1 over the closure; f2 = [] has no slot (is 0).
+
+    The forms of degrees d1 and d2 share none exactly when their Sylvester
+    matrix, the products of f1 with the forms of degree d2 - 1 stacked on
+    those of f2 with the forms of degree d1 - 1, has full rank d1 + d2.
+    """
+    if not f2:
+        return len(f1) == 1
+    rows = _product_rows(f1, len(f2) - 2) + _product_rows(f2, len(f1) - 2)
+    return field.rank(rows) == len(f1) + len(f2) - 2
+
+
+def sheaf_side_verdict(inst, alpha, m: int) -> tuple[bool, bool, Fraction | None]:
+    """(stable, semistable, steepest violating slope) of a rank-2 pair over GF(q^m).
+
+    Starts from the subsheaves, not the section subspaces.  A proper
+    subobject (F, W) of (E, V) has W in V ∩ H^0(F), and W = V ∩ H^0(F) is
+    the steepest for each F.  For n = 2:
+
+    * F = E with W a proper subspace has slope (d + alpha w) / 2, which
+      reaches mu = (d + alpha k) / 2 only at alpha = 0, and never exceeds it.
+    * A rank-2 F other than E has deg F < d and slope below mu.
+    * A line subsheaf is the image of a map f = (f1, f2): O(b) -> E, with f_i
+      of degree a_i - b, up to a scalar, saturated when f1 and f2 share no
+      zero on P^1.  Its W = V ∩ H^0(O(b)) f has dimension k + b + 1 less the
+      rank of the k sections stacked on the b + 1 products x^(b-i) y^i f.
+      With d >= 0, b < 0 gives W = 0 and slope b < mu, so 0 <= b <= a_1; a b
+      with b + alpha min(k, b + 1) < mu cannot reach mu and is skipped.
+    """
+    if inst.n != 2 or inst.d < 0:
+        raise ValueError("the sheaf-side oracle covers rank 2 and degree >= 0 only")
+    alpha = Fraction(alpha)
+    field = ExtensionField(inst.q, m)
+    (a1, a2), d, k = inst.splitting.degrees, inst.d, inst.k
+    mu = Fraction(d, 2) + alpha * Fraction(k, 2)
+    sections = [[c for f, a in zip(s, (a1, a2)) for c in f.coeffs or [0] * (a + 1)]
+                for s in inst.sections]
+    slopes = [mu] if alpha == 0 and k else []
+    for b in range(a1 + 1):
+        if b + alpha * min(k, b + 1) < mu:
+            continue
+        split = a1 - b + 1
+        for f in _normalized_vectors(field.size, split + max(0, a2 - b + 1)):
+            f1, f2 = list(f[:split]), list(f[split:])
+            if not _coprime(field, f1, f2):
+                continue
+            second = _product_rows(f2, b) if f2 else [[0] * (a2 + 1)] * (b + 1)
+            images = [row + more for row, more in zip(_product_rows(f1, b), second)]
+            w = k + b + 1 - field.rank(sections + images)
+            if b + alpha * w >= mu:
+                slopes.append(b + alpha * w)
+    return not slopes, all(s <= mu for s in slopes), max(slopes, default=None)
+
+
+def _normalized_vectors(size: int, length: int):
+    """Nonzero vectors over a field of this size whose first nonzero entry is 1."""
+    for lead in range(length):
+        for tail in itertools.product(range(size), repeat=length - lead - 1):
+            yield (0,) * lead + (1,) + tail

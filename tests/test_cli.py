@@ -197,6 +197,15 @@ class TestVerifyCommand:
         (sample,) = cell["samples"]
         assert (sample["alpha"], sample["expect"], sample["stable_count"]) == ("0", "zero", 0)
 
+    def test_oversized_type_is_skipped_before_any_draw(self, capsys):
+        # h0 = 4,000,002 is over the cost guard: the cell is refused at once
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--d", "4000000", "--k", "1", "--trials", "1"
+        )
+        assert code == 1
+        (cell,) = json.loads(out)["cells"]
+        assert cell["skipped"] == "sampling: h0 = 4000002 exceeds the limit 2000000"
+
     def test_campaign_that_tests_nothing_fails(self, capsys):
         # the only cell is skipped: 5 independent sections need h0 >= 5
         code, out, _ = run_cli(
@@ -269,12 +278,14 @@ VERIFY_OPTIONS = [
     (["--trials", "3"], "trials", 3),
     (["--seed", "5"], "seed", 5),
     (["--alpha-rule", "cell-midpoints"], "alpha_rule", "cell-midpoints"),
-    (["--alphas", "1/2,3"], "alphas", (Fraction(1, 2), Fraction(3))),
+    (["--alphas", "1/2,3", "--alpha-rule", "explicit"], "alphas", (Fraction(1, 2), Fraction(3))),
     (["--min-stable-frac", "1/3"], "min_stable_frac", Fraction(1, 3)),
     (["--empty-samples", "0"], "empty_samples", 0),
     (["--force-large"], "force_large", True),
     (["--require-generation"], "require_generation", True),
 ]
+# a field whose option is refused without another, and what that other one sets
+COMPANIONS = {"alphas": {"alpha_rule": "explicit"}}
 
 
 class TestVerifyConfig:
@@ -287,11 +298,16 @@ class TestVerifyConfig:
     @pytest.mark.parametrize("options,name,value", VERIFY_OPTIONS)
     def test_each_option_sets_only_its_field(self, monkeypatch, capsys, options, name, value):
         cfg = verify_config(monkeypatch, capsys, *options)
-        assert cfg == replace(VerifyCampaignConfig((2, 3), (4,), (1, 2)), **{name: value})
+        changes = {name: value, **COMPANIONS.get(name, {})}
+        assert cfg == replace(VerifyCampaignConfig((2, 3), (4,), (1, 2)), **changes)
 
     def test_every_field_has_an_option(self):
+        # each field is named by the first option of its case; --alphas comes
+        # with the explicit rule it needs
         names = [field.name for field in fields(VerifyCampaignConfig)]
         assert names[3:] == [name for _, name, _ in VERIFY_OPTIONS]
+        assert all(options[0] == "--alphas" for options, name, _ in VERIFY_OPTIONS
+                   if name in COMPANIONS)
 
     def test_parser_states_no_default(self):
         # an option not given leaves no attribute, so the config's default holds
@@ -564,6 +580,15 @@ class TestExitCodes:
                                "--alpha-rule", "explicit")
         assert code == 2
 
+    @pytest.mark.parametrize("rule", [[], ["--alpha-rule", "cell-midpoints"]])
+    def test_alphas_without_explicit_rule_exits_2(self, capsys, rule):
+        # the weights would be ignored while the report's config listed them
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--d", "5", "--k", "1",
+                                 "--trials", "1", "--alphas", "1/2,7", *rule)
+        assert out == ""
+        assert_one_line_error(code, err)
+        assert "--alphas needs --alpha-rule explicit" in err
+
 
 def run_cli_captured(argv):
     """main() on argv with stdout and stderr captured, without pytest fixtures.
@@ -661,9 +686,11 @@ ARGVS = weighted(
             st.just("--q"), st.sampled_from(["2", "3", "5"]),
             st.just("--alpha-rule"),
             st.sampled_from(["interval-midpoint", "cell-midpoints", "explicit"]),
-            st.just("--alphas"),
-            st.lists(st.sampled_from(["0", "1/3", "5"]), min_size=1, max_size=3).map(",".join),
-        ).map(list),
+            # no weights at all, or one to three: only the explicit rule takes them
+            st.lists(st.sampled_from(["0", "1/3", "5"]), max_size=3).map(
+                lambda alphas: ("--alphas", ",".join(alphas)) if alphas else ()
+            ),
+        ).map(lambda argv: [*argv[:-1], *argv[-1]]),
     ),
     (1, st.lists(st.text(max_size=6), max_size=4)),
 )

@@ -23,6 +23,7 @@ from cohsys.exactmath import (
     multiplication_matrix,
     pack_bits,
     packed_rank,
+    point_values,
     stacked_combination,
     stacked_rank,
     unpack_bits,
@@ -50,6 +51,8 @@ def form(*coeffs, field=F101):
 X = form(1, 0)
 Y = form(0, 1)
 ZERO = BinaryForm.zero(F101)
+# the points whose values ``generic_rank`` ranks, in its order
+POINTS = [(1, 0), (0, 1), (1, 1)]
 
 
 def random_form(rng, field, degree, zero_prob=0.25):
@@ -696,8 +699,10 @@ class TestGenericRank:
         assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)[0]
 
     def test_full_rank_leads_skip_the_elimination(self):
-        # [[x, y], [y, x]] leads with the identity; [[y, x], [y, x]] leads with
-        # a rank-1 matrix, and so does [[x, y], [x, 0]], whose generic rank is 2
+        # [[x, y], [y, x]] leads with the identity, and [[x, y], [x, 0]] with a
+        # rank-1 matrix, but it has full rank at (1 : 1); [[y, x], [y, x]] has
+        # rank 1 everywhere, and [[x, 0], [0, y(x - y)]], of generic rank 2,
+        # has rank 1 at (1 : 0), (0 : 1) and (1 : 1) alike
         calls = []
         real = exactmath._bareiss
 
@@ -707,10 +712,61 @@ class TestGenericRank:
 
         with mock.patch.object(exactmath, "_bareiss", counted):
             assert generic_rank([[X, Y], [Y, X]], [0, 0], [1, 1]) == 2
+            assert generic_rank([[X, Y], [X, ZERO]], [0, 0], [1, 1]) == 2
             assert not calls
             assert generic_rank([[Y, X], [Y, X]], [0, 0], [1, 1]) == 1
-            assert generic_rank([[X, Y], [X, ZERO]], [0, 0], [1, 1]) == 2
+            assert generic_rank([[X, ZERO], [ZERO, form(0, 1, 100)]], [0, 0], [1, 2]) == 2
             assert len(calls) == 2
+
+    def test_points_are_ranked_until_one_has_full_rank(self, monkeypatch):
+        # the values at (1 : 0) settle [[x, y], [y, x]]: one rank, as before
+        # the other points were read; [[x, y], [x, 0]] needs all three
+        ranked = []
+        real = FieldMatrix.rank
+
+        def counted(self):
+            ranked.append(self.data.tolist())
+            return real(self)
+
+        monkeypatch.setattr(FieldMatrix, "rank", counted)
+        generic_rank([[X, Y], [Y, X]], [0, 0], [1, 1])
+        assert ranked == [[[1, 0], [0, 1]]]
+        ranked.clear()
+        generic_rank([[X, Y], [X, ZERO]], [0, 0], [1, 1])
+        assert ranked == [[[1, 0], [1, 0]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 101]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(["y", "xy(x - y)"]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bareiss_when_singular_at_the_points(
+        self, seed, q, nrows, ncols, factor, every_row
+    ):
+        # a row divisible by y is zero at (1 : 0) and one divisible by
+        # xy(x - y) at all three points that are ranked before the elimination;
+        # every row divisible makes the values there zero, not full rank
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        g = form(0, 1, field=field) if factor == "y" else form(0, 1, q - 1, 0, field=field)
+        r, c, entries = profiled_matrix(rng, field, nrows, ncols)
+        for i in range(nrows if every_row else 1):
+            r[i] += g.degree
+            entries[i] = [mul(g, f) for f in entries[i]]
+        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)[0]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 7, 101]))
+    @settings(max_examples=50, deadline=None)
+    def test_point_values_are_the_values(self, seed, q):
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        _, _, entries = profiled_matrix(rng, field, 3, 2)
+        want = [[[evaluate(f, b, c) for f in row] for row in entries] for b, c in POINTS]
+        assert list(point_values(entries)) == want
 
 
 class TestFormDeterminant:

@@ -37,6 +37,7 @@ from cohsys.stability import (
     subsystem_candidates,
 )
 from oracles import (
+    closed_form_interval,
     echelon_bases,
     evaluate,
     evaluation_rank_at_point,
@@ -173,6 +174,30 @@ class TestSampling:
         inst = sample_instance(4, 6, 2, 101, 3)
         assert calls == [(2, cohomology(inst.splitting, 0)[0])]
 
+    @pytest.mark.parametrize(
+        "n,d,k,message",
+        [
+            # h0 = 4,000,002: a draw would take seconds, and every one would be refused
+            (2, 4_000_000, 1, f"h0 = 4000002 exceeds the limit {COST_GUARD_MAX_SUBSPACES}"),
+            (2, 0, 3, "cannot draw 3 independent sections: h0 = 2"),
+        ],
+    )
+    def test_an_oversized_request_is_refused_before_any_draw(self, monkeypatch, n, d, k, message):
+        import cohsys.stability as stability_mod
+
+        draws = []
+
+        def counted(seed):
+            draws.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(stability_mod, "random", mock.Mock(Random=counted))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_instance(n, d, k, 101, 0)
+        assert draws == []
+        sample_instance(2, 2, 1, 101, 0)
+        assert len(draws) == 1
+
     def test_a_dependent_draw_is_drawn_again(self):
         # over F_2 a one-coefficient section is zero in half the draws
         for seed in range(12):
@@ -297,6 +322,42 @@ class TestStabilityInterval:
             inst = sample_instance(n, d, k, 101, rng.randrange(10**6))
             iv = stability_interval(inst)
             assert iv.issubset(necessary_region(n, d, k))
+
+
+class TestClosedFormInterval:
+    """The stable interval read from each candidate's constraint N >= alpha D."""
+
+    @staticmethod
+    def assert_matches(inst):
+        iv = closed_form_interval(inst)
+        assert iv == stability_interval(inst)
+        ends = {
+            Fraction(inst.n * c.degree - c.rank * inst.d, c.rank * inst.k - inst.n * c.sections_dim)
+            for c in subsystem_candidates(inst)
+            if c.rank * inst.k != inst.n * c.sections_dim
+        }
+        if not iv.empty:
+            assert iv.lower == 0 or iv.lower in ends
+            assert iv.upper is None or iv.upper in ends
+
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 14),
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sampled_draws(self, n, d, k, q, seed):
+        d = min(d, 3 * n + 2)
+        if k > d + n:  # h0 = d + n
+            k = d + n
+        self.assert_matches(sample_instance(n, d, k, q, seed))
+
+    @pytest.mark.parametrize("n,q", [(2, 3), (2, 7), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_generated_pairs(self, n, q, seed):
+        self.assert_matches(sample_generating_instance(n, n, n + 1, q, seed))
 
 
 class TestClosureEqualityWitnesses:
