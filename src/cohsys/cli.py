@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NoReturn
 
@@ -107,7 +107,7 @@ class VerifyCampaignConfig:
     def to_json_dict(self) -> dict:
         # the fields in order, with exact fractions as strings
         return {
-            **asdict(self),
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "alphas": [str(a) for a in self.alphas],
             "min_stable_frac": str(self.min_stable_frac),
         }

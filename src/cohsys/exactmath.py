@@ -147,11 +147,11 @@ class FieldMatrix:
 
 
 # ``FieldMatrix.rank`` reduces a matrix of at most this many entries on Python
-# ints.  Against a stack of one, the Python loop took a quarter of the time at
-# 36 entries or fewer, won on every matrix of 145 to 432 entries, tied from
-# 433 to 576 and lost above: measured on the lone twist and pencil matrices
-# of k = 2 campaigns and delta checks over F_101 (2 CPUs, Python 3.11.7,
-# numpy 2.4.6).
+# ints.  Against a column-major stack of one, the Python loop took a fifth of
+# the time at 36 entries or fewer, won on all 49 distinct matrices of 145 to
+# 288 entries and 12 of 13 of 289 to 432, and lost on 13 of 14 above: the
+# lone twist and pencil matrices of the verify-k2 and pencil-delta workloads,
+# seeds 1 to 4, over F_101 (2 CPUs, Python 3.11.7, numpy 2.4.6).
 SMALL_RANK_ENTRIES = 432
 
 
@@ -295,19 +295,17 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     the pivot row included, becomes p * row - row[col] * pivot_row.  That
     needs no inverse, clears column col and zeroes the pivot row, so no row
     moves and a used pivot row is never picked again.  A matrix's rank is the
-    number of columns in which it had a pivot.  Column col and the ones
-    before it are never read again, but the update runs over the whole
-    array: one pass over contiguous memory is faster than one over the
-    strided columns right of col, and those columns keep within the same
-    bound as the rest.
+    number of columns in which it had a pivot.  The elimination works on its
+    own array of shape (cols, N, rows), so the columns right of col, the only
+    ones read again, are one contiguous block, which each step alone updates.
 
-    Reduction mod q is lazy.  The input is copied when its entries are
-    residues already, as every program caller's are, and reduced otherwise,
-    so it starts at residues either way.  Each step reduces its pivot column,
-    so p and row[col] are residues below q, and a step takes a bound B on the
-    absolute value of the entries to 2 q B.  The array is reduced, and B
-    reset to q - 1, only when 2 q B would reach 2**62, so every product and
-    difference stays exact in int64.  For q near 2**31 that is every step.
+    Reduction mod q is lazy.  A stack of residues, as every program caller
+    passes, is copied into that array, several times cheaper than a
+    remainder; any other is reduced.  Each step reduces its pivot column, so
+    p and row[col] are residues below q, and takes a bound B on the absolute
+    value of the entries to 2 q B.  The block left is reduced, and B reset to
+    q - 1, only when 2 q B would reach 2**62, so every product and difference
+    stays exact in int64.  For q near 2**31 that is every step.
 
     For q = 2 the rows are packed into bit words and ranked by
     ``packed_rank``: the same pivots, with one XOR per row and word in place
@@ -325,14 +323,13 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
         return packed_rank(pack_bits(a % 2))
     if ncols > nrows:
         a, ncols = a.transpose(0, 2, 1), nrows
-    if a.min() >= 0 and a.max() < q:
-        a = np.array(a, order="C")  # residues, from every program caller: a plain copy
-    else:
-        a = np.remainder(a, q, order="C")
+    a = a.transpose(2, 0, 1)
+    a = np.array(a, order="C") if a.min() >= 0 and a.max() < q else np.remainder(a, q, order="C")
+    product = np.empty_like(a[1:])  # one buffer for every step's pivot_row x column
     mats = np.arange(count)
     bound = q - 1
     for col in range(ncols):
-        column = np.remainder(a[:, :, col], q)
+        column = np.remainder(a[col], q)
         piv = (column != 0).argmax(axis=1)
         p = column[mats, piv]
         has = p != 0
@@ -341,13 +338,14 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
         rank += has
         if col + 1 == ncols:
             break
+        rest = a[col + 1 :]
         if 2 * q * bound >= 2**62:
-            np.remainder(a, q, out=a)
+            np.remainder(rest, q, out=rest)
             bound = q - 1
-        pivot_row = a[mats, piv]
+        pivot_row = rest[:, mats, piv]
         # p = 1 leaves a matrix without a pivot here unchanged: its column is zero
-        a *= (p + ~has)[:, None, None]
-        a -= column[:, :, None] * pivot_row[:, None, :]
+        rest *= (p + ~has)[:, None]
+        rest -= np.multiply(pivot_row[:, :, None], column, out=product[col:])
         bound *= 2 * q
     return rank
 

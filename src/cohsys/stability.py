@@ -492,6 +492,8 @@ _GENERATING_TRIES = 500  # draws before sample_generating_instance gives up
 
 def sample_generating_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance:
     """Like ``sample_instance`` but conditioned on globally generating sections."""
+    if k < n:  # no draw of fewer than n sections generates a rank-n bundle
+        raise ValueError(f"k = {k} sections cannot generate a bundle of rank n = {n}")
     for offset in range(_GENERATING_TRIES):
         inst = sample_instance(n, d, k, q, mix_seed(seed, offset))
         if check_global_generation(inst):

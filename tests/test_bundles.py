@@ -350,6 +350,22 @@ class TestSectionPairing:
             ]
             assert (got == np.vstack(want)).all()
 
+    @pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cached_pairings_are_left_as_built(self, q, k):
+        # every probe ranks the pairings M_j(V) it reads: none may be reduced in place
+        # degree 40: over F_3 one section's twist matrices pass SMALL_RANK_ENTRIES
+        inst = sample_instance(3, 40, k, q, 5)
+        pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
+        eye = np.eye(k, dtype=np.int64)
+        pairing.saturate_stack(eye[:, None])  # the line of each section
+        if k > 1:
+            pairing.saturate_stack(np.array([eye[:2], eye[1:], [eye[0] + eye[2], eye[1]]]))
+        fresh = SectionPairing(inst.field, inst.splitting, inst.sections)
+        assert pairing._pairings
+        for j, cached in pairing._pairings.items():
+            assert (cached == fresh.at(j)).all()
+
     def test_pairing_is_packed_over_f2(self):
         # over F_2, M_j(V) is kept as bit rows, and the probe's XOR of the
         # blocks that B picks is the packed M_j(W)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,6 +206,15 @@ class TestVerifyCommand:
         (cell,) = json.loads(out)["cells"]
         assert cell["skipped"] == "sampling: h0 = 4000002 exceeds the limit 2000000"
 
+    def test_too_few_sections_to_generate_are_skipped(self, capsys):
+        # 2 sections never generate a rank-3 bundle: the cell is refused at once
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "3", "--d", "3", "--k", "2", "--require-generation"
+        )
+        assert code == 1
+        (cell,) = json.loads(out)["cells"]
+        assert cell["skipped"] == "sampling: k = 2 sections cannot generate a bundle of rank n = 3"
+
     def test_campaign_that_tests_nothing_fails(self, capsys):
         # the only cell is skipped: 5 independent sections need h0 >= 5
         code, out, _ = run_cli(
@@ -308,6 +317,17 @@ class TestVerifyConfig:
         assert names[3:] == [name for _, name, _ in VERIFY_OPTIONS]
         assert all(options[0] == "--alphas" for options, name, _ in VERIFY_OPTIONS
                    if name in COMPANIONS)
+
+    @pytest.mark.parametrize("options,name,value", VERIFY_OPTIONS)
+    def test_config_json_is_the_asdict_form(self, monkeypatch, capsys, options, name, value):
+        # the fields in order, read without a deep copy, with fractions as strings
+        cfg = verify_config(monkeypatch, capsys, *options)
+        deep = {
+            **asdict(cfg),
+            "alphas": [str(a) for a in cfg.alphas],
+            "min_stable_frac": str(cfg.min_stable_frac),
+        }
+        assert json.dumps(cfg.to_json_dict()) == json.dumps(deep)
 
     def test_parser_states_no_default(self):
         # an option not given leaves no attribute, so the config's default holds

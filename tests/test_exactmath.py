@@ -223,6 +223,17 @@ class TestKernelDimension:
         got = FieldMatrix(PrimeField(q), data).rank()
         assert got == row_swap_rank(q, data) <= bound
 
+    @pytest.mark.parametrize("q", [3, 101, 2**31 - 1])
+    @pytest.mark.parametrize("shape", [(22, 20), (20, 22)])
+    def test_a_large_rank_leaves_the_data_as_it_was(self, q, shape):
+        # past the cutoff the matrix goes to stacked_rank as a view, a stack of one
+        assert shape[0] * shape[1] > SMALL_RANK_ENTRIES
+        rng = np.random.default_rng(q)
+        matrix = FieldMatrix(PrimeField(q), rng.integers(0, q, size=shape))
+        kept = matrix.data.copy()
+        assert matrix.rank() == row_swap_rank(q, kept)
+        assert (matrix.data == kept).all()
+
     @pytest.mark.parametrize("entries", [SMALL_RANK_ENTRIES, SMALL_RANK_ENTRIES + 1])
     def test_cutoff_selects_the_elimination(self, entries):
         # at the cutoff the Python loop runs, one entry past it a stack of one
@@ -283,12 +294,15 @@ class TestStackedRank:
         field = PrimeField(q)
         rng = np.random.default_rng(seed)
         stack, ranks = staggered_stack(rng, q, count, rows, cols)
+        kept = stack.copy()
         assert per_matrix_ranks(field, stack) == ranks
         assert stacked_rank(field, stack).tolist() == ranks
         # permuting each matrix's rows, and transposing, keep every rank
         permuted = np.stack([m[rng.permutation(rows)] for m in stack])
         assert stacked_rank(field, permuted).tolist() == ranks
         assert stacked_rank(field, stack.transpose(0, 2, 1)).tolist() == ranks
+        # the elimination works on its own copy, tall or wide, never the input
+        assert (stack == kept).all()
 
     @given(
         st.sampled_from([2, 3, 101, 65521, 2**31 - 1]),

@@ -204,6 +204,23 @@ class TestSampling:
             (section,) = sample_instance(1, 0, 1, 2, seed).sections
             assert section == (BinaryForm(PrimeField(2), (1,)),)
 
+    @pytest.mark.parametrize("n,k", [(3, 2), (2, 1), (5, 0)])
+    def test_too_few_sections_to_generate_are_refused_before_any_draw(self, monkeypatch, n, k):
+        # k < n sections never generate a rank-n bundle: no draw can succeed
+        import cohsys.stability as stability_mod
+
+        draws = []
+
+        def counted(seed):
+            draws.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(stability_mod, "random", mock.Mock(Random=counted))
+        message = f"k = {k} sections cannot generate a bundle of rank n = {n}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_generating_instance(n, 3, k, 101, 0)
+        assert draws == []
+
     def test_generating_sampler(self):
         inst = sample_generating_instance(3, 3, 4, 7, 1)
         assert check_global_generation(inst)
