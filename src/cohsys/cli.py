@@ -59,8 +59,11 @@ def unit_fraction(text: str) -> Fraction:
 
 
 def fractions(text: str) -> tuple[Fraction, ...]:
-    """argparse type for a comma-separated list of fractions."""
-    return tuple(fraction(part) for part in text.split(",") if part.strip())
+    """argparse type for a comma-separated list of weights: fractions >= 0."""
+    values = tuple(fraction(part) for part in text.split(",") if part.strip())
+    if any(value < 0 for value in values):
+        raise argparse.ArgumentTypeError(f"{text!r} holds a negative weight")
+    return values
 
 
 def positive_int(text: str) -> int:
@@ -101,7 +104,6 @@ class VerifyCampaignConfig:
     alphas: tuple[Fraction, ...] = ()
     min_stable_frac: Fraction = Fraction(4, 5)
     empty_samples: int = 10
-    force_large: bool = False
     require_generation: bool = False
 
     def to_json_dict(self) -> dict:
@@ -216,25 +218,28 @@ def _verify_cell(cfg: VerifyCampaignConfig, n: int, d: int, k: int) -> dict:
         instances = _draw_instances(cfg, n, d, k)
     except (ValueError, RuntimeError) as exc:
         return {**cell, "skipped": f"sampling: {exc}"}
-    if cfg.alpha_rule == "cell-midpoints":
-        cell["agree"] = _containment_cell(cfg, verdict, instances, cell)
-    elif plan := _plan_samples(verdict, cfg):
-        cell["agree"] = _sampled_cell(cfg, verdict, instances, plan, cell)
-    else:
-        cell["skipped"] = f"plan: {cfg.alpha_rule} has no weight to sample in this cell"
+    try:
+        if cfg.alpha_rule == "cell-midpoints":
+            cell["agree"] = _containment_cell(verdict, instances, cell)
+        elif plan := _plan_samples(verdict, cfg):
+            cell["agree"] = _sampled_cell(cfg, verdict, instances, plan, cell)
+        else:
+            cell["skipped"] = f"plan: {cfg.alpha_rule} has no weight to sample in this cell"
+    except ValueError as exc:  # the cost guard; RuntimeError tripwires propagate
+        return {**cell, "skipped": f"check: {exc}"}
     return cell
 
 
 def _sampled_cell(cfg, verdict, instances, plan, cell) -> bool:
     samples_out = []
     agree = True
-    crits_per_instance = [critical_alphas(inst, cfg.force_large) for inst in instances]
+    crits_per_instance = [critical_alphas(inst) for inst in instances]
     for alpha, kind in plan:
         expect = _expectation(verdict, alpha)
         stable_count = 0
         for inst, crits in zip(instances, crits_per_instance):
             a2 = _nudge_alpha(alpha, crits, verdict)
-            if is_alpha_stable(inst, a2, cfg.force_large).stable:
+            if is_alpha_stable(inst, a2).stable:
                 stable_count += 1
         frac = Fraction(stable_count, len(instances))
         ok = True
@@ -257,12 +262,12 @@ def _sampled_cell(cfg, verdict, instances, plan, cell) -> bool:
     return agree
 
 
-def _containment_cell(cfg, verdict, instances, cell) -> bool:
+def _containment_cell(verdict, instances, cell) -> bool:
     """Every instance's stable range must sit inside what the verdict allows."""
     violations = 0
     intervals = []
     for inst in instances:
-        iv = stability_interval(inst, cfg.force_large)
+        iv = stability_interval(inst)
         intervals.append(str(iv))
         if verdict.status is Status.EMPTY:
             ok = iv.empty
@@ -336,9 +341,7 @@ def _cmd_delta_check(args: argparse.Namespace) -> int:
     formula = delta_formula(args.a, args.t)
     seeds = (mix_seed(args.seed, i) for i in range(args.trials))
     try:
-        closure, rational, holds = check_pencil_cell(
-            args.a, args.t, args.q, seeds, args.force_large
-        )
+        closure, rational, holds = check_pencil_cell(args.a, args.t, args.q, seeds)
     except ScanBelowClosure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -364,7 +367,7 @@ def _cmd_check_instance(args: argparse.Namespace) -> int:
         except RecursionError:
             raise ValueError(f"{args.path}: JSON nested too deeply to parse") from None
     inst = SystemInstance.from_json_dict(data)
-    report = is_alpha_stable(inst, args.alpha, args.force_large)
+    report = is_alpha_stable(inst, args.alpha)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
@@ -413,10 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha-rule", choices=["interval-midpoint", "cell-midpoints", "explicit"])
-    p.add_argument("--alphas", type=fractions, help="comma-separated exact fractions")
+    p.add_argument("--alphas", type=fractions, help="comma-separated exact weights >= 0")
     p.add_argument("--min-stable-frac", type=unit_fraction)
     p.add_argument("--empty-samples", type=nonnegative_int)
-    p.add_argument("--force-large", action="store_true")
     p.add_argument("--require-generation", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -426,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=prime_modulus, default=101)
     p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force-large", action="store_true")
     p.set_defaults(func=_cmd_delta_check)
 
     p = sub.add_parser("check-instance", help="stability report for an instance file")
     p.add_argument("path")
     p.add_argument("alpha", type=fraction)
-    p.add_argument("--force-large", action="store_true")
     p.set_defaults(func=_cmd_check_instance)
 
     p = sub.add_parser("cross-check", help="agreement of overlapping case rules")

@@ -83,7 +83,7 @@ def _pencil_coefficient_matrices(
     return pencil
 
 
-def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
+def delta_bruteforce(inp: DeltaInput) -> int:
     """Least rank of the specialized pencil b*A + c*B over the q + 1 rational points.
 
     The points are (1 : c) for c in F_q, then (0 : 1).  Their a x t matrices
@@ -91,14 +91,13 @@ def delta_bruteforce(inp: DeltaInput, allow_large: bool = False) -> int:
     the memory for large q by ``STACK_CELLS`` entries or one matrix, and the
     scan stops at the first stack that holds a point of rank 0.  The points
     are the one-dimensional subspaces of F_q^2, so more than
-    ``COST_GUARD_MAX_SUBSPACES`` of them are refused unless ``allow_large``
-    is set.
+    ``COST_GUARD_MAX_SUBSPACES`` of them are refused.
     """
     q = inp.field.q
-    if q + 1 > COST_GUARD_MAX_SUBSPACES and not allow_large:
+    if q + 1 > COST_GUARD_MAX_SUBSPACES:
         raise ValueError(
             f"refusing to scan {q + 1} rational points over F_{q} "
-            f"(limit {COST_GUARD_MAX_SUBSPACES}); pass allow_large=True / --force-large"
+            f"(limit {COST_GUARD_MAX_SUBSPACES})"
         )
     pencil = _pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1)
     least = inp.t
@@ -186,7 +185,7 @@ class ScanBelowClosure(RuntimeError):
 
 
 def check_pencil_cell(
-    a: int, t: int, q: int, seeds: Iterable[int], allow_large: bool = False
+    a: int, t: int, q: int, seeds: Iterable[int]
 ) -> tuple[list[int], list[int], bool]:
     """Both oracles on the draw at each seed, and whether the formula holds there.
 
@@ -199,7 +198,7 @@ def check_pencil_cell(
     for trial, seed in enumerate(seeds):
         inp = sample_delta_input(a, t, q, seed)
         closure.append(delta_closure(inp))
-        rational.append(delta_bruteforce(inp, allow_large))
+        rational.append(delta_bruteforce(inp))
         if rational[-1] < closure[-1]:
             raise ScanBelowClosure(
                 f"trial {trial}: the rational scan's rank {rational[-1]} "

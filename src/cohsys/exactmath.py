@@ -191,11 +191,10 @@ def stack_size(cells: int) -> int:
 
 # Enumerations that visit every subspace of a vector space over F_q (the
 # subspaces of F_q^k for candidates, the q + 1 lines of F_q^2 for a pencil's
-# rational points) refuse to visit more than this many unless the caller
-# allows it.  An instance whose h0(E) exceeds it is refused outright, with no
-# option to allow it: each section is padded to h0(E) coefficients, so a
-# short instance file with one summand of huge degree would cost time and
-# memory linear in that degree.
+# rational points) refuse to visit more than this many, and an instance whose
+# h0(E) exceeds it is refused outright: each section is padded to h0(E)
+# coefficients, so a short instance file with one summand of huge degree would
+# cost time and memory linear in that degree.  The limit has no override.
 COST_GUARD_MAX_SUBSPACES = 2_000_000
 
 

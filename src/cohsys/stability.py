@@ -213,7 +213,8 @@ def echelon_stacks(k: int, w: int, q: int) -> Iterator[np.ndarray]:
     significant first.  Yields arrays of shape (m, w, k) with
     m <= stack_size(w * k), so a stack holds at most ``STACK_CELLS`` entries
     or one basis; each is built from its range of counts, and every stack but
-    the last is full, so a stack can span pivot combinations.
+    the last is full, so a stack can span pivot combinations.  The counts are
+    int64: callers stay under the cost guard, far below 2^63 subspaces.
     """
     size = stack_size(w * k)
     pieces: list[np.ndarray] = []
@@ -228,15 +229,13 @@ def echelon_stacks(k: int, w: int, q: int) -> Iterator[np.ndarray]:
         template = np.zeros((1, w, k), dtype=np.int64)
         template[0, range(w), pivots] = 1
         total = q ** len(free)
-        # counts past int64, reachable only with the cost guard lifted, stay Python ints
-        kind = np.int64 if total < 2**63 else object
-        places = np.array([q**e for e in reversed(range(len(free)))], dtype=kind)
+        places = np.array([q**e for e in reversed(range(len(free)))], dtype=np.int64)
         rows, cols = [row for row, _ in free], [col for _, col in free]
         start = 0
         while start < total:
             stop = min(total, start + size - held)
             block = np.repeat(template, stop - start, axis=0)
-            block[:, rows, cols] = np.arange(start, stop, dtype=kind)[:, None] // places % q
+            block[:, rows, cols] = np.arange(start, stop, dtype=np.int64)[:, None] // places % q
             pieces.append(block)
             held += stop - start
             start = stop
@@ -333,13 +332,13 @@ def _closure_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     return (Candidate(delta, a * delta, 1, None),)
 
 
-def subsystem_candidates(inst: SystemInstance, allow_large: bool = False) -> tuple[Candidate, ...]:
+def subsystem_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     """All extremal destabilization candidates, rational plus closure ones."""
     count = _subspace_count(inst.k, inst.q)
-    if count > COST_GUARD_MAX_SUBSPACES and not allow_large:
+    if count > COST_GUARD_MAX_SUBSPACES:
         raise ValueError(
             f"refusing to enumerate {count} subspaces for k = {inst.k} over F_{inst.q} "
-            f"(limit {COST_GUARD_MAX_SUBSPACES}); pass allow_large=True / --force-large"
+            f"(limit {COST_GUARD_MAX_SUBSPACES})"
         )
     return _rational_candidates(inst) + _closure_candidates(inst)
 
@@ -350,7 +349,7 @@ def total_slope(inst: SystemInstance, alpha: Fraction) -> Fraction:
     return Fraction(inst.d * s + inst.k * p, inst.n * s)
 
 
-def _constraints(inst: SystemInstance, allow_large: bool) -> list[tuple[int, int, Candidate]]:
+def _constraints(inst: SystemInstance) -> list[tuple[int, int, Candidate]]:
     """(N, D, candidate) for each candidate, with N = n e - r d and D = r k - n w.
 
     A candidate of rank r, degree e and section dimension w violates at the
@@ -360,13 +359,11 @@ def _constraints(inst: SystemInstance, allow_large: bool) -> list[tuple[int, int
     n, d, k = inst.n, inst.d, inst.k
     return [
         (n * cand.degree - cand.rank * d, cand.rank * k - n * cand.sections_dim, cand)
-        for cand in subsystem_candidates(inst, allow_large)
+        for cand in subsystem_candidates(inst)
     ]
 
 
-def is_alpha_stable(
-    inst: SystemInstance, alpha: Fraction | int, allow_large: bool = False
-) -> StabilityReport:
+def is_alpha_stable(inst: SystemInstance, alpha: Fraction | int) -> StabilityReport:
     """Exact stability verdict at one weight.
 
     Stability fails when any candidate slope reaches the total slope;
@@ -383,7 +380,7 @@ def is_alpha_stable(
     p, s = alpha.numerator, alpha.denominator
     violators = []
     semistable = True
-    for num, den, cand in _constraints(inst, allow_large):
+    for num, den, cand in _constraints(inst):
         excess = num * s - p * den
         if excess >= 0:
             rational = cand.basis is not None
@@ -395,7 +392,7 @@ def is_alpha_stable(
     return StabilityReport(alpha, not violators, semistable, total_slope(inst, alpha), witness)
 
 
-def critical_alphas(inst: SystemInstance, allow_large: bool = False) -> list[Fraction]:
+def critical_alphas(inst: SystemInstance) -> list[Fraction]:
     """Weights where some rational candidate slope crosses the total slope.
 
     A rational candidate's constraint N >= alpha D is tight at alpha = N / D,
@@ -403,7 +400,7 @@ def critical_alphas(inst: SystemInstance, allow_large: bool = False) -> list[Fra
     built for those alone.
     """
     crits: set[Fraction] = set()
-    for num, den, cand in _constraints(inst, allow_large):
+    for num, den, cand in _constraints(inst):
         if cand.basis is None:
             continue  # closure candidates have proportional invariants: no crossing
         if den and num * den >= 0:
@@ -411,19 +408,19 @@ def critical_alphas(inst: SystemInstance, allow_large: bool = False) -> list[Fra
     return sorted(crits)
 
 
-def stability_interval(inst: SystemInstance, allow_large: bool = False) -> AlphaInterval:
+def stability_interval(inst: SystemInstance) -> AlphaInterval:
     """The set of weights where the instance is stable, as one open interval.
 
     Candidate constraints are linear in the weight, so the stable set is an
     intersection of open half-lines: a single open interval (or empty).  One
     sample inside each cell cut out by the critical weights decides it.
     """
-    boundaries = [Fraction(0)] + [c for c in critical_alphas(inst, allow_large) if c > 0]
+    boundaries = [Fraction(0)] + [c for c in critical_alphas(inst) if c > 0]
     samples = [
         (boundaries[i] + boundaries[i + 1]) / 2 for i in range(len(boundaries) - 1)
     ]
     samples.append(boundaries[-1] + 1)
-    flags = [is_alpha_stable(inst, s, allow_large).stable for s in samples]
+    flags = [is_alpha_stable(inst, s).stable for s in samples]
     stable_cells = [i for i, f in enumerate(flags) if f]
     if not stable_cells:
         return AlphaInterval.EMPTY
@@ -445,8 +442,6 @@ def check_global_generation(inst: SystemInstance) -> bool:
     O(-d + deg gcd) from the n x n minors, so the sections generate exactly
     when some minor is nonzero and the minors share no zero on P^1.
     """
-    if inst.k == 0:
-        return False
     source = SplittingType((0,) * inst.k)
     entries = [
         [inst.sections[s][i] for s in range(inst.k)] for i in range(inst.n)

@@ -14,10 +14,11 @@ every basis's saturation, the verdict and critical weights from ``Fraction``
 slopes, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
 determinants over GF(q)[t], the row-swapping numpy elimination for ranks,
-and the term-by-term sum behind ``stacked_combination``.  Two references
+and the term-by-term sum behind ``stacked_combination``.  Three references
 take another route altogether: the stable interval in closed form from the
-candidates' linear constraints, and a rank-2 verdict over GF(q^m) that
-enumerates line subsheaves instead of section subspaces.
+candidates' linear constraints, a rank-2 verdict over GF(q^m) that
+enumerates line subsheaves instead of section subspaces, and the closed-form
+point count of the (n, d, n + 1) moduli at large weight.
 """
 
 import functools
@@ -545,3 +546,63 @@ def _normalized_vectors(size: int, length: int):
     for lead in range(length):
         for tail in itertools.product(range(size), repeat=length - lead - 1):
             yield (0,) * lead + (1,) + tail
+
+
+# -- counts --------------------------------------------------------------------
+
+
+def _gaussian_binomial(m: int, r: int, q: int) -> int:
+    """#Gr(r, m)(F_q), the number of r-dimensional subspaces of F_q^m; 0 when r > m."""
+    if not 0 <= r <= m:
+        return 0
+    num = den = 1
+    for i in range(r):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def large_alpha_count(n: int, d: int, q: int) -> list[int]:
+    """The closed-form F_q-point count of the (n, d, n + 1) moduli past every critical weight.
+
+    Term ℓ is b(d - ℓ) c(ℓ), for ℓ = 0, ..., d - n, in the weighting where a
+    pair of type E counts (q - 1) / |Aut E(F_q)|, so a pair whose only
+    automorphisms are scalars counts once:
+
+    * b(m) = G(m + 1) - (q + 1) G(m) + q G(m - 1), with G(j) = #Gr(n + 1, j),
+      counts the base-point-free (n + 1)-planes W in H^0(O(m)).  Every
+      (n + 1)-plane of H^0(O(m)) is s_D W' for its base divisor D and a
+      base-point-free W' in H^0(O(m - deg D)); the effective divisors of
+      degree j number [t^j] Z(t), Z(t) = 1 / ((1 - t)(1 - q t)), so b is G
+      convolved with 1 / Z(t) = 1 - (q + 1) t + q t^2.
+    * c(ℓ) = [t^ℓ] Z(t) Z(q t) ... Z(q^(n-1) t) counts the subsheaves of
+      colength ℓ of a rank-n bundle on P^1, whatever the bundle (the
+      F_q-points of its Quot scheme of length-ℓ quotients).
+
+    The bijection behind term 0: a pair (E, V) whose n + 1 sections generate
+    E, with H^0(E*) = 0, has a line kernel N = O(-d) in 0 -> N -> V ⊗ O -> E
+    -> 0.  Its dual V* ⊗ O -> O(d) maps V* onto a base-point-free
+    (n + 1)-plane W of H^0(O(d)), injectively because H^0(E*) = 0; W is the
+    span of the n x n minors of the section matrix.  Back, W ⊗ O -> O(d) is
+    onto with kernel K, and (K*, W*) is a generated pair with H^0(K) = 0.
+    Term ℓ >= 1: the sections of a pair that does not generate generate a
+    subsheaf E' of E of full rank and colength ℓ, with (E', V) generated of
+    degree d - ℓ.  So such a pair is a generated pair of degree d - ℓ
+    (b(d - ℓ) of them) with a colength-ℓ enlargement E of E', and the
+    enlargements are dual to the colength-ℓ subsheaves E* of E'* (c(ℓ) of
+    them).  That every such pair is stable at large weight, and no other pair
+    is, is observed by the brute count of the tests, not proved here.
+    """
+    def grass(j: int) -> int:
+        return _gaussian_binomial(j, n + 1, q)
+
+    def b(m: int) -> int:
+        return grass(m + 1) - (q + 1) * grass(m) + q * grass(m - 1)
+
+    top = d - n
+    # the power series Z(q^i t) up to t^top, multiplied for i = 0, ..., n - 1
+    series = [1] + [0] * top
+    for i in range(n):
+        factor = [sum(q**s for s in range(j + 1)) * q ** (i * j) for j in range(top + 1)]
+        series = [sum(series[s] * factor[j - s] for s in range(j + 1)) for j in range(top + 1)]
+    return [b(d - ell) * series[ell] for ell in range(top + 1)]

@@ -160,6 +160,8 @@ class TestVerifyCommand:
             ["--q", "4"],
             ["--q", "2147483648"],
             ["--empty-samples", "-3"],
+            # a negative weight: refused here, not skipped as a cell later
+            ["--alpha-rule", "explicit", "--alphas", "1,-1/2"],
         ],
     )
     def test_bad_argument_exits_2(self, capsys, extra):
@@ -205,6 +207,36 @@ class TestVerifyCommand:
         assert code == 1
         (cell,) = json.loads(out)["cells"]
         assert cell["skipped"] == "sampling: h0 = 4000002 exceeds the limit 2000000"
+
+    def test_over_limit_cell_is_skipped_and_the_rest_kept(self, capsys):
+        # (2, 2, 4) draws, but its 107,192,416 subspaces of F_101^4 are over
+        # the cost guard: that cell is skipped and the cells checked before
+        # it still count
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--d", "1..2", "--k", "1..4", "--trials", "1",
+            "--q", "101",
+        )
+        assert code == 0
+        report = json.loads(out)
+        cells = {(c["n"], c["d"], c["k"]): c for c in report["cells"]}
+        assert cells[2, 2, 4]["skipped"] == (
+            "check: refusing to enumerate 107192416 subspaces for k = 4 over F_101 "
+            "(limit 2000000)"
+        )
+        assert sum(c.get("agree", False) for c in report["cells"]) == 5
+        assert report["all_agree"]
+
+    def test_checker_tripwire_propagates(self, capsys, monkeypatch):
+        # a RuntimeError is a checker bug, not a cell to skip
+        import cohsys.cli as cli_mod
+
+        def tripwire(inst):
+            raise RuntimeError("stable cells are not contiguous; checker bug")
+
+        monkeypatch.setattr(cli_mod, "stability_interval", tripwire)
+        with pytest.raises(RuntimeError, match="checker bug"):
+            main(["verify", "--n", "2", "--d", "2", "--k", "1", "--trials", "1",
+                  "--alpha-rule", "cell-midpoints"])
 
     def test_too_few_sections_to_generate_are_skipped(self, capsys):
         # 2 sections never generate a rank-3 bundle: the cell is refused at once
@@ -290,7 +322,6 @@ VERIFY_OPTIONS = [
     (["--alphas", "1/2,3", "--alpha-rule", "explicit"], "alphas", (Fraction(1, 2), Fraction(3))),
     (["--min-stable-frac", "1/3"], "min_stable_frac", Fraction(1, 3)),
     (["--empty-samples", "0"], "empty_samples", 0),
-    (["--force-large"], "force_large", True),
     (["--require-generation"], "require_generation", True),
 ]
 # a field whose option is refused without another, and what that other one sets
@@ -364,7 +395,7 @@ class TestDeltaCheckCommand:
         )
         assert out == ""
         assert_one_line_error(code, err)
-        assert "--force-large" in err
+        assert "2147483648 rational points" in err and "limit 2000000" in err
 
     def test_scan_below_closure_exits_1(self, capsys, monkeypatch):
         # the closure minimum ranges over more points than the rational scan,
@@ -373,7 +404,7 @@ class TestDeltaCheckCommand:
 
         trials = []
 
-        def scan(inp, allow_large=False):
+        def scan(inp):
             trials.append(inp)
             return delta_closure(inp) - 1
 

@@ -153,6 +153,25 @@ class TestPencilMinRank:
         # columns (x, y) vs (y, x): det = b^2 - c^2 factors rationally
         assert pencil_min_rank([x, y], [y, x], 1, F) == 1
 
+    def test_irrational_drop_found_by_the_upward_sweep(self):
+        # b*I + c*diag(M, M, M) with M = [[0, 3], [1, 0]]: each block has
+        # determinant b^2 - 3c^2, which has no zero over F_7, so the rank is 6
+        # at every rational point and drops to 3 only at an irrational one.
+        # The 5 x 5 minors share that zero, and the upward sweep finds the
+        # first size whose minors share one, 4
+        field = PrimeField(7)
+        unit = [[int(r == c) for r in range(6)] for c in range(6)]
+        columns = [unit[c + 1] if c % 2 == 0 else [3 * x for x in unit[c - 1]] for c in range(6)]
+        inp = DeltaInput(
+            6,
+            6,
+            tuple(BinaryForm(field, tuple(col)) for col in unit),
+            tuple(BinaryForm(field, tuple(col)) for col in columns),
+        )
+        assert delta_closure(inp) == 3 < delta_formula(6, 6) - 1
+        assert all_minors_min_rank(inp.g, inp.g_prime, 5, field) == 3
+        assert delta_bruteforce(inp) == 6
+
 
 def all_minors_min_rank(first, second, slot_degree, field):
     """Reference: every minor of every size, the sweep ``pencil_min_rank`` replaces."""
@@ -400,9 +419,3 @@ class TestScanCostGuard:
         assert delta_bruteforce(self.vanishing_at_one_one(1999993)) == 0
         with pytest.raises(ValueError, match="2000004 rational points"):
             delta_bruteforce(self.vanishing_at_one_one(2000003))
-
-    def test_allow_large(self):
-        inp = self.vanishing_at_one_one(2**31 - 1)
-        with pytest.raises(ValueError):
-            delta_bruteforce(inp)
-        assert delta_bruteforce(inp, allow_large=True) == 0

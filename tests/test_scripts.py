@@ -136,7 +136,7 @@ def test_survey_stops_when_the_scan_is_below_the_closure(monkeypatch, capsys):
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
     monkeypatch.setattr(
-        delta, "delta_bruteforce", lambda inp, allow_large=False: delta.delta_closure(inp) - 1
+        delta, "delta_bruteforce", lambda inp: delta.delta_closure(inp) - 1
     )
     monkeypatch.setattr(
         sys, "argv", ["delta_survey.py", "--a-max", "2", "--t-max", "2", "--trials", "3"]

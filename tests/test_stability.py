@@ -1,7 +1,9 @@
 import contextlib
+import itertools
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +45,7 @@ from oracles import (
     evaluation_rank_at_point,
     fraction_critical_alphas,
     fraction_verdict,
+    large_alpha_count,
     per_basis_candidates,
     per_basis_saturations,
     scale,
@@ -136,13 +139,10 @@ class TestEchelonBases:
         assert sizes == [size] * full + ([last] if last else [])
 
     def test_counts_past_int64(self):
-        # (6, 3) over F_(2^31 - 1): the first pivot pattern has q^9 > 2^63 bases
-        q = 2**31 - 1
-        size = stack_size(3 * 6)
-        stack = next(echelon_stacks(6, 3, q))
-        assert stack.dtype == np.int64 and stack.shape == (size, 3, 6)
-        last = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, size - 1]]
-        assert stack[-1].tolist() == last
+        # (6, 3) over F_(2^31 - 1), far past the cost guard: the first pivot
+        # pattern has q^9 > 2^63 bases, which int64 counts refuse, not wrap
+        with pytest.raises(OverflowError):
+            next(echelon_stacks(6, 3, 2**31 - 1))
 
 
 class TestSampling:
@@ -414,6 +414,10 @@ class TestGlobalGeneration:
     def test_too_few_sections(self, pair_11):
         assert not check_global_generation(pair_11)
 
+    def test_no_sections(self):
+        # the kernel of O^0 -> E has rank 0, so the image has rank 0, not n
+        assert not check_global_generation(SystemInstance(F, splitting_type(1, 1), ()))
+
     @given(
         st.lists(st.integers(-1, 3), min_size=1, max_size=3),
         st.integers(0, 2),
@@ -429,6 +433,56 @@ class TestGlobalGeneration:
         if inst is None:
             return
         assert check_global_generation(inst) == sympy_generates(inst)
+
+
+def aut_order(degrees, q):
+    """|Aut E(F_q)| for E = ⊕ O(a)^(m_a): Π |GL_(m_a)(F_q)| · q^(Σ_(a > b) m_a m_b (a - b + 1))."""
+    mult = Counter(degrees)
+    order = 1
+    for m in mult.values():
+        for i in range(m):
+            order *= q**m - q**i
+    for a, m_a in mult.items():
+        for b, m_b in mult.items():
+            if a > b:
+                order *= q ** (m_a * m_b * (a - b + 1))
+    return order
+
+
+def large_alpha_census(n, d, q):
+    """Pairs of type (n, d, n + 1) stable at large weight, weighted, as [generated, not].
+
+    Every splitting type with summands >= -1 and every (n + 1)-plane V of
+    H^0(E) is checked; a pair whose stable interval is unbounded above counts
+    (q - 1) / |Aut E(F_q)|.
+    """
+    field = PrimeField(q)
+    counts = [Fraction(0), Fraction(0)]
+    for degrees in itertools.combinations_with_replacement(range(d + n, -2, -1), n):
+        if sum(degrees) != d:
+            continue
+        splitting = splitting_type(*degrees)
+        starts = list(itertools.accumulate((a + 1 for a in splitting), initial=0))
+        weight = Fraction(q - 1, aut_order(degrees, q))
+        for stack in echelon_stacks(starts[-1], n + 1, q):
+            for basis in stack.tolist():
+                sections = tuple(
+                    tuple(BinaryForm(field, row[s : s + a + 1]) for a, s in zip(splitting, starts))
+                    for row in basis
+                )
+                inst = SystemInstance(field, splitting, sections)
+                iv = stability_interval(inst)
+                if not iv.empty and iv.upper is None:
+                    counts[not check_global_generation(inst)] += weight
+    return counts
+
+
+class TestLargeAlphaCensus:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_the_closed_form(self, q):
+        # (2, 3, 3) has two terms: the generated pairs, and those whose
+        # sections generate a subsheaf of colength 1
+        assert large_alpha_census(2, 3, q) == large_alpha_count(2, 3, q)
 
 
 class TestEvaluationRank:
