@@ -208,42 +208,50 @@ def echelon_stacks(k: int, w: int, q: int) -> Iterator[np.ndarray]:
     """Reduced row-echelon representatives of all w-subspaces of F_q^k, in stacks.
 
     Ordered by pivot-column combination, then lexicographically in the free
-    entries, so enumeration order is deterministic: the t-th basis of a pivot
-    combination holds the base-q digits of t in its free entries, most
-    significant first.  Yields arrays of shape (m, w, k) with
-    m <= stack_size(w * k), so a stack holds at most ``STACK_CELLS`` entries
-    or one basis; each is built from its range of counts, and every stack but
-    the last is full, so a stack can span pivot combinations.  The counts are
-    int64: callers stay under the cost guard, far below 2^63 subspaces.
+    entries: the t-th basis of a combination holds the base-q digits of t in
+    its free entries, most significant first.  Yields arrays of shape (m, w, k),
+    m <= stack_size(w * k), all full but the last, so a stack can span
+    combinations.  A row's free entries are runs of columns between pivots,
+    each one slice of one table of digits in f_max = w(k - w) places, as a
+    count below q^f has f_max - f leading zeros.  Counts are int64, and a place
+    value past 2^63 raises OverflowError: callers stay far below it.
     """
     size = stack_size(w * k)
-    pieces: list[np.ndarray] = []
-    held = 0
+    f_max = w * (k - w)  # the free entries of the first combination, the most
+    places = np.array([q**e for e in reversed(range(f_max))], dtype=np.int64)
+    table = np.arange(min(size, q**f_max), dtype=np.int64)[:, None] // places % q
+    # (pivots, count q^f, runs as (row, first column, stop column, first digit's table column))
+    combos = []
     for pivots in itertools.combinations(range(k), w):
-        free = [
-            (row, col)
-            for row in range(w)
-            for col in range(pivots[row] + 1, k)
-            if col not in pivots
-        ]
-        template = np.zeros((1, w, k), dtype=np.int64)
-        template[0, range(w), pivots] = 1
-        total = q ** len(free)
-        places = np.array([q**e for e in reversed(range(len(free)))], dtype=np.int64)
-        rows, cols = [row for row, _ in free], [col for _, col in free]
+        runs, col = [], f_max - sum(k - w + row - p for row, p in enumerate(pivots))
+        combos.append((pivots, q ** (f_max - col), runs))
+        for row in range(w):
+            for lo, hi in zip(pivots[row:], pivots[row + 1 :] + (k,)):
+                if hi > lo + 1:
+                    runs.append((row, lo + 1, hi, col))
+                    col += hi - lo - 1
+    left = sum(count for _, count, _ in combos)
+    held = 0
+    for pivots, count, runs in combos:
         start = 0
-        while start < total:
-            stop = min(total, start + size - held)
-            block = np.repeat(template, stop - start, axis=0)
-            block[:, rows, cols] = np.arange(start, stop, dtype=np.int64)[:, None] // places % q
-            pieces.append(block)
+        while start < count:
+            if held == 0:
+                block = np.zeros((min(size, left), w, k), dtype=np.int64)
+            stop = min(count, start + len(block) - held)
+            part = block[held : held + stop - start]
+            digits = table[start:stop]
+            if len(digits) < stop - start:  # counts past the table's, in a stack entered part-way
+                digits = np.arange(start, stop, dtype=np.int64)[:, None] // places % q
+            for row, pivot in enumerate(pivots):
+                part[:, row, pivot] = 1
+            for row, lo, hi, col in runs:
+                part[:, row, lo:hi] = digits[:, col : col + hi - lo]
             held += stop - start
+            left -= stop - start
             start = stop
-            if held == size:
-                yield np.concatenate(pieces)
-                pieces, held = [], 0
-    if pieces:
-        yield np.concatenate(pieces)
+            if held == len(block):
+                yield block
+                held = 0
 
 
 def _subspace_count(k: int, q: int) -> int:
@@ -489,6 +497,8 @@ def sample_generating_instance(n: int, d: int, k: int, q: int, seed: int) -> Sys
     """Like ``sample_instance`` but conditioned on globally generating sections."""
     if k < n:  # no draw of fewer than n sections generates a rank-n bundle
         raise ValueError(f"k = {k} sections cannot generate a bundle of rank n = {n}")
+    if k == n and d != 0:  # a surjection O^n -> E of equal ranks is an isomorphism
+        raise ValueError(f"k = n = {n} sections generate only O^{n}, of degree 0, not d = {d}")
     for offset in range(_GENERATING_TRIES):
         inst = sample_instance(n, d, k, q, mix_seed(seed, offset))
         if check_global_generation(inst):

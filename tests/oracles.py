@@ -9,7 +9,9 @@ behind ``exactmath.point_values``, the per-component sum behind
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
 at a point, global generation from the sympy minors of the section matrix,
-the tuple-by-tuple generator of echelon bases, the candidate walk that reads
+the dimension of a pair's endomorphism algebra from the nullity of one
+linear system (the reference for a simplicity test of stable pairs), the
+tuple-by-tuple generator of echelon bases, the candidate walk that reads
 every basis's saturation, the verdict and critical weights from ``Fraction``
 slopes, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
@@ -185,6 +187,39 @@ def evaluation_rank_at_point(inst, b: int, c: int) -> int:
         raise ValueError("(0, 0) is not a projective point")
     rows = [[evaluate(f, b, c) for f in s] for s in inst.sections]
     return FieldMatrix.from_rows(inst.field, rows).rank()
+
+
+def endomorphism_dimension(inst) -> int:
+    """dim End(E, V), the endomorphisms phi of E with phi(V) inside V.
+
+    The nullity of the system phi(s_l) = sum_m A_lm s_m, read in the monomial
+    basis of H^0(E): k * h0(E) equations in the h0(End E) coefficients of phi,
+    one form of degree a_i - a_j from summand j to summand i when a_i >= a_j,
+    and the k^2 entries of A.  The sections are independent, so each phi with
+    phi(V) inside V has exactly one A.
+    """
+    degrees = inst.splitting.degrees
+    padded = [bundles._padded(inst.splitting, s) for s in inst.sections]
+    starts = list(itertools.accumulate((max(0, a + 1) for a in degrees), initial=0))
+    h0 = starts[-1]
+    columns = []
+    for i, a in enumerate(degrees):
+        for j, b in enumerate(degrees):
+            for u in range(a - b + 1):  # phi_ij = x^(a - b - u) y^u
+                col = [0] * (inst.k * h0)
+                for l, section in enumerate(padded):
+                    for c, coeff in enumerate(section[j]):
+                        col[l * h0 + starts[i] + u + c] += coeff
+                columns.append(col)
+    for l in range(inst.k):
+        for section in padded:  # A_lm
+            col = [0] * (inst.k * h0)
+            for i, component in enumerate(section):
+                for c, coeff in enumerate(component):
+                    col[l * h0 + starts[i] + c] -= coeff
+            columns.append(col)
+    rows = [list(row) for row in zip(*columns)]
+    return len(columns) - FieldMatrix.from_rows(inst.field, rows).rank()
 
 
 def echelon_bases(k: int, w: int, q: int):

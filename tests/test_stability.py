@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unittest import mock
@@ -40,7 +40,9 @@ from cohsys.stability import (
 )
 from oracles import (
     closed_form_interval,
+    componentwise_sum,
     echelon_bases,
+    endomorphism_dimension,
     evaluate,
     evaluation_rank_at_point,
     fraction_critical_alphas,
@@ -138,6 +140,20 @@ class TestEchelonBases:
         sizes = [len(stack) for stack in echelon_stacks(k, w, q)]
         assert sizes == [size] * full + ([last] if last else [])
 
+    @pytest.mark.parametrize(
+        "k,w,q,sizes",
+        [
+            # the second stack starts at basis 8192, inside the first pivot
+            # combination's 11^4 bases: its digits are divided, not read off
+            (4, 2, 11, [8192, 8034]),
+            (3, 3, 5, [1]),  # w = k: one basis, no free entry
+            (3, 0, 5, [1]),  # w = 0: one empty basis
+        ],
+    )
+    def test_stack_boundaries(self, k, w, q, sizes):
+        assert stacked_bases(k, w, q) == list(echelon_bases(k, w, q))
+        assert [len(stack) for stack in echelon_stacks(k, w, q)] == sizes
+
     def test_counts_past_int64(self):
         # (6, 3) over F_(2^31 - 1), far past the cost guard: the first pivot
         # pattern has q^9 > 2^63 bases, which int64 counts refuse, not wrap
@@ -204,9 +220,10 @@ class TestSampling:
             (section,) = sample_instance(1, 0, 1, 2, seed).sections
             assert section == (BinaryForm(PrimeField(2), (1,)),)
 
-    @pytest.mark.parametrize("n,k", [(3, 2), (2, 1), (5, 0)])
+    @pytest.mark.parametrize("n,k", [(3, 2), (2, 1), (5, 0), (3, 3), (2, 2)])
     def test_too_few_sections_to_generate_are_refused_before_any_draw(self, monkeypatch, n, k):
-        # k < n sections never generate a rank-n bundle: no draw can succeed
+        # k < n sections never generate a rank-n bundle, and n sections that
+        # generate it make it O^n, of degree 0 and not 3: no draw can succeed
         import cohsys.stability as stability_mod
 
         draws = []
@@ -216,10 +233,17 @@ class TestSampling:
             return random.Random(seed)
 
         monkeypatch.setattr(stability_mod, "random", mock.Mock(Random=counted))
-        message = f"k = {k} sections cannot generate a bundle of rank n = {n}"
+        if k < n:
+            message = f"k = {k} sections cannot generate a bundle of rank n = {n}"
+        else:
+            message = f"k = n = {n} sections generate only O\\^{n}, of degree 0, not d = 3"
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample_generating_instance(n, 3, k, 101, 0)
         assert draws == []
+
+    def test_as_many_sections_as_the_rank_generate_the_trivial_bundle(self):
+        inst = sample_generating_instance(2, 0, 2, 7, 0)
+        assert inst.splitting.degrees == (0, 0) and check_global_generation(inst)
 
     def test_generating_sampler(self):
         inst = sample_generating_instance(3, 3, 4, 7, 1)
@@ -398,6 +422,50 @@ class TestClosureEqualityWitnesses:
         rep = is_alpha_stable(inst, 2)
         assert rep.witness.basis is None
         assert rep.witness.slope(rep.alpha) == rep.total_slope
+
+
+class TestEndomorphismDimension:
+    """dim End(E, V) from ``oracles.endomorphism_dimension``, the simplicity test of a pair."""
+
+    def test_stable_pair_read_unstable_by_a_closure_witness_is_simple(self):
+        # its rational candidates leave it stable on (3/2, 5/2), and End = F_q
+        # makes it stable there over the closure too
+        assert endomorphism_dimension(sample_instance(4, 7, 2, 2, 5)) == 1
+
+    def test_direct_sum_has_two(self):
+        f = PrimeField(5)
+        x, y, zero = BinaryForm(f, (1, 0)), BinaryForm(f, (0, 1)), BinaryForm.zero(f)
+        inst = SystemInstance(f, splitting_type(1, 1), ((x, zero), (zero, y)))
+        assert endomorphism_dimension(inst) == 2
+
+    @pytest.mark.parametrize(
+        "degrees,dim",
+        [((3, 1, 0), 1 + 3 + 4 + 1 + 2 + 1), ((2, 2), 4), ((1, -2), 1 + 4 + 1), ((0,), 1)],
+    )
+    def test_no_sections_give_all_of_h0_of_end(self, degrees, dim):
+        # h0(End E) = sum over pairs of summands of max(0, a_i - a_j + 1)
+        assert sum(max(0, a - b + 1) for a in degrees for b in degrees) == dim
+        inst = SystemInstance(PrimeField(5), splitting_type(*degrees), ())
+        assert endomorphism_dimension(inst) == dim
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 5),
+        st.integers(1, 3),
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unchanged_by_a_change_of_section_basis(self, n, d, k, q, seed, data):
+        k = min(k, d + n)  # h0 = d + n
+        inst = sample_instance(n, d, k, q, seed)
+        m = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                               min_size=k, max_size=k))
+        assume(FieldMatrix.from_rows(inst.field, m).rank() == k)
+        sections = tuple(componentwise_sum(inst.field, inst.sections, row) for row in m)
+        again = SystemInstance(inst.field, inst.splitting, sections)
+        assert endomorphism_dimension(again) == endomorphism_dimension(inst)
 
 
 class TestGlobalGeneration:
