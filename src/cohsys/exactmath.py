@@ -31,10 +31,10 @@ entries have grown so that every product stays exact in int64.  Over F_2 it
 packs each row into uint64 words, one bit per column (``pack_bits``), and
 eliminates with the same pivot rule by XOR (``packed_rank``), the dense GF(2)
 technique of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).
-Matrices of binary forms, with the degree profile their caller states, go
-through one fraction-free elimination over F_q[x, y], which gives both their
-generic rank and their determinant; a generic rank needs none when the
-values at (1 : 0), (0 : 1) or (1 : 1) already have full rank.
+Matrices of binary forms come with the degree profile their caller states.
+A generic rank needs a fraction-free elimination over F_q[x, y] unless the
+values at (1 : 0), (0 : 1) or (1 : 1) have full rank; a determinant takes one
+over ZZ, of the entries' values at t = y/x = 2**B (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ class BinaryForm:
         if all(c == 0 for c in reduced):
             reduced = ()
         object.__setattr__(self, "coeffs", reduced)
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "BinaryForm":
-        return cls(field, ())
 
     @property
     def degree(self) -> int:
@@ -465,38 +461,30 @@ def check_profile(
 
 def _bareiss(
     entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
-) -> tuple[int, Sequence[int], int]:
-    """Fraction-free elimination of a form matrix with the stated profile (Bareiss 1968).
+) -> int:
+    """Rank over F_q(t) of a form matrix with the stated profile (Bareiss 1968).
 
     First-nonzero pivoting with column skipping; each step replaces the
     entries below and right of the pivot p by (p*a - b*c) / previous pivot,
     an exact division, so every entry stays a minor of the input and, under
-    the degree profile, a binary form.  Returns the rank, the last pivot and
-    the sign of the row permutation; for a square matrix of full rank the
-    determinant is sign * last pivot.
+    the degree profile, a binary form.  The rank is the number of pivots.
     """
     check_profile(entries, row_degrees, col_degrees)
     nrows, ncols = len(row_degrees), len(col_degrees)
     if not (nrows and ncols):
-        return 0, (1,), 1
+        return 0
     q = entries[0][0].field.q
     rows = [[f.coeffs for f in row] for row in entries]
-    rank, sign, prev = 0, 1, (1,)
+    rank, prev = 0, (1,)
     for col in range(ncols):
-        for piv in range(rank, nrows):
-            if rows[piv][col]:
-                break
-        else:
+        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if piv is None:
             continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        p = top[col]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top, p = rows[rank], rows[rank][col]
         shift = _leading_zeros(prev)
         divisor = prev[shift:]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
+        for row in rows[rank + 1 :]:
             lead = row[col]
             for c in range(col + 1, ncols):
                 num = _poly_mul_sub(p, row[c], lead, top[c], q)
@@ -507,7 +495,7 @@ def _bareiss(
         rank += 1
         if rank == nrows:
             break
-    return rank, prev, sign
+    return rank
 
 
 def point_values(entries: Sequence[Sequence[BinaryForm]]) -> Iterator[list[list[int]]]:
@@ -539,7 +527,27 @@ def generic_rank(
     field = entries[0][0].field
     if any(FieldMatrix.from_rows(field, v).rank() == full for v in point_values(entries)):
         return full
-    return _bareiss(entries, row_degrees, col_degrees)[0]
+    return _bareiss(entries, row_degrees, col_degrees)
+
+
+def _integer_determinant(rows: list[list[int]]) -> int:
+    """Determinant of a square matrix of Python ints by Bareiss's elimination over ZZ.
+
+    The first row nonzero in the first column leaves as the pivot row, pivot p;
+    every other row a becomes (p*a - a[0]*pivot_row) / previous pivot, exactly,
+    and drops the column.  The last pivot, signed, is the determinant.
+    """
+    sign, prev = 1, 1
+    while rows:
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
+        if piv is None:
+            return 0
+        sign *= (-1) ** piv  # moving row piv to the top takes piv transpositions
+        top = rows.pop(piv)
+        p, rest = top[0], top[1:]
+        rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], rest)] for row in rows]
+        prev = p
+    return sign * prev
 
 
 def form_determinant(
@@ -548,11 +556,30 @@ def form_determinant(
     row_degrees: Sequence[int],
     col_degrees: Sequence[int],
 ) -> BinaryForm:
-    """Determinant of a square form matrix with the stated degree profile."""
-    n = len(row_degrees)
+    """Determinant of a square form matrix with the stated degree profile.
+
+    Kronecker substitution: each entry, lifted to coefficients in [0, q) as a
+    polynomial in t = y/x, is evaluated at t = 2**B, a ring homomorphism
+    ZZ[t] -> ZZ, so ``_integer_determinant`` of the values is det(M)(2**B) for
+    the lifted matrix M.  The s! Leibniz terms of det(M) have coefficients at
+    most (m + 1)**(s - 1) * (q - 1)**s, m the largest slot degree; B puts s!
+    times that below 2**(B - 1), so the value's balanced base-2**B digits are
+    the D + 1 coefficients of det(M), D = sum(row_degrees) + sum(col_degrees).
+    Mod q, a homomorphism ZZ[t] -> F_q[t], they are det over F_q.  A value
+    past D + 1 digits raises RuntimeError: the bound would be wrong.
+    """
+    n, q = len(row_degrees), field.q
     if len(col_degrees) != n:
         raise ValueError("determinant needs a square matrix")
-    rank, pivot, sign = _bareiss(entries, row_degrees, col_degrees)
-    if rank < n:
-        return BinaryForm.zero(field)
-    return BinaryForm(field, tuple(pivot) if sign > 0 else tuple(-c for c in pivot))
+    check_profile(entries, row_degrees, col_degrees)
+    terms = max(1, max(row_degrees, default=0) + max(col_degrees, default=0) + 1)
+    bits = (math.factorial(n) * terms ** max(0, n - 1) * (q - 1) ** n).bit_length() + 1
+    places = range(0, bits * terms, bits)
+    values = [[sum(map(operator.lshift, f.coeffs, places)) for f in row] for row in entries]
+    det = _integer_determinant(values)
+    size = max(0, sum(row_degrees) + sum(col_degrees) + 1)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    det += half * ((1 << bits * size) - 1) // mask  # half in every digit: each now in [0, 2**B)
+    if not 0 <= det < 1 << bits * size:
+        raise RuntimeError("determinant exceeds its digit bound")
+    return BinaryForm(field, tuple((((det >> bits * i) & mask) - half) % q for i in range(size)))

@@ -15,10 +15,11 @@ tuple-by-tuple generator of echelon bases, the candidate walk that reads
 every basis's saturation, the verdict and critical weights from ``Fraction``
 slopes, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
-determinants over GF(q)[t], the row-swapping numpy elimination for ranks,
-and the term-by-term sum behind ``stacked_combination``.  Three references
-take another route altogether: the stable interval in closed form from the
-candidates' linear constraints, a rank-2 verdict over GF(q^m) that
+determinants over GF(q)[t], the fraction-free elimination over F_q[x, y]
+that ``form_determinant`` replaced, the row-swapping numpy elimination for
+ranks, and the term-by-term sum behind ``stacked_combination``.  Three
+references take another route altogether: the stable interval in closed form
+from the candidates' linear constraints, a rank-2 verdict over GF(q^m) that
 enumerates line subsheaves instead of section subspaces, and the closed-form
 point count of the (n, d, n + 1) moduli at large weight.
 """
@@ -34,7 +35,15 @@ from sympy.polys.matrices import DomainMatrix
 from cohsys import bundles
 from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
 from cohsys.classification import AlphaInterval
-from cohsys.exactmath import BinaryForm, FieldMatrix, generic_rank
+from cohsys.exactmath import (
+    BinaryForm,
+    FieldMatrix,
+    _leading_zeros,
+    _poly_divmod,
+    _poly_mul_sub,
+    check_profile,
+    generic_rank,
+)
 from cohsys.stability import Candidate, StabilityReport, echelon_stacks, subsystem_candidates
 
 
@@ -60,7 +69,7 @@ def scale(f: BinaryForm, c: int) -> BinaryForm:
 def mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """f * g, by the schoolbook product of coefficient lists."""
     if f.is_zero or g.is_zero:
-        return BinaryForm.zero(f.field)
+        return BinaryForm(f.field, ())
     out = [0] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
@@ -82,7 +91,7 @@ def compose_linear(f: BinaryForm, m00: int, m01: int, m10: int, m11: int) -> Bin
     u = BinaryForm(f.field, (m00, m01))
     v = BinaryForm(f.field, (m10, m11))
     d = f.degree
-    total = BinaryForm.zero(f.field)
+    total = BinaryForm(f.field, ())
     for i, coeff in enumerate(f.coeffs):
         term = BinaryForm(f.field, (coeff,))
         for _ in range(d - i):
@@ -97,7 +106,7 @@ def componentwise_sum(field, sections, coeffs) -> tuple[BinaryForm, ...]:
     """sum(coeffs[l] * sections[l]), one component at a time with ``add``/``scale``."""
     out = []
     for i in range(len(sections[0])):
-        acc = BinaryForm.zero(field)
+        acc = BinaryForm(field, ())
         for c, s in zip(coeffs, sections):
             acc = add(acc, scale(s[i], c))
         out.append(acc)
@@ -408,6 +417,44 @@ def sympy_det(entries, q):
     while coeffs and not coeffs[0]:
         coeffs.pop(0)
     return coeffs
+
+
+def bareiss_determinant(entries, field, row_degrees, col_degrees) -> BinaryForm:
+    """Determinant of a square form matrix by fraction-free elimination over F_q[x, y].
+
+    The path ``form_determinant`` took before Kronecker substitution (Bareiss
+    1968): first-nonzero pivoting, each step replacing the entries below and
+    right of the pivot p by (p*a - b*c) / previous pivot, an exact division of
+    binary forms.  The last pivot, signed by the row swaps, is the
+    determinant; a column with no pivot makes it zero.
+    """
+    n = len(row_degrees)
+    if len(col_degrees) != n:
+        raise ValueError("determinant needs a square matrix")
+    check_profile(entries, row_degrees, col_degrees)
+    q = field.q
+    rows = [[f.coeffs for f in row] for row in entries]
+    sign, prev = 1, (1,)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return BinaryForm(field, ())
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        top = rows[col]
+        p = top[col]
+        shift = _leading_zeros(prev)
+        divisor = prev[shift:]
+        for row in rows[col + 1 :]:
+            lead = row[col]
+            for c in range(col + 1, n):
+                num = _poly_mul_sub(p, row[c], lead, top[c], q)
+                if num and col:  # the first step divides by the constant 1
+                    num = _poly_divmod(num[shift:], divisor, q)[0]
+                row[c] = num
+        prev = p
+    return BinaryForm(field, tuple(prev) if sign > 0 else tuple(-c for c in prev))
 
 
 def row_swap_rank(q: int, data) -> int:

@@ -48,10 +48,10 @@ from oracles import (
 F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
 Y = BinaryForm(F, (0, 1))
-ZERO = BinaryForm.zero(F)
+ZERO = BinaryForm(F, ())
 # forms over F_2, coefficients that read the same over any field
 X2, XY, Y2 = (BinaryForm(PrimeField(2), c) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-ONE2, ZERO2 = BinaryForm(PrimeField(2), (1,)), BinaryForm.zero(PrimeField(2))
+ONE2, ZERO2 = BinaryForm(PrimeField(2), (1,)), BinaryForm(PrimeField(2), ())
 
 
 def rand_form(rng, degree):
@@ -269,7 +269,7 @@ class TestCombineSections:
         def component(a):
             # zero components in every slot, residues up to q - 1 in the rest
             if a < 0 or rng.random() < 0.25:
-                return BinaryForm.zero(field)
+                return BinaryForm(field, ())
             return BinaryForm(field, tuple(rng.randrange(q) for _ in range(a + 1)))
 
         sections = [tuple(component(a) for a in t) for _ in range(k)]
@@ -429,7 +429,7 @@ class TestSectionPairing:
         def component(a):
             kind = data.draw(st.sampled_from(["zero", "x", "y", "any"]))
             if a < 0 or kind == "zero":
-                return BinaryForm.zero(field)
+                return BinaryForm(field, ())
             coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=a + 1, max_size=a + 1))
             if kind == "x":
                 coeffs[-1] = 0
@@ -461,7 +461,7 @@ class TestSectionPairing:
         t = splitting_type(*degrees)
         rng = random.Random(seed)
         three_points = BinaryForm(field, (0, 1, q - 1, 0))
-        zero = BinaryForm.zero(field)
+        zero = BinaryForm(field, ())
 
         def component(i, a):
             if a < 0 or rng.random() < 0.2 or (kind == "one-component" and i > 0):
@@ -590,12 +590,12 @@ def shared_root_sections(field, t, k, rng, kind):
 
     def component(a):
         if rng.random() < 0.15:
-            return BinaryForm.zero(field)
+            return BinaryForm(field, ())
         if root.degree == 0:
             return BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
         cofactor = a - root.degree
         if cofactor < 0:
-            return BinaryForm.zero(field)
+            return BinaryForm(field, ())
         return mul(root, BinaryForm(field, tuple(rng.randrange(q) for _ in range(cofactor + 1))))
 
     return [tuple(component(a) for a in t) for _ in range(k)]
@@ -758,6 +758,21 @@ class TestMinorRead:
         got, probes = probe_count(lambda: kernel_splitting(source, target, entries))
         assert probes == []
         assert got == lockstep_kernel(source, target, entries)
+
+    @pytest.mark.parametrize("kind", ["uniform", "shared-root"])
+    def test_entries_of_degree_40(self, kind):
+        # the evaluation O^3 -> O(40)^2: its maximal minors are 2 x 2
+        # determinants of degree 80, far above the degrees that the draws
+        # above reach; a shared root lifts the kernel above its floor O(-80)
+        field = PrimeField(101)
+        source, target = SplittingType((0,) * 3), splitting_type(40, 40)
+        sections = shared_root_sections(field, target, 3, random.Random(40), kind)
+        entries = [[sec[i] for sec in sections] for i in range(2)]
+        assert generic_rank(entries, target.degrees, [0] * 3) == 2
+        got, probes = probe_count(lambda: kernel_splitting(source, target, entries))
+        assert probes == []
+        assert got == lockstep_kernel(source, target, entries)
+        assert (got.degree == -80) == (kind == "uniform")
 
     @pytest.mark.parametrize("constant", [7, 0])
     def test_a_degree_1000_summand_takes_no_probe(self, constant):

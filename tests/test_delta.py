@@ -45,7 +45,7 @@ class TestFormulas:
 class TestDeltaInput:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
-            DeltaInput(2, 1, (BinaryForm(F, (1, 2, 3)),), (BinaryForm.zero(F),))
+            DeltaInput(2, 1, (BinaryForm(F, (1, 2, 3)),), (BinaryForm(F, ()),))
 
     def test_rejects_wrong_family_length(self):
         x = BinaryForm(F, (1, 0))
@@ -59,7 +59,7 @@ class TestDeltaInput:
 
 class TestOracles:
     def test_all_zero(self):
-        z = BinaryForm.zero(F)
+        z = BinaryForm(F, ())
         inp = DeltaInput(2, 2, (z, z), (z, z))
         assert delta_bruteforce(inp) == 0
         assert delta_closure(inp) == 0
@@ -141,7 +141,7 @@ class TestPencilMinRank:
         field = PrimeField(7)
         rng = random.Random(3)
         second = [BinaryForm(field, tuple(rng.randrange(7) for _ in range(4))) for _ in range(3)]
-        first = [BinaryForm.zero(field)] * 3
+        first = [BinaryForm(field, ())] * 3
         _, B = _pencil_coefficient_matrices(first, second, 3)
         assert FieldMatrix(field, B).rank() == 3
         assert all_minors_min_rank(first, second, 3, field) == 0
@@ -218,7 +218,7 @@ def draw_pencil(rng, kind, a, t, field):
         return first, second
 
     def combo(basis):
-        acc = BinaryForm.zero(field)
+        acc = BinaryForm(field, ())
         for b in basis:
             acc = add(acc, scale(b, rng.randrange(q)))
         return acc
@@ -314,13 +314,20 @@ class TestPencilMinRankOrder:
             assert 6 not in sizes
             assert 1 <= len(sizes) <= 2
 
+    def test_generic_pencil_at_ten_takes_two_minors(self, monkeypatch):
+        # a = t = 10: two 9 x 9 minors, a size no other draw of the suite
+        # reaches, settle the bound 9, the formula's value
+        sizes = self.counted(monkeypatch)
+        assert delta_closure(sample_delta_input(10, 10, 101, 0)) == delta_formula(10, 10) == 9
+        assert sizes == [9, 9]
+
     def test_drop_at_the_second_family(self, monkeypatch):
         # b*A + c*B = [[b + c, 0], [0, b]]: B of rank 1 sets the bound at
         # (0 : 1), and the 1 x 1 minors b + c and b share no zero, so the
         # 2 x 2 minor is never computed
         field = PrimeField(7)
         x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
-        z = BinaryForm.zero(field)
+        z = BinaryForm(field, ())
         sizes = self.counted(monkeypatch)
         assert pencil_min_rank([x, y], [x, z], 1, field) == 1
         assert sizes and set(sizes) == {1}
@@ -397,7 +404,7 @@ class TestStackedScanEquivalence:
         q = 257
         field = PrimeField(q)
         x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
-        z = BinaryForm.zero(field)
+        z = BinaryForm(field, ())
         inp = DeltaInput(2, 2, (x, y), (z, z))
         with mock.patch.object(exactmath, "STACK_CELLS", 257 * 4):
             least, lengths = stack_lengths(lambda: delta_bruteforce(inp))

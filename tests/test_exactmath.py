@@ -31,6 +31,7 @@ from cohsys.exactmath import (
 )
 from oracles import (
     add,
+    bareiss_determinant,
     compose_linear,
     evaluate,
     mul,
@@ -50,14 +51,14 @@ def form(*coeffs, field=F101):
 
 X = form(1, 0)
 Y = form(0, 1)
-ZERO = BinaryForm.zero(F101)
+ZERO = BinaryForm(F101, ())
 # the points whose values ``generic_rank`` ranks, in its order
 POINTS = [(1, 0), (0, 1), (1, 1)]
 
 
 def random_form(rng, field, degree, zero_prob=0.25):
     if degree < 0 or rng.random() < zero_prob:
-        return BinaryForm.zero(field)
+        return BinaryForm(field, ())
     return BinaryForm(field, tuple(rng.randrange(field.q) for _ in range(degree + 1)))
 
 
@@ -72,7 +73,7 @@ def profiled_matrix(rng, field, nrows, ncols):
 def replace_last_row_by_combination(rng, field, r, rows):
     """Make the last row a form combination of the others, with row degree r[-1]."""
     r[-1] = max(r[:-1]) + rng.randrange(2)
-    new = [BinaryForm.zero(field)] * len(rows[0])
+    new = [BinaryForm(field, ())] * len(rows[0])
     for i in range(len(rows) - 1):
         g = random_form(rng, field, r[-1] - r[i], zero_prob=0.2)
         new = [add(acc, mul(g, f)) for acc, f in zip(new, rows[i])]
@@ -702,7 +703,7 @@ class TestGenericRank:
 
         def entry(d):
             if d < 0 or rng.random() < 0.2:
-                return BinaryForm.zero(field)
+                return BinaryForm(field, ())
             if d >= 1 and rng.random() < y_share:
                 return mul(form(0, 1, field=field), random_form(rng, field, d - 1, zero_prob=0))
             return random_form(rng, field, d, zero_prob=0)
@@ -710,7 +711,7 @@ class TestGenericRank:
         entries = [[entry(ri + ci) for ci in c] for ri in r]
         if dep and len(r) >= 2:
             replace_last_row_by_combination(rng, field, r, entries)
-        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)[0]
+        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)
 
     def test_full_rank_leads_skip_the_elimination(self):
         # [[x, y], [y, x]] leads with the identity, and [[x, y], [x, 0]] with a
@@ -771,7 +772,7 @@ class TestGenericRank:
         for i in range(nrows if every_row else 1):
             r[i] += g.degree
             entries[i] = [mul(g, f) for f in entries[i]]
-        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)[0]
+        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 7, 101]))
     @settings(max_examples=50, deadline=None)
@@ -802,7 +803,7 @@ class TestFormDeterminant:
 
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from([7, 101]),
+        st.sampled_from([2, 3, 7, 101]),
         st.integers(1, 5),
         st.booleans(),
     )
@@ -819,3 +820,56 @@ class TestFormDeterminant:
         assert dehomogenized == sympy_det(entries, q)
         if not det.is_zero:
             assert det.degree == sum(r) + sum(c)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(0, 6),
+        st.integers(-3, 0),
+        st.floats(0, 1),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_bareiss_elimination(self, seed, q, n, lowest, y_share, dependent):
+        # row degrees from lowest up, so a negative one makes a row's entries
+        # zero in its low slots; a y_share of the entries are multiples of y,
+        # and dependent makes the last row a combination of the others
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        r = [rng.randrange(lowest, lowest + 3) for _ in range(n)]
+        c = [rng.randrange(0, 4) for _ in range(n)]
+
+        def entry(d):
+            if d >= 1 and rng.random() < y_share:
+                return mul(form(0, 1, field=field), random_form(rng, field, d - 1))
+            return random_form(rng, field, d)
+
+        entries = [[entry(ri + ci) for ci in c] for ri in r]
+        if dependent and n >= 2:
+            replace_last_row_by_combination(rng, field, r, entries)
+        want = bareiss_determinant(entries, field, r, c)
+        assert form_determinant(entries, field, r, c) == want
+
+    @pytest.mark.parametrize("diagonal", ["full", "zero"])
+    def test_largest_coefficients_at_the_digit_bound(self, diagonal):
+        # q = 2**31 - 1 and 6 x 6 entries of degree 4 whose coefficients are
+        # all q - 1, the largest lift.  With equal entries everywhere the
+        # determinant is zero; with a zero diagonal it is
+        # -5 * (q - 1)**6 * (1 + t + ... + t**4)**6 over ZZ, coefficients near
+        # 2**195, which must come back exactly before the reduction mod q
+        q = 2**31 - 1
+        field = PrimeField(q)
+        full = BinaryForm(field, (q - 1,) * 5)
+        zero = BinaryForm(field, ())
+        entries = [
+            [zero if i == j and diagonal == "zero" else full for j in range(6)] for i in range(6)
+        ]
+        det = form_determinant(entries, field, [0] * 6, [4] * 6)
+        assert list(itertools.dropwhile(lambda c: c == 0, det.coeffs)) == sympy_det(entries, q)
+        assert det.is_zero == (diagonal == "full")
+
+    def test_digits_past_the_bound_raise(self):
+        # an integer determinant longer than D + 1 digits means a wrong bound
+        with mock.patch.object(exactmath, "_integer_determinant", return_value=1 << 1000):
+            with pytest.raises(RuntimeError):
+                form_determinant([[X, Y], [Y, X]], F101, [0, 0], [1, 1])

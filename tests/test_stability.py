@@ -59,7 +59,7 @@ F = PrimeField(101)
 X = BinaryForm(F, (1, 0))
 Y = BinaryForm(F, (0, 1))
 ONE = BinaryForm(F, (1,))
-ZERO = BinaryForm.zero(F)
+ZERO = BinaryForm(F, ())
 
 
 @pytest.fixture
@@ -434,7 +434,7 @@ class TestEndomorphismDimension:
 
     def test_direct_sum_has_two(self):
         f = PrimeField(5)
-        x, y, zero = BinaryForm(f, (1, 0)), BinaryForm(f, (0, 1)), BinaryForm.zero(f)
+        x, y, zero = BinaryForm(f, (1, 0)), BinaryForm(f, (0, 1)), BinaryForm(f, ())
         inst = SystemInstance(f, splitting_type(1, 1), ((x, zero), (zero, y)))
         assert endomorphism_dimension(inst) == 2
 
