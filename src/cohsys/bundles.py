@@ -447,7 +447,7 @@ class SectionPairing:
             coeffs = bases[spans].reshape(-1, k)  # w rows per span
             rows = combine_sections(self.field, self.e, self.sections, coeffs)
             for i, m in enumerate(spans):
-                ranks[m] = _bareiss(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees)
+                ranks[m] = _bareiss(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees, q)[0]
         return ranks
 
     def saturate_stack(self, bases: np.ndarray) -> tuple[list[SaturationResult], np.ndarray]:

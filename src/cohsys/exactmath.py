@@ -32,9 +32,10 @@ packs each row into uint64 words, one bit per column (``pack_bits``), and
 eliminates with the same pivot rule by XOR (``packed_rank``), the dense GF(2)
 technique of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).
 Matrices of binary forms come with the degree profile their caller states.
-A generic rank needs a fraction-free elimination over F_q[x, y] unless the
-values at (1 : 0), (0 : 1) or (1 : 1) have full rank; a determinant takes one
-over ZZ, of the entries' values at t = y/x = 2**B (Kronecker substitution).
+Their generic ranks and determinants come from one fraction-free elimination
+over ZZ, of the entries' values at t = y/x = 2**B (Kronecker substitution),
+whose pivots are the values nonzero mod q as polynomials; a generic rank
+skips it when the values at (1 : 0), (0 : 1) or (1 : 1) have full rank.
 """
 
 from __future__ import annotations
@@ -385,29 +386,6 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int],
     return quot, rem[len(quot) :]
 
 
-def _poly_mul_sub(
-    a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int], q: int
-) -> list[int]:
-    """a*b - c*d reduced mod q, or [] when it vanishes; both products share a degree."""
-    ab = bool(a) and bool(b)
-    cd = bool(c) and bool(d)
-    if not (ab or cd):
-        return []
-    out = [0] * (len(a) + len(b) - 1 if ab else len(c) + len(d) - 1)
-    if ab:
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-    if cd:
-        for i, x in enumerate(c):
-            if x:
-                for j, y in enumerate(d):
-                    out[i + j] -= x * y
-    out = [v % q for v in out]
-    return out if any(out) else []
-
-
 def _leading_zeros(p: Sequence[int]) -> int:
     i = 0
     while i < len(p) and not p[i]:
@@ -459,43 +437,71 @@ def check_profile(
                 raise ValueError(f"entry ({i},{j}) has degree {f.degree}, expected {slot}")
 
 
-def _bareiss(
-    entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
-) -> int:
-    """Rank over F_q(t) of a form matrix with the stated profile (Bareiss 1968).
+def _nonzero_mod(value: int, q: int, bits: int) -> bool:
+    """Whether a polynomial over ZZ is nonzero mod q, given its value at t = 2**bits.
 
-    First-nonzero pivoting with column skipping; each step replaces the
-    entries below and right of the pivot p by (p*a - b*c) / previous pivot,
-    an exact division, so every entry stays a minor of the input and, under
-    the degree profile, a binary form.  The rank is the number of pivots.
+    Its coefficients, which must lie in [-2**(bits-1), 2**(bits-1)), are the
+    value's balanced base-2**bits digits, read lowest first until one is
+    nonzero mod q.
     """
-    check_profile(entries, row_degrees, col_degrees)
-    nrows, ncols = len(row_degrees), len(col_degrees)
-    if not (nrows and ncols):
-        return 0
-    q = entries[0][0].field.q
-    rows = [[f.coeffs for f in row] for row in entries]
-    rank, prev = 0, (1,)
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while value:
+        digit = ((value + half) & mask) - half
+        if digit % q:
+            return True
+        value = (value - digit) >> bits
+    return False
+
+
+def _bareiss(
+    entries: Sequence[Sequence[BinaryForm]],
+    row_degrees: Sequence[int],
+    col_degrees: Sequence[int],
+    q: int,
+) -> tuple[int, int, int]:
+    """Rank over F_q(t) of a form matrix, its signed last pivot and the digit width B.
+
+    Kronecker substitution: each entry, lifted to coefficients in [0, q) as a
+    polynomial in t = y/x, is evaluated at t = 2**B, a ring homomorphism
+    ZZ[t] -> ZZ.  Bareiss's fraction-free elimination (Bareiss 1968) on the
+    values keeps every entry the value of a minor of the lifted matrix M
+    (Sylvester's identity over ZZ[t]).  The s! Leibniz terms of a minor of
+    size at most s = min(rows, cols) have coefficients at most
+    (m + 1)**(s - 1) * (q - 1)**s, m the largest slot degree; B puts s! times
+    that below 2**(B - 1), so a value's balanced base-2**B digits are its
+    minor's coefficients.  Mod q, a homomorphism ZZ[t] -> F_q[t], they are
+    the minor over F_q.  The caller checks the profile.
+
+    A column's pivot is the first row whose minor is nonzero mod q.  That row
+    is swapped up, every row below it becomes (p*a - lead*b) / previous pivot,
+    exactly, and each row drops the column; a column with no pivot is
+    dropped.  The minors, and so the pivots, are those of the same
+    elimination over F_q[t]: their number is the rank, and the last pivot,
+    signed by the swaps, is the value of the minor on the pivot rows and
+    columns.
+    """
+    size = min(len(row_degrees), len(col_degrees))
+    terms = max(1, max(row_degrees, default=0) + max(col_degrees, default=0) + 1)
+    bits = (math.factorial(size) * terms ** max(0, size - 1) * (q - 1) ** size).bit_length() + 1
+    places = range(0, bits * terms, bits)
+    rows = [[sum(map(operator.lshift, f.coeffs, places)) for f in row] for row in entries]
+    rank, sign, prev = 0, 1, 1
+    while rows and rows[0]:
+        for piv, row in enumerate(rows):
+            # a value nonzero mod q proves it; only a value divisible by q is decoded
+            if row[0] % q or _nonzero_mod(row[0], q, bits):
+                break
+        else:
+            rows = [row[1:] for row in rows]
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top, p = rows[rank], rows[rank][col]
-        shift = _leading_zeros(prev)
-        divisor = prev[shift:]
-        for row in rows[rank + 1 :]:
-            lead = row[col]
-            for c in range(col + 1, ncols):
-                num = _poly_mul_sub(p, row[c], lead, top[c], q)
-                if num and rank:  # the first step divides by the constant 1
-                    num = _poly_divmod(num[shift:], divisor, q)[0]
-                row[c] = num
+        if piv:
+            rows[0], rows[piv] = rows[piv], rows[0]
+            sign = -sign
+        p, rest = rows[0][0], rows[0][1:]
+        rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], rest)] for row in rows[1:]]
         prev = p
         rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return rank, sign * prev, bits
 
 
 def point_values(entries: Sequence[Sequence[BinaryForm]]) -> Iterator[list[list[int]]]:
@@ -518,7 +524,7 @@ def generic_rank(
     The values at a point have rank at most the generic rank, itself at most
     min(rows, cols).  So values of full rank at one of the three points of
     ``point_values``, ranked in turn by ``FieldMatrix.rank``, settle it; the
-    Bareiss elimination decides the rest.
+    integer elimination of ``_bareiss`` decides the rest.
     """
     check_profile(entries, row_degrees, col_degrees)
     full = min(len(row_degrees), len(col_degrees))
@@ -527,27 +533,7 @@ def generic_rank(
     field = entries[0][0].field
     if any(FieldMatrix.from_rows(field, v).rank() == full for v in point_values(entries)):
         return full
-    return _bareiss(entries, row_degrees, col_degrees)
-
-
-def _integer_determinant(rows: list[list[int]]) -> int:
-    """Determinant of a square matrix of Python ints by Bareiss's elimination over ZZ.
-
-    The first row nonzero in the first column leaves as the pivot row, pivot p;
-    every other row a becomes (p*a - a[0]*pivot_row) / previous pivot, exactly,
-    and drops the column.  The last pivot, signed, is the determinant.
-    """
-    sign, prev = 1, 1
-    while rows:
-        piv = next((i for i, row in enumerate(rows) if row[0]), None)
-        if piv is None:
-            return 0
-        sign *= (-1) ** piv  # moving row piv to the top takes piv transpositions
-        top = rows.pop(piv)
-        p, rest = top[0], top[1:]
-        rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], rest)] for row in rows]
-        prev = p
-    return sign * prev
+    return _bareiss(entries, row_degrees, col_degrees, field.q)[0]
 
 
 def form_determinant(
@@ -558,25 +544,20 @@ def form_determinant(
 ) -> BinaryForm:
     """Determinant of a square form matrix with the stated degree profile.
 
-    Kronecker substitution: each entry, lifted to coefficients in [0, q) as a
-    polynomial in t = y/x, is evaluated at t = 2**B, a ring homomorphism
-    ZZ[t] -> ZZ, so ``_integer_determinant`` of the values is det(M)(2**B) for
-    the lifted matrix M.  The s! Leibniz terms of det(M) have coefficients at
-    most (m + 1)**(s - 1) * (q - 1)**s, m the largest slot degree; B puts s!
-    times that below 2**(B - 1), so the value's balanced base-2**B digits are
-    the D + 1 coefficients of det(M), D = sum(row_degrees) + sum(col_degrees).
-    Mod q, a homomorphism ZZ[t] -> F_q[t], they are det over F_q.  A value
-    past D + 1 digits raises RuntimeError: the bound would be wrong.
+    One ``_bareiss`` elimination: below full rank the determinant is zero.
+    At full rank the signed last pivot is det(M)(2**B) for the lifted matrix
+    M, whose balanced base-2**B digits are the D + 1 coefficients of det(M),
+    D = sum(row_degrees) + sum(col_degrees); mod q they are those of the
+    determinant over F_q.  A value past D + 1 digits raises RuntimeError: the
+    digit bound would be wrong.
     """
     n, q = len(row_degrees), field.q
     if len(col_degrees) != n:
         raise ValueError("determinant needs a square matrix")
     check_profile(entries, row_degrees, col_degrees)
-    terms = max(1, max(row_degrees, default=0) + max(col_degrees, default=0) + 1)
-    bits = (math.factorial(n) * terms ** max(0, n - 1) * (q - 1) ** n).bit_length() + 1
-    places = range(0, bits * terms, bits)
-    values = [[sum(map(operator.lshift, f.coeffs, places)) for f in row] for row in entries]
-    det = _integer_determinant(values)
+    rank, det, bits = _bareiss(entries, row_degrees, col_degrees, q)
+    if rank < n:
+        return BinaryForm(field, ())
     size = max(0, sum(row_degrees) + sum(col_degrees) + 1)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     det += half * ((1 << bits * size) - 1) // mask  # half in every digit: each now in [0, 2**B)

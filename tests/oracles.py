@@ -16,7 +16,8 @@ every basis's saturation, the verdict and critical weights from ``Fraction``
 slopes, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
 determinants over GF(q)[t], the fraction-free elimination over F_q[x, y]
-that ``form_determinant`` replaced, the row-swapping numpy elimination for
+whose ranks and determinants the integer elimination of
+``exactmath._bareiss`` replaced, the row-swapping numpy elimination for
 ranks, and the term-by-term sum behind ``stacked_combination``.  Three
 references take another route altogether: the stable interval in closed form
 from the candidates' linear constraints, a rank-2 verdict over GF(q^m) that
@@ -40,7 +41,6 @@ from cohsys.exactmath import (
     FieldMatrix,
     _leading_zeros,
     _poly_divmod,
-    _poly_mul_sub,
     check_profile,
     generic_rank,
 )
@@ -419,42 +419,85 @@ def sympy_det(entries, q):
     return coeffs
 
 
-def bareiss_determinant(entries, field, row_degrees, col_degrees) -> BinaryForm:
-    """Determinant of a square form matrix by fraction-free elimination over F_q[x, y].
+def _poly_mul_sub(a, b, c, d, q: int) -> list[int]:
+    """a*b - c*d reduced mod q, or [] when it vanishes; both products share a degree."""
+    ab = bool(a) and bool(b)
+    cd = bool(c) and bool(d)
+    if not (ab or cd):
+        return []
+    out = [0] * (len(a) + len(b) - 1 if ab else len(c) + len(d) - 1)
+    if ab:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+    if cd:
+        for i, x in enumerate(c):
+            if x:
+                for j, y in enumerate(d):
+                    out[i + j] -= x * y
+    out = [v % q for v in out]
+    return out if any(out) else []
 
-    The path ``form_determinant`` took before Kronecker substitution (Bareiss
-    1968): first-nonzero pivoting, each step replacing the entries below and
-    right of the pivot p by (p*a - b*c) / previous pivot, an exact division of
-    binary forms.  The last pivot, signed by the row swaps, is the
-    determinant; a column with no pivot makes it zero.
+
+def _polynomial_bareiss(entries, row_degrees, col_degrees) -> tuple[int, int, tuple]:
+    """Rank, swap sign and last pivot of a form matrix by fraction-free elimination over F_q[x, y].
+
+    The path ``exactmath._bareiss`` took before Kronecker substitution
+    (Bareiss 1968): first-nonzero pivoting with column skipping, each step
+    replacing the entries below and right of the pivot p by
+    (p*a - b*c) / previous pivot, an exact division of binary forms, so every
+    entry stays a minor of the input.
+    """
+    check_profile(entries, row_degrees, col_degrees)
+    nrows, ncols = len(row_degrees), len(col_degrees)
+    rank, sign, prev = 0, 1, (1,)
+    if not (nrows and ncols):
+        return rank, sign, prev
+    q = entries[0][0].field.q
+    rows = [[f.coeffs for f in row] for row in entries]
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top, p = rows[rank], rows[rank][col]
+        shift = _leading_zeros(prev)
+        divisor = prev[shift:]
+        for row in rows[rank + 1 :]:
+            lead = row[col]
+            for c in range(col + 1, ncols):
+                num = _poly_mul_sub(p, row[c], lead, top[c], q)
+                if num and rank:  # the first step divides by the constant 1
+                    num = _poly_divmod(num[shift:], divisor, q)[0]
+                row[c] = num
+        prev = p
+        rank += 1
+    return rank, sign, tuple(prev)
+
+
+def bareiss_rank(entries, row_degrees, col_degrees) -> int:
+    """Rank over F_q(t) of a form matrix: the number of pivots of ``_polynomial_bareiss``."""
+    return _polynomial_bareiss(entries, row_degrees, col_degrees)[0]
+
+
+def bareiss_determinant(entries, field, row_degrees, col_degrees) -> BinaryForm:
+    """Determinant of a square form matrix by ``_polynomial_bareiss``.
+
+    The last pivot, signed by the row swaps, is the determinant; a column with
+    no pivot makes it zero.
     """
     n = len(row_degrees)
     if len(col_degrees) != n:
         raise ValueError("determinant needs a square matrix")
-    check_profile(entries, row_degrees, col_degrees)
-    q = field.q
-    rows = [[f.coeffs for f in row] for row in entries]
-    sign, prev = 1, (1,)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return BinaryForm(field, ())
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        top = rows[col]
-        p = top[col]
-        shift = _leading_zeros(prev)
-        divisor = prev[shift:]
-        for row in rows[col + 1 :]:
-            lead = row[col]
-            for c in range(col + 1, n):
-                num = _poly_mul_sub(p, row[c], lead, top[c], q)
-                if num and col:  # the first step divides by the constant 1
-                    num = _poly_divmod(num[shift:], divisor, q)[0]
-                row[c] = num
-        prev = p
-    return BinaryForm(field, tuple(prev) if sign > 0 else tuple(-c for c in prev))
+    rank, sign, prev = _polynomial_bareiss(entries, row_degrees, col_degrees)
+    if rank < n:
+        return BinaryForm(field, ())
+    return BinaryForm(field, tuple(sign * c for c in prev))
 
 
 def row_swap_rank(q: int, data) -> int:

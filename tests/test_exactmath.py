@@ -32,6 +32,7 @@ from cohsys.exactmath import (
 from oracles import (
     add,
     bareiss_determinant,
+    bareiss_rank,
     compose_linear,
     evaluate,
     mul,
@@ -651,6 +652,10 @@ class TestGenericRank:
         xy = mul(X, Y)
         y2 = mul(Y, Y)
         assert generic_rank([[x2, xy], [xy, y2]], [0, 0], [2, 2]) == 1
+        # constants whose determinant 3 is nonzero over ZZ but zero over F_3
+        two, one = BinaryForm(PrimeField(3), (2,)), BinaryForm(PrimeField(3), (1,))
+        assert generic_rank([[two, one], [one, two]], [0, 0], [0, 0]) == 1
+        assert exactmath._bareiss([[two, one], [one, two]], [0, 0], [0, 0], 3)[0] == 1
 
     def test_empty(self):
         assert generic_rank([], [], []) == 0
@@ -711,7 +716,10 @@ class TestGenericRank:
         entries = [[entry(ri + ci) for ci in c] for ri in r]
         if dep and len(r) >= 2:
             replace_last_row_by_combination(rng, field, r, entries)
-        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)
+        want = bareiss_rank(entries, r, c)
+        assert generic_rank(entries, r, c) == want
+        # the elimination itself, also where a point has full rank
+        assert exactmath._bareiss(entries, r, c, q)[0] == want
 
     def test_full_rank_leads_skip_the_elimination(self):
         # [[x, y], [y, x]] leads with the identity, and [[x, y], [x, 0]] with a
@@ -772,7 +780,29 @@ class TestGenericRank:
         for i in range(nrows if every_row else 1):
             r[i] += g.degree
             entries[i] = [mul(g, f) for f in entries[i]]
-        assert generic_rank(entries, r, c) == exactmath._bareiss(entries, r, c)
+        want = bareiss_rank(entries, r, c)
+        assert generic_rank(entries, r, c) == want
+        assert exactmath._bareiss(entries, r, c, q)[0] == want
+
+    @pytest.mark.parametrize("nrows", [5, 6])
+    @pytest.mark.parametrize("diagonal", ["full", "zero"])
+    def test_largest_coefficients_at_the_digit_bound(self, nrows, diagonal):
+        # q = 2**31 - 1 and entries of degree 4 whose coefficients are all
+        # q - 1, the largest lift.  With equal entries everywhere the rank is
+        # 1; with a zero diagonal it is full
+        q = 2**31 - 1
+        field = PrimeField(q)
+        full = BinaryForm(field, (q - 1,) * 5)
+        zero = BinaryForm(field, ())
+        entries = [
+            [zero if i == j and diagonal == "zero" else full for j in range(6)]
+            for i in range(nrows)
+        ]
+        r, c = [0] * nrows, [4] * 6
+        want = sympy_rank(entries, q)
+        assert want == (1 if diagonal == "full" else nrows)
+        assert generic_rank(entries, r, c) == want
+        assert exactmath._bareiss(entries, r, c, q)[0] == want
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 7, 101]))
     @settings(max_examples=50, deadline=None)
@@ -852,24 +882,35 @@ class TestFormDeterminant:
 
     @pytest.mark.parametrize("diagonal", ["full", "zero"])
     def test_largest_coefficients_at_the_digit_bound(self, diagonal):
-        # q = 2**31 - 1 and 6 x 6 entries of degree 4 whose coefficients are
-        # all q - 1, the largest lift.  With equal entries everywhere the
-        # determinant is zero; with a zero diagonal it is
+        # q = 2**31 - 1 and n x n entries of degree 4 whose coefficients are
+        # all q - 1, the largest lift.  At n = 1 the Leibniz bound is that
+        # one coefficient, which needs every bit of B: the top bit of a
+        # balanced digit is its sign.  At n = 6, with equal entries
+        # everywhere the determinant is zero; with a zero diagonal it is
         # -5 * (q - 1)**6 * (1 + t + ... + t**4)**6 over ZZ, coefficients near
         # 2**195, which must come back exactly before the reduction mod q
         q = 2**31 - 1
         field = PrimeField(q)
         full = BinaryForm(field, (q - 1,) * 5)
         zero = BinaryForm(field, ())
-        entries = [
-            [zero if i == j and diagonal == "zero" else full for j in range(6)] for i in range(6)
-        ]
-        det = form_determinant(entries, field, [0] * 6, [4] * 6)
-        assert list(itertools.dropwhile(lambda c: c == 0, det.coeffs)) == sympy_det(entries, q)
-        assert det.is_zero == (diagonal == "full")
+        for n in (1, 6):
+            entries = [
+                [zero if i == j and diagonal == "zero" else full for j in range(n)]
+                for i in range(n)
+            ]
+            det = form_determinant(entries, field, [0] * n, [4] * n)
+            dehomogenized = list(itertools.dropwhile(lambda c: c == 0, det.coeffs))
+            assert dehomogenized == sympy_det(entries, q)
+            assert det.is_zero == ((diagonal == "full") == (n > 1))
 
     def test_digits_past_the_bound_raise(self):
         # an integer determinant longer than D + 1 digits means a wrong bound
-        with mock.patch.object(exactmath, "_integer_determinant", return_value=1 << 1000):
+        real = exactmath._bareiss
+
+        def long_pivot(*args):
+            rank, _, bits = real(*args)
+            return rank, 1 << 1000, bits
+
+        with mock.patch.object(exactmath, "_bareiss", long_pivot):
             with pytest.raises(RuntimeError):
                 form_determinant([[X, Y], [Y, X]], F101, [0, 0], [1, 1])

@@ -552,6 +552,23 @@ class TestLargeAlphaCensus:
         # sections generate a subsheaf of colength 1
         assert large_alpha_census(2, 3, q) == large_alpha_count(2, 3, q)
 
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)]),
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generated_pairs_are_stable_at_large_weight(self, shape, q, seed):
+        # the census's ell = 0 term: a generated pair of type (n, d, n + 1)
+        # with every summand >= 1, so H^0(E*) = 0, is stable past its last
+        # critical weight; its spans of dimension >= 2 go through
+        # SectionPairing._generic_ranks
+        n, d = shape
+        inst = sample_generating_instance(n, d, n + 1, q, seed)
+        assert min(inst.splitting) >= 1
+        interval = stability_interval(inst)
+        assert not interval.empty and interval.upper is None, inst.to_json_dict()
+
 
 class TestEvaluationRank:
     def test_single_section(self, pair_11):
