@@ -2,7 +2,8 @@
 
 Every bundle here is a direct sum of line bundles O(a_1) >= ... >= O(a_n),
 so all invariants reduce to integer bookkeeping on the sorted degree tuple,
-plus exact kernel computations for maps given by matrices of binary forms.
+plus exact kernel computations for maps given by matrices of binary forms,
+each one int64 coefficient array with its degree profile (see ``exactmath``).
 
 A rank-0 splitting type (the empty tuple) stands for the zero bundle; it
 shows up as a kernel or quotient even though ambient bundles have rank >= 1.
@@ -11,14 +12,12 @@ shows up as a kernel or quotient even though ambient bundles have rank >= 1.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exactmath import (
-    BinaryForm,
     FieldMatrix,
     PrimeField,
     _bareiss,
@@ -99,18 +98,22 @@ def max_subbundle_degree(t: SplittingType, r: int) -> int:
 
 
 def _twist_matrix(
-    source: SplittingType, target: SplittingType, entries: Sequence[Sequence[BinaryForm]], j: int
+    source: SplittingType, target: SplittingType, coeffs: np.ndarray, j: int
 ) -> np.ndarray:
-    """Matrix of the induced map on global sections after twisting by O(j)."""
+    """Matrix of the induced map on global sections after twisting by O(j).
+
+    coeffs is the map's form matrix, read as lists once: entry (i, jdx) has
+    degree target[i] - source[jdx].
+    """
     col_dims = [max(0, s + j + 1) for s in source]
     row_dims = [max(0, t + j + 1) for t in target]
     data = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.int64)
     r0 = 0
-    for i in range(target.rank):
+    for i, row in enumerate(coeffs.tolist()):
         c0 = 0
-        for jdx in range(source.rank):
-            f = entries[i][jdx]
-            if not f.is_zero and col_dims[jdx] and row_dims[i]:
+        for jdx, entry in enumerate(row):
+            f = entry[: max(0, target[i] - source[jdx] + 1)]
+            if any(f) and col_dims[jdx] and row_dims[i]:
                 block = multiplication_matrix(f, source[jdx] + j)
                 data[r0 : r0 + row_dims[i], c0 : c0 + col_dims[jdx]] = block
             c0 += col_dims[jdx]
@@ -275,7 +278,7 @@ def _count_scan(
 
 
 def kernel_splitting(
-    source: SplittingType, target: SplittingType, entries: Sequence[Sequence[BinaryForm]]
+    field: PrimeField, source: SplittingType, target: SplittingType, coeffs: np.ndarray
 ) -> SplittingType:
     """Splitting type of the kernel subbundle of a map given by a form matrix.
 
@@ -287,85 +290,57 @@ def kernel_splitting(
     Hilbert-Burch setting).  The minor m_c with column c left out has degree
     deg(target) - deg(source) + source_c, and the signed minors span the
     kernel, so N = O(deg(source) - deg(target) + deg gcd(m_c)).  The minors
-    are made one at a time and ``vanishing_divisor_degree`` stops at a
-    constant gcd, so a generic map makes two.  Every other kernel
+    are slices of the checked matrix, made one at a time, and
+    ``vanishing_divisor_degree`` stops at a constant gcd, so a generic map
+    makes two.  Every other kernel
     N = O(b_1) + ... + O(b_rho) is recovered by ``_count_scan`` from the
     section counts of its twists.
     """
     cols = [-s for s in source]
-    rho = source.rank - generic_rank(entries, target.degrees, cols)
+    rho = source.rank - generic_rank(coeffs, field, target.degrees, cols)
     if source.rank == 0:
         return SplittingType(())
-    field = entries[0][0].field if entries else None
     if rho == 1 and source.rank == target.rank + 1 >= 2:
         minors = (
             form_determinant(
-                [row[:c] + row[c + 1 :] for row in entries],
-                field,
-                target.degrees,
-                cols[:c] + cols[c + 1 :],
+                np.delete(coeffs, c, axis=1), field, target.degrees, cols[:c] + cols[c + 1 :]
             )
             for c in range(source.rank)
         )
-        return SplittingType((source.degree - target.degree + vanishing_divisor_degree(minors),))
+        degree = vanishing_divisor_degree(minors, field.q)
+        return SplittingType((source.degree - target.degree + degree,))
 
     def probe(live: list[int], j: int) -> np.ndarray:
-        return _twist_kernel_dimension(field, _twist_matrix(source, target, entries, j)[None])
+        return _twist_kernel_dimension(field, _twist_matrix(source, target, coeffs, j)[None])
 
     (degrees,) = _count_scan(source, target, [rho], probe)
     return SplittingType(tuple(degrees))
 
 
-def saturate(e: SplittingType, sections: Sequence[Sequence[BinaryForm]]) -> SaturationResult:
+def saturate(field: PrimeField, e: SplittingType, sections: np.ndarray) -> SaturationResult:
     """Invariants of the minimal subbundle whose sections contain the span.
 
-    Works through the dual: the kernel N of E* -> O^w (pairing against the
-    sections) is saturated, and the annihilator F = (E*/N)* is exactly the
-    saturation, of rank n - rk N and degree deg E + deg N, with E/F = N*.
-    Zero sections are ignored.  When the w = n - 1 live sections have generic
-    rank n - 1, N is a line bundle, which ``kernel_splitting`` reads from the
-    (n - 1) x (n - 1) minors of the section matrix with no twist probe; the
-    saturation then has the degree of their common divisor.
+    The w sections are the rows of a (w, n, m + 1) form matrix of profile
+    [0] * w, e.  Works through the dual: the kernel N of E* -> O^w (pairing
+    against the sections) is saturated, and the annihilator F = (E*/N)* is
+    exactly the saturation, of rank n - rk N and degree deg E + deg N, with
+    E/F = N*.  Zero sections are ignored.  When the w = n - 1 live sections
+    have generic rank n - 1, N is a line bundle, which ``kernel_splitting``
+    reads from the (n - 1) x (n - 1) minors of the section matrix with no
+    twist probe; the saturation then has the degree of their common divisor.
     """
     check_profile(sections, [0] * len(sections), e.degrees)
-    live = [s for s in sections if any(not f.is_zero for f in s)]
-    if not live:
+    live = sections[sections.any(axis=(1, 2))]
+    if not len(live):
         return SaturationResult(0, 0, e)
-    return _saturation(e, kernel_splitting(*_pairing(e, live)))
+    return _saturation(e, kernel_splitting(field, *_pairing(e, live)))
 
 
 def _pairing(
-    e: SplittingType, sections: Sequence[Sequence[BinaryForm]]
-) -> tuple[SplittingType, SplittingType, list[Sequence[BinaryForm]]]:
-    """(E*, O^w, entries) of E* -> O^w against w sections: the dual reverses the components."""
-    return e.dual(), SplittingType((0,) * len(sections)), [s[::-1] for s in sections]
-
-
-def _padded(e: SplittingType, section: Sequence[BinaryForm]) -> list[list[int]]:
-    """The a + 1 coefficients of each component in its O(a) slot; a zero form gives zeros."""
-    return [[0] * max(0, a + 1) if f.is_zero else list(f.coeffs) for f, a in zip(section, e)]
-
-
-def combine_sections(
-    field: PrimeField,
-    e: SplittingType,
-    sections: Sequence[Sequence[BinaryForm]],
-    coeffs: np.ndarray | Sequence[Sequence[int]],
-) -> list[tuple[BinaryForm, ...]]:
-    """The section sum(c[l] * sections[l]) of a bundle of type e, for each row c of coeffs.
-
-    coeffs is a stack of residue vectors, shape (m, k).  All m combinations
-    of the padded coefficient rows of the sections, in the monomial basis of
-    H^0(E), are made at once; each is then split back into one form per
-    summand.
-    """
-    rows = np.array([list(itertools.chain(*_padded(e, s))) for s in sections], dtype=np.int64)
-    flat = stacked_combination(np.asarray(coeffs, dtype=np.int64), rows, field.q).tolist()
-    bounds = list(itertools.accumulate((max(0, a + 1) for a in e), initial=0))
-    return [
-        tuple(BinaryForm(field, tuple(vec[start:stop])) for start, stop in zip(bounds, bounds[1:]))
-        for vec in flat
-    ]
+    e: SplittingType, sections: np.ndarray
+) -> tuple[SplittingType, SplittingType, np.ndarray]:
+    """(E*, O^w, coefficients) of E* -> O^w against w sections: the dual reverses the components."""
+    return e.dual(), SplittingType((0,) * len(sections)), sections[:, ::-1]
 
 
 def _saturation(e: SplittingType, kern: SplittingType) -> SaturationResult:
@@ -391,18 +366,18 @@ class SectionPairing:
     XOR of the packed blocks its row of B picks, so no int64 stack is built.
     """
 
-    def __init__(
-        self, field: PrimeField, e: SplittingType, sections: Sequence[Sequence[BinaryForm]]
-    ) -> None:
+    def __init__(self, field: PrimeField, e: SplittingType, sections: np.ndarray) -> None:
+        """sections is the (k, n, m + 1) form matrix of the k sections, of profile [0] * k, e."""
         self.field = field
         self.e = e
-        self.sections = [tuple(s) for s in sections]
+        self.sections = sections
         self._pairings: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def _point_values(self) -> np.ndarray:
         """Shape (k, 3, n): section l's ``point_values``, built when a span of w >= 2 needs them."""
-        return np.array(list(point_values(self.sections)), dtype=np.int64).transpose(1, 0, 2)
+        k, q = len(self.sections), self.field.q
+        return point_values(self.sections, [0] * k, self.e.degrees, q).transpose(1, 0, 2)
 
     def at(self, j: int) -> np.ndarray:
         """M_j(V), shape (k, max(0, j + 1), cols) with cols = h0(E*(j)).
@@ -428,10 +403,11 @@ class SectionPairing:
         elimination decides the rest.  The values of ``stack_size(3 * w * n)``
         spans, three w x n matrices each, are built in one combination and
         ranked in one elimination.  The sections of the spans left to the
-        elimination are built ``stack_size(w * h0(E))`` spans at a time, so no
-        array holds more than ``STACK_CELLS`` entries or one span.
+        elimination are combined ``stack_size(w * n * (m + 1))`` spans at a
+        time, as form matrices, so no array holds more than ``STACK_CELLS``
+        entries or one span.
         """
-        count, w, k = bases.shape
+        count, w, _ = bases.shape
         n, q = self.e.rank, self.field.q
         ranks: list[int] = []
         size = stack_size(3 * w * n)
@@ -441,13 +417,13 @@ class SectionPairing:
             values = values.transpose(0, 2, 1, 3).reshape(-1, w, n)
             ranks += stacked_rank(self.field, values).reshape(-1, 3).max(axis=1).tolist()
         fallback = [m for m in range(count) if ranks[m] < min(w, n)]
-        size = stack_size(w * cohomology(self.e, 0)[0])
+        size = stack_size(w * self.sections[0].size)
         for start in range(0, len(fallback), size):
             spans = fallback[start : start + size]
-            coeffs = bases[spans].reshape(-1, k)  # w rows per span
-            rows = combine_sections(self.field, self.e, self.sections, coeffs)
-            for i, m in enumerate(spans):
-                ranks[m] = _bareiss(rows[i * w : (i + 1) * w], [0] * w, self.e.degrees, q)[0]
+            # (N, w, n, m + 1): one w x n form matrix per span
+            forms = stacked_combination(bases[spans], self.sections, q)
+            for m, coeffs in zip(spans, forms):
+                ranks[m] = _bareiss(coeffs, [0] * w, self.e.degrees, q)[0]
         return ranks
 
     def saturate_stack(self, bases: np.ndarray) -> tuple[list[SaturationResult], np.ndarray]:

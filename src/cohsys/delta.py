@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    BinaryForm,
     FieldMatrix,
     PrimeField,
     check_profile,
@@ -41,23 +40,27 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaInput:
-    """t pairs of degree-(a-1) forms over a prime field (zero forms allowed)."""
+    """t pairs of degree-(a-1) forms over a prime field (zero forms allowed).
 
+    forms[0] holds the forms g_i and forms[1] the forms g'_i: a (2, t, a)
+    array of residues, the form matrix of profile [0, 0], [a - 1] * t.
+    """
+
+    field: PrimeField
     a: int
     t: int
-    g: tuple[BinaryForm, ...]
-    g_prime: tuple[BinaryForm, ...]
+    forms: np.ndarray
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.t < 1:
             raise ValueError("need a >= 1 and t >= 1")
-        check_profile([self.g, self.g_prime], [0, 0], [self.a - 1] * self.t)
-
-    @property
-    def field(self) -> PrimeField:
-        return self.g[0].field
+        if np.shape(self.forms) != (2, self.t, self.a):
+            raise ValueError(f"the forms must have shape (2, t, a) = (2, {self.t}, {self.a})")
+        forms = np.remainder(np.asarray(self.forms, dtype=np.int64), self.field.q)
+        forms.flags.writeable = False
+        object.__setattr__(self, "forms", forms)
 
 
 def delta_formula(a: int, t: int) -> int:
@@ -69,18 +72,6 @@ def delta_formula(a: int, t: int) -> int:
     if a == t:
         return t - 1
     return a
-
-
-def _pencil_coefficient_matrices(
-    first: Sequence[BinaryForm], second: Sequence[BinaryForm], slot_degree: int
-) -> np.ndarray:
-    """The two families' coefficient matrices A and B, stacked: shape (2, slot_degree + 1, t)."""
-    pencil = np.zeros((2, slot_degree + 1, len(first)), dtype=np.int64)
-    for m, family in enumerate((first, second)):
-        for c, f in enumerate(family):
-            if not f.is_zero:
-                pencil[m, :, c] = f.coeffs
-    return pencil
 
 
 def delta_bruteforce(inp: DeltaInput) -> int:
@@ -99,7 +90,7 @@ def delta_bruteforce(inp: DeltaInput) -> int:
             f"refusing to scan {q + 1} rational points over F_{q} "
             f"(limit {COST_GUARD_MAX_SUBSPACES})"
         )
-    pencil = _pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1)
+    pencil = inp.forms.transpose(0, 2, 1)  # A and B, each a x t
     least = inp.t
     size = stack_size(pencil[0].size)
     for start in range(0, q + 1, size):
@@ -113,13 +104,14 @@ def delta_bruteforce(inp: DeltaInput) -> int:
     return least
 
 
-def pencil_min_rank(
-    first: Sequence[BinaryForm], second: Sequence[BinaryForm], slot_degree: int, field: PrimeField
-) -> int:
+def pencil_min_rank(families: np.ndarray, field: PrimeField) -> int:
     """Minimal rank of b*A + c*B over all (b : c) in the closure of P^1.
 
-    A and B are the coefficient matrices of the two form families (columns =
-    family members, rows = the slot_degree + 1 coefficient slots).  Rank drops
+    families is a (2, t, s + 1) array of residues: two families of t forms
+    of degree s.  A and B are their coefficient matrices (columns = family
+    members, rows = the s + 1 coefficient slots), and b*A + c*B is the
+    (s + 1, t, 2) matrix of degree-1 forms in (b, c), whose profile is
+    checked once: its minors are slices of it.  Rank drops
     below s at some point iff every s x s minor, a degree-s binary form in
     (b, c), vanishes there; minors sharing a projective zero is a gcd test.
 
@@ -132,29 +124,23 @@ def pencil_min_rank(
     Otherwise the smaller sizes are swept upward.  Each size's minors are
     computed only until their gcd is settled.
     """
-    if len(first) != len(second):
-        raise ValueError("families must have equal length")
-    A, B = _pencil_coefficient_matrices(first, second, slot_degree)
+    A, B = np.transpose(families, (0, 2, 1))
     nrows, ncols = A.shape
     bound = min(FieldMatrix(field, m).rank() for m in (A, B, A + B))
     if bound == nrows == ncols:
         bound -= 1
     if bound == 0:
         return 0
-    entries = [
-        [BinaryForm(field, (A[r, c], B[r, c])) for c in range(ncols)]
-        for r in range(nrows)
-    ]
+    pencil = np.transpose(families, (2, 1, 0))
+    check_profile(pencil, [0] * nrows, [1] * ncols)
 
     def common_zero(size: int) -> bool:
         minors = (
-            form_determinant(
-                [[entries[r][c] for c in csel] for r in rsel], field, [0] * size, [1] * size
-            )
+            form_determinant(pencil[np.ix_(rsel, csel)], field, [0] * size, [1] * size)
             for rsel in itertools.combinations(range(nrows), size)
             for csel in itertools.combinations(range(ncols), size)
         )
-        return vanishing_divisor_degree(minors) >= 1
+        return vanishing_divisor_degree(minors, field.q) >= 1
 
     if not common_zero(bound):
         return bound
@@ -166,18 +152,19 @@ def pencil_min_rank(
 
 def delta_closure(inp: DeltaInput) -> int:
     """Exact minimal pencil rank over the algebraic closure."""
-    return pencil_min_rank(inp.g, inp.g_prime, inp.a - 1, inp.field)
+    return pencil_min_rank(inp.forms, inp.field)
 
 
 def sample_delta_input(a: int, t: int, q: int, seed: int) -> DeltaInput:
-    """Uniform random coefficient draw, deterministic in the seed."""
+    """Uniform random coefficient draw, deterministic in the seed.
+
+    The t forms g_i are drawn first, then the t forms g'_i, each coefficient
+    a residue below q.
+    """
     field = PrimeField(q)
     rng = random.Random(((seed * 31 + a) * 31 + t) * 31 + q)
-    def draw() -> BinaryForm:
-        return BinaryForm(field, tuple(rng.randrange(q) for _ in range(a)))
-    return DeltaInput(
-        a, t, tuple(draw() for _ in range(t)), tuple(draw() for _ in range(t))
-    )
+    forms = [[[rng.randrange(q) for _ in range(a)] for _ in range(t)] for _ in range(2)]
+    return DeltaInput(field, a, t, np.array(forms, dtype=np.int64))
 
 
 class ScanBelowClosure(RuntimeError):

@@ -4,13 +4,16 @@ Conventions used throughout the package:
 
 * Scalars over F_q are plain integers in [0, q); a ``PrimeField`` carries the
   modulus.  q must be prime (validated once).
-* A binary form of degree d is a homogeneous polynomial in (x, y); its
-  coefficient tuple has length d + 1 and index i holds the coefficient of
-  x**(d-i) * y**i (big-endian in x).  The zero form is the empty tuple,
-  reported as degree -1, so matrices of forms can keep fixed per-slot degree
-  profiles while allowing zero entries.  A form carries data only: its values
-  at three points are read off by ``point_values``, and the power of y
-  dividing it is its count of leading zeros.
+* A matrix of binary forms is one int64 array of residues of shape
+  (rows, cols, m + 1) that travels with its degree profile: entry (i, j) is
+  a form of degree row_degrees[i] + col_degrees[j], and [i, j, u] holds its
+  coefficient of x**(deg - u) * y**u (big-endian in x).  Every slot past an
+  entry's degree is zero, so an entry of negative degree is the zero form,
+  and m is at least the largest degree.  ``check_profile`` is the one check
+  of that layout.  A form's values at (1 : 0), (0 : 1) and (1 : 1) are its
+  slot 0, its slot at its degree and their sum (``point_values``), and the
+  power of y dividing it is its count of leading zero slots.  A single form,
+  such as a determinant, is its tuple of coefficients, () for zero.
 * Rationals are ``fractions.Fraction``: exact, always in lowest terms.
 
 Matrix ranks are computed by exact Gaussian elimination with first-nonzero
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,37 +84,6 @@ class PrimeField:
         return f"F_{self.q}"
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous polynomial in (x, y) over a prime field.
-
-    ``coeffs[i]`` multiplies x**(d-i) * y**i.  The all-zero coefficient vector
-    collapses to the canonical zero form ``()`` of degree -1.  A form carries
-    data only: products of forms happen inside the eliminations, sums of
-    sections in ``bundles.combine_sections``, and its callers read values and
-    powers of y straight off the coefficients.
-    """
-
-    field: PrimeField
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        q = self.field.q
-        # plain ints: numpy integers would wrap in the products of the eliminations
-        reduced = tuple(operator.index(c) % q for c in self.coeffs)
-        if all(c == 0 for c in reduced):
-            reduced = ()
-        object.__setattr__(self, "coeffs", reduced)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
 @dataclass(eq=False)
 class FieldMatrix:
     """Dense matrix over F_q backed by an int64 array of reduced residues."""
@@ -124,12 +96,6 @@ class FieldMatrix:
         if arr.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
         self.data = arr % self.field.q
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "FieldMatrix":
-        if rows:
-            return cls(field, np.array(rows, dtype=np.int64))
-        return cls(field, np.zeros((0, 0), dtype=np.int64))
 
     def rank(self) -> int:
         """Rank over F_q.
@@ -346,21 +312,21 @@ def stacked_rank(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     return rank
 
 
-def multiplication_matrix(f: BinaryForm, j: int) -> np.ndarray:
+def multiplication_matrix(f: Sequence[int], j: int) -> np.ndarray:
     """Matrix of multiplication-by-f from forms of degree j to degree j + deg f.
 
+    f is one entry's coefficient vector, of length deg f + 1, in residues.
     Bases are the monomials ordered big-endian in x (index i of degree-e forms
-    is x**(e-i) y**i).  The zero form has no degree, hence no target shape.
-    The matrix is a plain int64 array; its entries are f's coefficients,
-    which ``BinaryForm`` keeps reduced, so they are residues already.
+    is x**(e-i) y**i).  An empty vector has no degree, hence no target shape.
+    The matrix is a plain int64 array whose entries are f's coefficients.
     """
-    if f.is_zero:
-        raise ValueError("the zero form has no degree to fix the target shape")
+    if not len(f):
+        raise ValueError("an empty coefficient vector has no degree to fix the target shape")
     cols = max(0, j + 1)
-    rows = max(0, j + f.degree + 1)
+    rows = max(0, j + len(f))
     data = np.zeros((rows, cols), dtype=np.int64)
     if cols and rows:
-        for u, cu in enumerate(f.coeffs):
+        for u, cu in enumerate(f):
             if cu:
                 np.fill_diagonal(data[u : u + cols, :], cu)
     return data
@@ -393,23 +359,24 @@ def _leading_zeros(p: Sequence[int]) -> int:
     return i
 
 
-def vanishing_divisor_degree(forms: Iterable[BinaryForm]) -> int:
+def vanishing_divisor_degree(forms: Iterable[Sequence[int]], q: int) -> int:
     """Degree of the common vanishing divisor of the forms, over the closure.
 
-    Equals the degree of their homogeneous gcd: the common power of y plus the
-    degree of the gcd of the polynomials f(t, 1).  Zero forms are ignored; an
-    all-zero input has no well-defined divisor.  Reading stops at the answer 0.
+    Each form is its coefficient tuple over F_q.  Equals the degree of their
+    homogeneous gcd: the common power of y plus the degree of the gcd of the
+    polynomials f(t, 1).  Zero forms are ignored; an all-zero input has no
+    well-defined divisor.  Reading stops at the answer 0.
     """
     y_part: int | None = None
     g: Sequence[int] = ()
     for f in forms:
-        if f.is_zero:
+        v = _leading_zeros(f)
+        if v == len(f):
             continue
-        v = _leading_zeros(f.coeffs)
         y_part = v if y_part is None else min(y_part, v)
-        a, b = f.coeffs[v:], g
+        a, b = f[v:], g
         while b:
-            r = _poly_divmod(a, b, f.field.q)[1]
+            r = _poly_divmod(a, b, q)[1]
             a, b = b, r[_leading_zeros(r) :]
         g = a
         if len(g) == 1 and y_part == 0:
@@ -419,22 +386,34 @@ def vanishing_divisor_degree(forms: Iterable[BinaryForm]) -> int:
     return y_part + len(g) - 1
 
 
-def check_profile(
-    entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
-) -> None:
-    """Raise unless entries is a form matrix with the stated degree profile.
+def _slot_degrees(row_degrees: Sequence[int], col_degrees: Sequence[int]) -> np.ndarray:
+    """deg entry(i, j) = row_degrees[i] + col_degrees[j], as an int64 (rows, cols) array."""
+    rows, cols = np.array(row_degrees, dtype=np.int64), np.array(col_degrees, dtype=np.int64)
+    return np.add.outer(rows, cols)
 
-    The shape must be len(row_degrees) x len(col_degrees), and each nonzero
-    entry (i, j) must have degree row_degrees[i] + col_degrees[j]; zero
-    entries are allowed anywhere.
+
+def check_profile(
+    coeffs: np.ndarray, row_degrees: Sequence[int], col_degrees: Sequence[int]
+) -> None:
+    """Raise unless coeffs is a form matrix with the stated degree profile.
+
+    The shape must be (len(row_degrees), len(col_degrees), m + 1) with a slot
+    for every degree, and every slot past an entry's degree must be zero,
+    every slot of an entry of negative degree included.
     """
-    if len(entries) != len(row_degrees) or any(len(row) != len(col_degrees) for row in entries):
+    degrees = _slot_degrees(row_degrees, col_degrees)
+    if (
+        np.ndim(coeffs) != 3
+        or coeffs.shape[:2] != degrees.shape
+        or (degrees.size and coeffs.shape[2] <= max(0, degrees.max()))
+    ):
         raise ValueError("matrix shape does not match its degree profile")
-    for i, row in enumerate(entries):
-        for j, f in enumerate(row):
-            slot = row_degrees[i] + col_degrees[j]
-            if not f.is_zero and f.degree != slot:
-                raise ValueError(f"entry ({i},{j}) has degree {f.degree}, expected {slot}")
+    past = (coeffs != 0) & (np.arange(coeffs.shape[2]) > degrees[:, :, None])
+    if past.any():
+        i, j, u = np.argwhere(past)[0].tolist()
+        raise ValueError(
+            f"entry ({i},{j}) has a coefficient in slot {u}, past its degree {degrees[i, j]}"
+        )
 
 
 def _nonzero_mod(value: int, q: int, bits: int) -> bool:
@@ -454,19 +433,17 @@ def _nonzero_mod(value: int, q: int, bits: int) -> bool:
 
 
 def _bareiss(
-    entries: Sequence[Sequence[BinaryForm]],
-    row_degrees: Sequence[int],
-    col_degrees: Sequence[int],
-    q: int,
+    coeffs: np.ndarray, row_degrees: Sequence[int], col_degrees: Sequence[int], q: int
 ) -> tuple[int, int, int]:
     """Rank over F_q(t) of a form matrix, its signed last pivot and the digit width B.
 
     Kronecker substitution: each entry, lifted to coefficients in [0, q) as a
     polynomial in t = y/x, is evaluated at t = 2**B, a ring homomorphism
-    ZZ[t] -> ZZ.  Bareiss's fraction-free elimination (Bareiss 1968) on the
-    values keeps every entry the value of a minor of the lifted matrix M
-    (Sylvester's identity over ZZ[t]).  The s! Leibniz terms of a minor of
-    size at most s = min(rows, cols) have coefficients at most
+    ZZ[t] -> ZZ.  The values pass int64, so they are Python ints, read off
+    the array's ``tolist``.  Bareiss's fraction-free elimination (Bareiss
+    1968) on the values keeps every entry the value of a minor of the lifted
+    matrix M (Sylvester's identity over ZZ[t]).  The s! Leibniz terms of a
+    minor of size at most s = min(rows, cols) have coefficients at most
     (m + 1)**(s - 1) * (q - 1)**s, m the largest slot degree; B puts s! times
     that below 2**(B - 1), so a value's balanced base-2**B digits are its
     minor's coefficients.  Mod q, a homomorphism ZZ[t] -> F_q[t], they are
@@ -484,7 +461,8 @@ def _bareiss(
     terms = max(1, max(row_degrees, default=0) + max(col_degrees, default=0) + 1)
     bits = (math.factorial(size) * terms ** max(0, size - 1) * (q - 1) ** size).bit_length() + 1
     places = range(0, bits * terms, bits)
-    rows = [[sum(map(operator.lshift, f.coeffs, places)) for f in row] for row in entries]
+    # the places cover every degree, and each slot past an entry's degree is zero
+    rows = [[sum(map(operator.lshift, f, places)) for f in row] for row in coeffs.tolist()]
     rank, sign, prev = 0, 1, 1
     while rows and rows[0]:
         for piv, row in enumerate(rows):
@@ -504,63 +482,63 @@ def _bareiss(
     return rank, sign * prev, bits
 
 
-def point_values(entries: Sequence[Sequence[BinaryForm]]) -> Iterator[list[list[int]]]:
-    """The values of a form matrix at (1 : 0), (0 : 1) and (1 : 1), one point at a time.
+def point_values(
+    coeffs: np.ndarray, row_degrees: Sequence[int], col_degrees: Sequence[int], q: int
+) -> np.ndarray:
+    """The values of a form matrix at (1 : 0), (0 : 1) and (1 : 1), shape (3, rows, cols).
 
-    Each is read off the coefficients: the first, the last, and their sum mod q.
+    Three reads of the array: slot 0, the slot at each entry's degree, and
+    the sum of the slots mod q.  An entry of negative degree reads 0 in each.
     """
-    yield [[f.coeffs[0] if f.coeffs else 0 for f in row] for row in entries]
-    yield [[f.coeffs[-1] if f.coeffs else 0 for f in row] for row in entries]
-    yield [[sum(f.coeffs) % f.field.q for f in row] for row in entries]
+    degrees = _slot_degrees(row_degrees, col_degrees)
+    rows, cols = np.indices(degrees.shape, sparse=True)
+    last = coeffs[rows, cols, np.maximum(degrees, 0)]
+    return np.array([coeffs[:, :, 0], last, coeffs.sum(axis=2) % q])
 
 
 def generic_rank(
-    entries: Sequence[Sequence[BinaryForm]], row_degrees: Sequence[int], col_degrees: Sequence[int]
+    coeffs: np.ndarray, field: PrimeField, row_degrees: Sequence[int], col_degrees: Sequence[int]
 ) -> int:
     """Rank over the function field F_q(t) of a form matrix with the stated profile.
 
-    The profile (deg entry(i, j) = row_degrees[i] + col_degrees[j] at nonzero
-    entries) keeps every minor a binary form; ``check_profile`` enforces it.
-    The values at a point have rank at most the generic rank, itself at most
-    min(rows, cols).  So values of full rank at one of the three points of
-    ``point_values``, ranked in turn by ``FieldMatrix.rank``, settle it; the
-    integer elimination of ``_bareiss`` decides the rest.
+    The profile keeps every minor a binary form; ``check_profile`` enforces
+    it.  The values at a point have rank at most the generic rank, itself at
+    most min(rows, cols).  So values of full rank at one of the three points
+    of ``point_values``, ranked in turn by ``FieldMatrix.rank``, settle it;
+    the integer elimination of ``_bareiss`` decides the rest.
     """
-    check_profile(entries, row_degrees, col_degrees)
+    check_profile(coeffs, row_degrees, col_degrees)
     full = min(len(row_degrees), len(col_degrees))
     if not full:
         return 0
-    field = entries[0][0].field
-    if any(FieldMatrix.from_rows(field, v).rank() == full for v in point_values(entries)):
+    values = point_values(coeffs, row_degrees, col_degrees, field.q)
+    if any(FieldMatrix(field, v).rank() == full for v in values):
         return full
-    return _bareiss(entries, row_degrees, col_degrees, field.q)[0]
+    return _bareiss(coeffs, row_degrees, col_degrees, field.q)[0]
 
 
 def form_determinant(
-    entries: Sequence[Sequence[BinaryForm]],
-    field: PrimeField,
-    row_degrees: Sequence[int],
-    col_degrees: Sequence[int],
-) -> BinaryForm:
-    """Determinant of a square form matrix with the stated degree profile.
+    coeffs: np.ndarray, field: PrimeField, row_degrees: Sequence[int], col_degrees: Sequence[int]
+) -> tuple[int, ...]:
+    """Coefficients of the determinant of a square form matrix; () when it is zero.
 
     One ``_bareiss`` elimination: below full rank the determinant is zero.
     At full rank the signed last pivot is det(M)(2**B) for the lifted matrix
     M, whose balanced base-2**B digits are the D + 1 coefficients of det(M),
     D = sum(row_degrees) + sum(col_degrees); mod q they are those of the
     determinant over F_q.  A value past D + 1 digits raises RuntimeError: the
-    digit bound would be wrong.
+    digit bound would be wrong.  The caller checks the profile, once for a
+    matrix whose minors it slices.
     """
     n, q = len(row_degrees), field.q
     if len(col_degrees) != n:
         raise ValueError("determinant needs a square matrix")
-    check_profile(entries, row_degrees, col_degrees)
-    rank, det, bits = _bareiss(entries, row_degrees, col_degrees, q)
+    rank, det, bits = _bareiss(coeffs, row_degrees, col_degrees, q)
     if rank < n:
-        return BinaryForm(field, ())
+        return ()
     size = max(0, sum(row_degrees) + sum(col_degrees) + 1)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     det += half * ((1 << bits * size) - 1) // mask  # half in every digit: each now in [0, 2**B)
     if not 0 <= det < 1 << bits * size:
         raise RuntimeError("determinant exceeds its digit bound")
-    return BinaryForm(field, tuple((((det >> bits * i) & mask) - half) % q for i in range(size)))
+    return tuple((((det >> bits * i) & mask) - half) % q for i in range(size))

@@ -1,7 +1,8 @@
 """Explicit section pairs over a prime field and exact weight-stability.
 
 An instance is a split bundle type together with k independent global
-sections given componentwise as binary forms.  ``is_alpha_stable`` decides
+sections, held once as the (k, n, m + 1) form matrix of profile [0] * k,
+splitting (see ``exactmath``).  ``is_alpha_stable`` decides
 stability at an exact rational weight by enumerating destabilization
 candidates; ``stability_interval`` assembles the full stable range.
 
@@ -43,9 +44,7 @@ from .bundles import (
     SaturationResult,
     SectionPairing,
     SplittingType,
-    _padded,
     cohomology,
-    combine_sections,
     generic_splitting,
     kernel_splitting,
     max_subbundle_degree,
@@ -55,34 +54,48 @@ from .classification import AlphaInterval
 from .delta import pencil_min_rank
 from .exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    BinaryForm,
     FieldMatrix,
     PrimeField,
     check_profile,
     stack_size,
+    stacked_combination,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemInstance:
-    """A bundle type plus k independent sections over F_q."""
+    """A bundle type plus k independent sections over F_q.
+
+    ``sections`` is the (k, n, m + 1) form matrix of profile [0] * k,
+    splitting, m = max(0, a_1): section l's component i, of degree a_i, in
+    ``sections[l, i, :a_i + 1]``.  The slot mask of the splitting
+    (``_slot_mask``) maps it to the k padded rows in the monomial basis of
+    H^0(E) and back.  Instances compare and hash by value.
+    """
 
     field: PrimeField
     splitting: SplittingType
-    sections: tuple[tuple[BinaryForm, ...], ...]
+    sections: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.splitting.rank == 0:
-            raise ValueError("the bundle must have rank >= 1")
-        check_profile(self.sections, [0] * len(self.sections), self.splitting.degrees)
-        k = len(self.sections)
-        _check_size(self.splitting, k)
+        sections = np.remainder(np.asarray(self.sections, dtype=np.int64), self.q)
+        _check_size(self.splitting, len(sections))
+        check_profile(sections, [0] * len(sections), self.splitting.degrees)
+        mask = _slot_mask(self.splitting)
+        if sections.shape[2] != mask.shape[1]:
+            raise ValueError(f"sections need {mask.shape[1]} slots, not {sections.shape[2]}")
+        sections.flags.writeable = False
+        object.__setattr__(self, "sections", sections)
         # independent in the monomial basis of H^0
-        rows = [list(itertools.chain(*_padded(self.splitting, s))) for s in self.sections]
-        if FieldMatrix.from_rows(self.field, rows).rank() != k:
+        if FieldMatrix(self.field, sections[:, mask]).rank() != self.k:
             raise ValueError("sections are linearly dependent")
-        # the fields are immutable, so each candidate cache lookup reuses one hash
-        object.__setattr__(self, "_hash", hash((self.field, self.splitting, self.sections)))
+        # the fields are immutable, so each candidate cache lookup reuses one key and hash
+        key = (self.field, self.splitting, sections.shape, sections.tobytes())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SystemInstance) and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,21 +116,30 @@ class SystemInstance:
     def q(self) -> int:
         return self.field.q
 
-    def combine(self, coeffs: Sequence[int]) -> tuple[BinaryForm, ...]:
-        """The section sum(coeffs[j] * sections[j]) componentwise."""
-        (section,) = combine_sections(self.field, self.splitting, self.sections, [coeffs])
-        return section
+    def combine(self, coeffs: Sequence[int]) -> np.ndarray:
+        """The section sum(coeffs[j] * sections[j]), as an (n, m + 1) row of forms."""
+        return stacked_combination([coeffs], self.sections, self.q)[0]
 
     def to_json_dict(self) -> dict:
+        degrees = self.splitting.degrees
         return {
             "q": self.q,
-            "splitting": list(self.splitting.degrees),
-            "sections": [_padded(self.splitting, s) for s in self.sections],
+            "splitting": list(degrees),
+            "sections": [
+                [comp[: max(0, a + 1)] for comp, a in zip(sec, degrees)]
+                for sec in self.sections.tolist()
+            ],
         }
 
     @classmethod
     def from_json_dict(cls, data: object) -> "SystemInstance":
-        """Parse the instance-file format; malformed input raises ValueError."""
+        """Parse the instance-file format; malformed input raises ValueError.
+
+        Each coefficient is reduced mod q as a Python int.  A component whose
+        residues are all zero, of any length, is the zero form; any other
+        must have one coefficient per slot of its summand.  The size limits
+        are checked before the form matrix is built.
+        """
         if not isinstance(data, dict):
             raise ValueError("instance must be a JSON object")
         if set(data) != {"q", "splitting", "sections"}:
@@ -125,18 +147,50 @@ class SystemInstance:
         field = PrimeField(_json_int(data["q"], "q"))
         degrees = _json_list(data["splitting"], "splitting")
         splitting = SplittingType(tuple(_json_int(a, "splitting degree") for a in degrees))
-        sections = []
-        for sec in _json_list(data["sections"], "sections"):
-            comps = []
-            for comp in _json_list(sec, "section"):
-                coeffs = _json_list(comp, "component")
-                comps.append(BinaryForm(field, tuple(_json_int(c, "coefficient") for c in coeffs)))
-            sections.append(tuple(comps))
-        return cls(field, splitting, tuple(sections))
+        sections = [
+            [
+                [_json_int(c, "coefficient") % field.q for c in _json_list(comp, "component")]
+                for comp in _json_list(sec, "section")
+            ]
+            for sec in _json_list(data["sections"], "sections")
+        ]
+        for l, sec in enumerate(sections):
+            if len(sec) != splitting.rank:
+                raise ValueError("matrix shape does not match its degree profile")
+            for i, (comp, a) in enumerate(zip(sec, splitting)):
+                if any(comp) and len(comp) != a + 1:
+                    raise ValueError(f"entry ({l},{i}) has degree {len(comp) - 1}, expected {a}")
+        _check_size(splitting, len(sections))  # before any zero form is padded
+        rows = [
+            [c for comp, a in zip(sec, splitting) for c in (comp if any(comp) else [0] * (a + 1))]
+            for sec in sections
+        ]
+        return cls(field, splitting, _from_rows(splitting, rows))
+
+
+def _slot_mask(splitting: SplittingType) -> np.ndarray:
+    """mask[i, u] = u <= a_i, shape (n, m + 1): the slots of a section's components.
+
+    A section's form row masked by it is its padded row in the monomial basis
+    of H^0(E), the components' coefficients in order; assigning through it
+    turns padded rows back into a form matrix.
+    """
+    slots = max(0, *splitting.degrees) + 1
+    return np.arange(slots) <= np.array(splitting.degrees)[:, None]
+
+
+def _from_rows(splitting: SplittingType, rows: list[list[int]]) -> np.ndarray:
+    """The (k, n, m + 1) form matrix of k padded rows of residues in H^0(E)."""
+    mask = _slot_mask(splitting)
+    forms = np.zeros((len(rows), *mask.shape), dtype=np.int64)
+    forms[:, mask] = np.array(rows, dtype=np.int64).reshape(len(rows), np.count_nonzero(mask))
+    return forms
 
 
 def _check_size(splitting: SplittingType, k: int) -> None:
-    """Refuse, before any section is drawn or padded, h0 above the cost guard or k above h0."""
+    """Refuse, before any section is drawn or padded, rank 0, h0 above the cost guard or k above h0."""
+    if splitting.rank == 0:
+        raise ValueError("the bundle must have rank >= 1")
     h0 = cohomology(splitting, 0)[0]
     if h0 > COST_GUARD_MAX_SUBSPACES:
         raise ValueError(f"h0 = {h0} exceeds the limit {COST_GUARD_MAX_SUBSPACES}")
@@ -276,7 +330,9 @@ def _saturations(
     stacks = echelon_stacks(inst.k, w, inst.q)
     if w in (0, inst.k):  # one subspace: its single matrix is ranked alone
         ((basis,),) = stacks
-        yield basis, saturate(inst.splitting, [inst.combine(row) for row in basis.tolist()])
+        sections = np.array([inst.combine(row) for row in basis.tolist()], dtype=np.int64)
+        sections = sections.reshape(w, *inst.sections.shape[1:])  # w = 0 gives no rows
+        yield basis, saturate(inst.field, inst.splitting, sections)
         return
     for stack in stacks:
         distinct, index = pairing.saturate_stack(stack)
@@ -328,14 +384,12 @@ def _closure_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     if a < 1:
         return ()
     t = n * a - inst.d
-    s1, s2 = inst.sections
     if t >= 1:
-        first = [s1[i] for i in range(n - t, n)]
-        second = [s2[i] for i in range(n - t, n)]
-        delta = pencil_min_rank(first, second, a - 1, inst.field)
+        # the O(a - 1) components, of degree a - 1: their slot a is zero
+        delta = pencil_min_rank(inst.sections[:, n - t :, :a], inst.field)
         r = n // 2
         return (Candidate(r, r * a - delta, 1, None),)
-    delta = pencil_min_rank(list(s1), list(s2), a, inst.field)
+    delta = pencil_min_rank(inst.sections, inst.field)
     # the combination lands in a rank-delta balanced factor of degree a*delta
     return (Candidate(delta, a * delta, 1, None),)
 
@@ -451,10 +505,8 @@ def check_global_generation(inst: SystemInstance) -> bool:
     when some minor is nonzero and the minors share no zero on P^1.
     """
     source = SplittingType((0,) * inst.k)
-    entries = [
-        [inst.sections[s][i] for s in range(inst.k)] for i in range(inst.n)
-    ]
-    kern = kernel_splitting(source, inst.splitting, entries)
+    # entry (i, l) of O^k -> E is component i of section l
+    kern = kernel_splitting(inst.field, source, inst.splitting, inst.sections.transpose(1, 0, 2))
     image_rank = inst.k - kern.rank
     image_degree = -kern.degree
     return image_rank == inst.n and image_degree == inst.d
@@ -472,17 +524,13 @@ def sample_instance(n: int, d: int, k: int, q: int, seed: int) -> SystemInstance
     field = PrimeField(q)
     splitting = generic_splitting(n, d)
     _check_size(splitting, k)
+    h0 = cohomology(splitting, 0)[0]
     for attempt in range(1000):
         rng = random.Random(mix_seed(n, d, k, q, seed, attempt))
-        sections = [
-            tuple(
-                BinaryForm(field, tuple(rng.randrange(q) for _ in range(max(0, a + 1))))
-                for a in splitting
-            )
-            for _ in range(k)
-        ]
+        # each section's padded row: its components' coefficients in order
+        rows = [[rng.randrange(q) for _ in range(h0)] for _ in range(k)]
         try:
-            return SystemInstance(field, splitting, tuple(sections))
+            return SystemInstance(field, splitting, _from_rows(splitting, rows))
         except ValueError:
             # the size is checked above and the draw has its degree profile by
             # construction, so the instance refuses a dependent draw only

@@ -2,10 +2,13 @@
 
 The program never calls these.  Each is written the plain way, with loops
 over coefficients or a direct enumeration, so that it does not share the
-shortcuts of the code it checks: form arithmetic and splitting types from
-unsorted degrees for building test inputs, the value of a form at a point
-behind ``exactmath.point_values``, the per-component sum behind
-``combine_sections``, coordinate changes for invariance tests, the
+shortcuts of the code it checks: form arithmetic on plain coefficient
+tuples, which ``pack`` turns into the program's form matrices (one int64
+array of slots per matrix, with its degree profile) and ``unpack`` reads
+back, and splitting types from unsorted degrees for building test inputs;
+the per-entry degree check behind ``exactmath.check_profile``, the value of
+a form at a point behind ``exactmath.point_values``, the per-component sum
+behind ``SystemInstance.combine``, coordinate changes for invariance tests, the
 endomorphism type for ``generic_splitting``, the Shatz embedding test and the
 k = 1 degree list for ``decompose``, the evaluation rank of an instance
 at a point, global generation from the sympy minors of the section matrix,
@@ -36,81 +39,168 @@ from sympy.polys.matrices import DomainMatrix
 from cohsys import bundles
 from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
 from cohsys.classification import AlphaInterval
-from cohsys.exactmath import (
-    BinaryForm,
-    FieldMatrix,
-    _leading_zeros,
-    _poly_divmod,
-    check_profile,
-    generic_rank,
+from cohsys.exactmath import FieldMatrix, _leading_zeros, _poly_divmod
+from cohsys.stability import (
+    Candidate,
+    StabilityReport,
+    SystemInstance,
+    echelon_stacks,
+    subsystem_candidates,
 )
-from cohsys.stability import Candidate, StabilityReport, echelon_stacks, subsystem_candidates
 
 
 # -- binary forms --------------------------------------------------------------
+#
+# A form of degree d is the tuple of its d + 1 coefficients over F_q, index i
+# multiplying x**(d - i) * y**i, and the zero form is ().
 
 
-def add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+def form(coeffs, q: int) -> tuple[int, ...]:
+    """The coefficients reduced mod q, as Python ints; all zero gives the zero form ()."""
+    reduced = tuple(int(c) % q for c in coeffs)
+    return reduced if any(reduced) else ()
+
+
+def degree(f) -> int:
+    """len(f) - 1: -1 for the zero form."""
+    return len(f) - 1
+
+
+def add(f, g, q: int):
     """f + g; both nonzero forms must have one degree."""
-    if f.is_zero:
+    if not f:
         return g
-    if g.is_zero:
+    if not g:
         return f
-    if f.degree != g.degree:
+    if len(f) != len(g):
         raise ValueError("cannot add forms of different degrees")
-    return BinaryForm(f.field, tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+    return form([a + b for a, b in zip(f, g)], q)
 
 
-def scale(f: BinaryForm, c: int) -> BinaryForm:
+def scale(f, c: int, q: int):
     """c * f; a zero scalar gives the zero form."""
-    return BinaryForm(f.field, tuple(c * a for a in f.coeffs))
+    return form([c * a for a in f], q)
 
 
-def mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+def mul(f, g, q: int):
     """f * g, by the schoolbook product of coefficient lists."""
-    if f.is_zero or g.is_zero:
-        return BinaryForm(f.field, ())
-    out = [0] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
             out[i + j] += a * b
-    return BinaryForm(f.field, tuple(out))
+    return form(out, q)
 
 
-def evaluate(f: BinaryForm, b: int, c: int) -> int:
+def evaluate(f, b: int, c: int, q: int) -> int:
     """f(b, c) mod q, term by term: the zero form is 0 everywhere."""
-    q = f.field.q
-    d = f.degree
-    return sum(coeff * b ** (d - i) * c ** i for i, coeff in enumerate(f.coeffs)) % q
+    d = degree(f)
+    return sum(coeff * b ** (d - i) * c ** i for i, coeff in enumerate(f)) % q
 
 
-def compose_linear(f: BinaryForm, m00: int, m01: int, m10: int, m11: int) -> BinaryForm:
+def compose_linear(f, m00: int, m01: int, m10: int, m11: int, q: int):
     """f with x -> m00*x + m01*y and y -> m10*x + m11*y substituted."""
-    if f.is_zero:
+    if not f:
         return f
-    u = BinaryForm(f.field, (m00, m01))
-    v = BinaryForm(f.field, (m10, m11))
-    d = f.degree
-    total = BinaryForm(f.field, ())
-    for i, coeff in enumerate(f.coeffs):
-        term = BinaryForm(f.field, (coeff,))
+    u, v = form((m00, m01), q), form((m10, m11), q)
+    d = degree(f)
+    total = ()
+    for i, coeff in enumerate(f):
+        term = form((coeff,), q)
         for _ in range(d - i):
-            term = mul(term, u)
+            term = mul(term, u, q)
         for _ in range(i):
-            term = mul(term, v)
-        total = add(total, term)
+            term = mul(term, v, q)
+        total = add(total, term, q)
     return total
 
 
-def componentwise_sum(field, sections, coeffs) -> tuple[BinaryForm, ...]:
+def componentwise_sum(sections, coeffs, q: int) -> tuple:
     """sum(coeffs[l] * sections[l]), one component at a time with ``add``/``scale``."""
     out = []
     for i in range(len(sections[0])):
-        acc = BinaryForm(field, ())
+        acc = ()
         for c, s in zip(coeffs, sections):
-            acc = add(acc, scale(s[i], c))
+            acc = add(acc, scale(s[i], c, q), q)
         out.append(acc)
     return tuple(out)
+
+
+# -- form matrices ---------------------------------------------------------------
+
+
+def pack(entries, row_degrees, col_degrees) -> np.ndarray:
+    """The program's form matrix of nested forms, shape (rows, cols, m + 1) from the profile.
+
+    Each form's coefficients fill its entry's slots from slot 0; the rest are
+    zero.  There is a slot for every degree of the profile and for every
+    coefficient given, so a form longer than its degree lands past its slot.
+    """
+    top = max(row_degrees, default=0) + max(col_degrees, default=0)
+    slots = max([1, top + 1] + [len(f) for row in entries for f in row])
+    out = np.zeros((len(row_degrees), len(col_degrees), slots), dtype=np.int64)
+    for i, row in enumerate(entries):
+        for j, f in enumerate(row):
+            out[i, j, : len(f)] = f
+    return out
+
+
+def unpack(coeffs, row_degrees, col_degrees) -> tuple:
+    """The nested forms of a form matrix: entry (i, j) as its deg + 1 slots, () for zero."""
+    rows = np.asarray(coeffs).tolist()
+    slots = [[entry[: max(0, r + c + 1)] for entry, c in zip(row, col_degrees)] for row, r in zip(rows, row_degrees)]
+    return tuple(tuple(tuple(f) if any(f) else () for f in row) for row in slots)
+
+
+def tuple_check_profile(entries, row_degrees, col_degrees) -> None:
+    """``exactmath.check_profile`` on nested forms, entry by entry.
+
+    The shape must be len(row_degrees) x len(col_degrees), and each nonzero
+    entry (i, j) must have degree row_degrees[i] + col_degrees[j].
+    """
+    if len(entries) != len(row_degrees) or any(len(row) != len(col_degrees) for row in entries):
+        raise ValueError("matrix shape does not match its degree profile")
+    for i, row in enumerate(entries):
+        for j, f in enumerate(row):
+            slot = row_degrees[i] + col_degrees[j]
+            if f and degree(f) != slot:
+                raise ValueError(f"entry ({i},{j}) has degree {degree(f)}, expected {slot}")
+
+
+def rows_rank(field, rows) -> int:
+    """``FieldMatrix.rank`` of a list of rows of residues; no rows have rank 0."""
+    if not rows:
+        return 0
+    return FieldMatrix(field, np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))).rank()
+
+
+# -- instances, as forms ---------------------------------------------------------
+
+
+def make_instance(field, splitting, sections) -> SystemInstance:
+    """The instance of k sections given as tuples of forms, one per summand."""
+    return SystemInstance(field, splitting, pack(sections, [0] * len(sections), splitting.degrees))
+
+
+def section_forms(inst) -> tuple:
+    """The sections of an instance as tuples of forms, one per summand."""
+    return unpack(inst.sections, [0] * inst.k, inst.splitting.degrees)
+
+
+def padded_sections(inst) -> list:
+    """Each section's components, each as the a + 1 coefficients of its O(a) slot."""
+    return [
+        [comp[: max(0, a + 1)] for comp, a in zip(sec, inst.splitting)]
+        for sec in inst.sections.tolist()
+    ]
+
+
+def span_saturation(inst, basis):
+    """``saturate`` of the span of the sections ``inst.combine`` makes from the rows of basis."""
+    rows = [inst.combine(row) for row in np.asarray(basis).tolist()]
+    sections = np.array(rows, dtype=np.int64).reshape(len(rows), *inst.sections.shape[1:])
+    return saturate(inst.field, inst.splitting, sections)
 
 
 # -- bundles and numerology ----------------------------------------------------
@@ -178,8 +268,9 @@ def sympy_generates(inst) -> bool:
     where f(t, 1) has degree below d.
     """
     n, q = inst.n, inst.q
+    sections = section_forms(inst)
     minors = [
-        sympy_det([[inst.sections[l][i] for l in cols] for i in range(n)], q)
+        sympy_det([[sections[l][i] for l in cols] for i in range(n)], q)
         for cols in itertools.combinations(range(inst.k), n)
     ]
     minors = [m for m in minors if m]
@@ -194,8 +285,8 @@ def evaluation_rank_at_point(inst, b: int, c: int) -> int:
     q = inst.q
     if b % q == 0 and c % q == 0:
         raise ValueError("(0, 0) is not a projective point")
-    rows = [[evaluate(f, b, c) for f in s] for s in inst.sections]
-    return FieldMatrix.from_rows(inst.field, rows).rank()
+    rows = [[evaluate(f, b, c, q) for f in s] for s in section_forms(inst)]
+    return rows_rank(inst.field, rows)
 
 
 def endomorphism_dimension(inst) -> int:
@@ -208,7 +299,7 @@ def endomorphism_dimension(inst) -> int:
     phi(V) inside V has exactly one A.
     """
     degrees = inst.splitting.degrees
-    padded = [bundles._padded(inst.splitting, s) for s in inst.sections]
+    padded = padded_sections(inst)
     starts = list(itertools.accumulate((max(0, a + 1) for a in degrees), initial=0))
     h0 = starts[-1]
     columns = []
@@ -228,7 +319,7 @@ def endomorphism_dimension(inst) -> int:
                     col[l * h0 + starts[i] + c] -= coeff
             columns.append(col)
     rows = [list(row) for row in zip(*columns)]
-    return len(columns) - FieldMatrix.from_rows(inst.field, rows).rank()
+    return len(columns) - rows_rank(inst.field, rows)
 
 
 def echelon_bases(k: int, w: int, q: int):
@@ -277,7 +368,7 @@ def per_basis_candidates(inst):
         for stack in echelon_stacks(k, w, inst.q):
             if w in (0, k):
                 (basis,) = stack.tolist()
-                sats = [saturate(inst.splitting, [inst.combine(row) for row in basis])]
+                sats = [span_saturation(inst, basis)]
             else:
                 sats = per_basis_saturations(pairing, stack)
             for basis, sat in zip(stack.tolist(), sats):
@@ -357,19 +448,20 @@ def fraction_critical_alphas(inst) -> list:
 # -- kernels -------------------------------------------------------------------
 
 
-def lockstep_kernel(source, target, entries):
+def lockstep_kernel(field, source, target, coeffs):
     """``kernel_splitting`` by ``lockstep_scan`` on the twist matrices, for every map.
 
-    The probes go through ``bundles._twist_kernel_dimension``, looked up at
-    each call, so a test that counts the program's probes counts these too.
+    The kernel rank comes from ``bareiss_rank`` of the map's forms.  The
+    probes go through ``bundles._twist_kernel_dimension``, looked up at each
+    call, so a test that counts the program's probes counts these too.
     """
-    rho = source.rank - generic_rank(entries, target.degrees, [-s for s in source])
+    cols = [-s for s in source]
+    rho = source.rank - bareiss_rank(unpack(coeffs, target.degrees, cols), target.degrees, cols, field.q)
     if not source.rank:
         return SplittingType(())
-    field = entries[0][0].field if entries else None
 
     def probe(live, j):
-        twist = bundles._twist_matrix(source, target, entries, j)
+        twist = bundles._twist_matrix(source, target, coeffs, j)
         return bundles._twist_kernel_dimension(field, twist[None])
 
     (degrees,) = lockstep_scan(source, target, [rho], probe)
@@ -409,7 +501,7 @@ def sympy_det(entries, q):
     ring = GF(q)[T]
     n = len(entries)
     rows = [
-        [ring.from_sympy(sum(c * T ** (f.degree - i) for i, c in enumerate(f.coeffs))) for f in row]
+        [ring.from_sympy(sum(c * T ** (degree(f) - i) for i, c in enumerate(f))) for f in row]
         for row in entries
     ]
     det = DomainMatrix(rows, (n, n), ring).det()
@@ -440,7 +532,7 @@ def _poly_mul_sub(a, b, c, d, q: int) -> list[int]:
     return out if any(out) else []
 
 
-def _polynomial_bareiss(entries, row_degrees, col_degrees) -> tuple[int, int, tuple]:
+def _polynomial_bareiss(entries, row_degrees, col_degrees, q) -> tuple[int, int, tuple]:
     """Rank, swap sign and last pivot of a form matrix by fraction-free elimination over F_q[x, y].
 
     The path ``exactmath._bareiss`` took before Kronecker substitution
@@ -449,13 +541,12 @@ def _polynomial_bareiss(entries, row_degrees, col_degrees) -> tuple[int, int, tu
     (p*a - b*c) / previous pivot, an exact division of binary forms, so every
     entry stays a minor of the input.
     """
-    check_profile(entries, row_degrees, col_degrees)
+    tuple_check_profile(entries, row_degrees, col_degrees)
     nrows, ncols = len(row_degrees), len(col_degrees)
     rank, sign, prev = 0, 1, (1,)
     if not (nrows and ncols):
         return rank, sign, prev
-    q = entries[0][0].field.q
-    rows = [[f.coeffs for f in row] for row in entries]
+    rows = [list(row) for row in entries]
     for col in range(ncols):
         if rank == nrows:
             break
@@ -480,12 +571,12 @@ def _polynomial_bareiss(entries, row_degrees, col_degrees) -> tuple[int, int, tu
     return rank, sign, tuple(prev)
 
 
-def bareiss_rank(entries, row_degrees, col_degrees) -> int:
+def bareiss_rank(entries, row_degrees, col_degrees, q) -> int:
     """Rank over F_q(t) of a form matrix: the number of pivots of ``_polynomial_bareiss``."""
-    return _polynomial_bareiss(entries, row_degrees, col_degrees)[0]
+    return _polynomial_bareiss(entries, row_degrees, col_degrees, q)[0]
 
 
-def bareiss_determinant(entries, field, row_degrees, col_degrees) -> BinaryForm:
+def bareiss_determinant(entries, q, row_degrees, col_degrees) -> tuple:
     """Determinant of a square form matrix by ``_polynomial_bareiss``.
 
     The last pivot, signed by the row swaps, is the determinant; a column with
@@ -494,10 +585,10 @@ def bareiss_determinant(entries, field, row_degrees, col_degrees) -> BinaryForm:
     n = len(row_degrees)
     if len(col_degrees) != n:
         raise ValueError("determinant needs a square matrix")
-    rank, sign, prev = _polynomial_bareiss(entries, row_degrees, col_degrees)
+    rank, sign, prev = _polynomial_bareiss(entries, row_degrees, col_degrees, q)
     if rank < n:
-        return BinaryForm(field, ())
-    return BinaryForm(field, tuple(sign * c for c in prev))
+        return ()
+    return form([sign * c for c in prev], q)
 
 
 def row_swap_rank(q: int, data) -> int:
@@ -647,8 +738,7 @@ def sheaf_side_verdict(inst, alpha, m: int) -> tuple[bool, bool, Fraction | None
     field = ExtensionField(inst.q, m)
     (a1, a2), d, k = inst.splitting.degrees, inst.d, inst.k
     mu = Fraction(d, 2) + alpha * Fraction(k, 2)
-    sections = [[c for f, a in zip(s, (a1, a2)) for c in f.coeffs or [0] * (a + 1)]
-                for s in inst.sections]
+    sections = [[c for comp in sec for c in comp] for sec in padded_sections(inst)]
     slopes = [mu] if alpha == 0 and k else []
     for b in range(a1 + 1):
         if b + alpha * min(k, b + 1) < mu:

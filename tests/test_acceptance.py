@@ -12,7 +12,7 @@ from cohsys.bundles import SplittingType, saturate
 from cohsys.classification import Status, classify, cross_check, necessary_region
 from cohsys.cli import VerifyCampaignConfig, run_verify_campaign
 from cohsys.delta import delta_closure, delta_formula, sample_delta_input
-from cohsys.exactmath import BinaryForm, PrimeField, vanishing_divisor_degree
+from cohsys.exactmath import PrimeField, vanishing_divisor_degree
 from cohsys.numerology import (
     beta_nonnegative_threshold,
     brill_noether,
@@ -25,6 +25,7 @@ from cohsys.stability import (
     sample_instance,
     stability_interval,
 )
+from oracles import form, pack
 
 Q = 101
 
@@ -231,14 +232,12 @@ def test_criterion_7_saturation_matches_divisor_oracle():
         n = rng.randrange(2, 5)
         degrees = sorted((rng.randrange(0, 5) for _ in range(n)), reverse=True)
         t = SplittingType(tuple(degrees))
-        section = tuple(
-            BinaryForm(field, tuple(rng.randrange(Q) for _ in range(a + 1))) for a in t
-        )
-        nonzero = [f for f in section if not f.is_zero]
+        section = tuple(form([rng.randrange(Q) for _ in range(a + 1)], Q) for a in t)
+        nonzero = [f for f in section if f]
         if not nonzero:
             continue
-        res = saturate(t, [section])
-        if res.degree != vanishing_divisor_degree(nonzero):
+        res = saturate(field, t, pack([section], [0], t.degrees))
+        if res.degree != vanishing_divisor_degree(nonzero, Q):
             failures += 1
         checked += 1
     assert failures == 0

@@ -536,6 +536,42 @@ class TestCheckInstanceCommand:
         assert_one_line_error(code, err)
         assert "h0" in err
 
+    def report(self, capsys, tmp_path, data, alpha):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-instance", str(path), alpha)
+        assert code == 0, err
+        return out
+
+    @pytest.mark.parametrize("zero", [[], [0], [3, 3], [0] * 5, [-3, 6, 9]])
+    def test_zero_components_read_as_the_zero_form(self, capsys, tmp_path, zero):
+        # [], and every list of any length whose residues mod 3 are all zero,
+        # are the zero form in an O(1) slot: the report of the canonical [0, 0]
+        def doc(comp):
+            return {"q": 3, "splitting": [1, 1], "sections": [[[1, 0], comp], [[0, 1], [1, 1]]]}
+
+        for alpha in ("1/2", "1", "2", "3"):
+            want = self.report(capsys, tmp_path, doc([0, 0]), alpha)
+            assert self.report(capsys, tmp_path, doc(zero), alpha) == want
+
+    def test_huge_coefficients_read_as_their_residues(self, capsys, tmp_path):
+        # each coefficient is reduced as a Python int before it enters an
+        # int64 array: 10**20 and -10**20 read as their residues mod 101, and
+        # every other coefficient c is written as c +- 101 * 10**20
+        residues = sample_instance(3, 5, 2, 101, 0).to_json_dict()
+        residues["sections"][0][0][0] = 10**20 % 101
+        residues["sections"][1][0][0] = -(10**20) % 101
+        huge = json.loads(json.dumps(residues))
+        for s, section in enumerate(huge["sections"]):
+            for i, comp in enumerate(section):
+                for u in range(len(comp)):
+                    comp[u] += (-1) ** (s + i + u) * 101 * 10**20
+        huge["sections"][0][0][0] = 10**20
+        huge["sections"][1][0][0] = -(10**20)
+        for alpha in ("1/2", "1", "2"):
+            want = self.report(capsys, tmp_path, residues, alpha)
+            assert self.report(capsys, tmp_path, huge, alpha) == want
+
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -2,14 +2,15 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohsys
 from cohsys import delta, exactmath
 from cohsys.delta import (
     DeltaInput,
-    _pencil_coefficient_matrices,
     delta_bruteforce,
     delta_closure,
     delta_formula,
@@ -18,15 +19,25 @@ from cohsys.delta import (
 )
 from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
-    BinaryForm,
     FieldMatrix,
     PrimeField,
     form_determinant,
     vanishing_divisor_degree,
 )
-from oracles import add, mul, scale
+from oracles import add, bareiss_determinant, form, mul, pack, scale
 
 F = PrimeField(101)
+X, Y = (1, 0), (0, 1)
+
+
+def families(first, second, slot_degree):
+    """The (2, t, slot_degree + 1) array of two families of forms, as ``pencil_min_rank`` takes them."""
+    return pack([list(first), list(second)], [0, 0], [slot_degree] * len(first))
+
+
+def delta_input(field, a, t, first, second):
+    """The ``DeltaInput`` of two families of t forms of degree a - 1."""
+    return DeltaInput(field, a, t, families(first, second, a - 1))
 
 
 class TestFormulas:
@@ -44,29 +55,29 @@ class TestFormulas:
 
 class TestDeltaInput:
     def test_rejects_wrong_degree(self):
-        with pytest.raises(ValueError):
-            DeltaInput(2, 1, (BinaryForm(F, (1, 2, 3)),), (BinaryForm(F, ()),))
+        # a form of degree 2 among degree-1 forms needs a slot past a - 1
+        with pytest.raises(ValueError, match="shape"):
+            delta_input(F, 2, 1, [(1, 2, 3)], [()])
 
     def test_rejects_wrong_family_length(self):
-        x = BinaryForm(F, (1, 0))
         with pytest.raises(ValueError, match="shape"):
-            DeltaInput(2, 2, (x, x), (x,))
+            # one form in each family where t = 2 asks for two
+            DeltaInput(F, 2, 2, pack([[X], [X]], [0, 0], [1]))
 
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError):
-            DeltaInput(2, 0, (), ())
+            DeltaInput(F, 2, 0, np.zeros((2, 0, 2), dtype=np.int64))
 
 
 class TestOracles:
     def test_all_zero(self):
-        z = BinaryForm(F, ())
-        inp = DeltaInput(2, 2, (z, z), (z, z))
+        inp = delta_input(F, 2, 2, [(), ()], [(), ()])
         assert delta_bruteforce(inp) == 0
         assert delta_closure(inp) == 0
 
     def test_equal_pair_cancels(self):
-        f = BinaryForm(F, (3, 5))
-        inp = DeltaInput(2, 1, (f,), (f,))
+        f = (3, 5)
+        inp = delta_input(F, 2, 1, [f], [f])
         assert delta_bruteforce(inp) == 0
         assert delta_closure(inp) == 0
 
@@ -106,24 +117,15 @@ class TestOracles:
         # the pencil and cannot change the minimal rank
         for seed in range(10):
             inp = sample_delta_input(3, 3, 101, seed)
-            mixed = DeltaInput(
-                inp.a,
-                inp.t,
-                tuple(add(scale(g, 2), scale(gp, 7)) for g, gp in zip(inp.g, inp.g_prime)),
-                tuple(add(scale(g, 1), scale(gp, 4)) for g, gp in zip(inp.g, inp.g_prime)),
-            )
+            g, gp = inp.forms
+            mixed = DeltaInput(inp.field, inp.a, inp.t, np.stack([2 * g + 7 * gp, g + 4 * gp]))
             assert delta_closure(inp) == delta_closure(mixed)
             assert delta_bruteforce(inp) == delta_bruteforce(mixed)
 
     def test_scalar_rescaling_invariance(self):
         for seed in range(10):
             inp = sample_delta_input(2, 3, 101, seed)
-            scaled = DeltaInput(
-                inp.a,
-                inp.t,
-                tuple(scale(g, 9) for g in inp.g),
-                tuple(scale(gp, 9) for gp in inp.g_prime),
-            )
+            scaled = DeltaInput(inp.field, inp.a, inp.t, 9 * inp.forms)
             assert delta_bruteforce(inp) == delta_bruteforce(scaled)
             assert delta_closure(inp) == delta_closure(scaled)
 
@@ -131,27 +133,23 @@ class TestOracles:
 class TestPencilMinRank:
     def test_row_bound(self):
         # two coefficient rows bound the rank by 2 regardless of the columns
-        x = BinaryForm(F, (1, 0))
-        y = BinaryForm(F, (0, 1))
-        assert pencil_min_rank([x, y, x, y], [y, x, y, x], 1, F) <= 2
+        assert pencil_min_rank(families([X, Y, X, Y], [Y, X, Y, X], 1), F) <= 2
 
     def test_zero_first_family(self):
         # rank 0 at (1 : 0) ends the sweep before any minor, whatever the
         # generic rank of the second family
         field = PrimeField(7)
         rng = random.Random(3)
-        second = [BinaryForm(field, tuple(rng.randrange(7) for _ in range(4))) for _ in range(3)]
-        first = [BinaryForm(field, ())] * 3
-        _, B = _pencil_coefficient_matrices(first, second, 3)
+        second = [form([rng.randrange(7) for _ in range(4)], 7) for _ in range(3)]
+        first = [()] * 3
+        B = families(first, second, 3)[1].T
         assert FieldMatrix(field, B).rank() == 3
-        assert all_minors_min_rank(first, second, 3, field) == 0
-        assert pencil_min_rank(first, second, 3, field) == 0
+        assert all_minors_min_rank(first, second, 3, 7) == 0
+        assert pencil_min_rank(families(first, second, 3), field) == 0
 
     def test_identity_pencil(self):
-        x = BinaryForm(F, (1, 0))
-        y = BinaryForm(F, (0, 1))
         # columns (x, y) vs (y, x): det = b^2 - c^2 factors rationally
-        assert pencil_min_rank([x, y], [y, x], 1, F) == 1
+        assert pencil_min_rank(families([X, Y], [Y, X], 1), F) == 1
 
     def test_irrational_drop_found_by_the_upward_sweep(self):
         # b*I + c*diag(M, M, M) with M = [[0, 3], [1, 0]]: each block has
@@ -162,38 +160,34 @@ class TestPencilMinRank:
         field = PrimeField(7)
         unit = [[int(r == c) for r in range(6)] for c in range(6)]
         columns = [unit[c + 1] if c % 2 == 0 else [3 * x for x in unit[c - 1]] for c in range(6)]
-        inp = DeltaInput(
-            6,
-            6,
-            tuple(BinaryForm(field, tuple(col)) for col in unit),
-            tuple(BinaryForm(field, tuple(col)) for col in columns),
-        )
+        first, second = [form(col, 7) for col in unit], [form(col, 7) for col in columns]
+        inp = delta_input(field, 6, 6, first, second)
         assert delta_closure(inp) == 3 < delta_formula(6, 6) - 1
-        assert all_minors_min_rank(inp.g, inp.g_prime, 5, field) == 3
+        assert all_minors_min_rank(first, second, 5, 7) == 3
         assert delta_bruteforce(inp) == 6
 
 
-def all_minors_min_rank(first, second, slot_degree, field):
-    """Reference: every minor of every size, the sweep ``pencil_min_rank`` replaces."""
+def all_minors_min_rank(first, second, slot_degree, q):
+    """Reference: every minor of every size, the sweep ``pencil_min_rank`` replaces.
+
+    The pencil's entries are the degree-1 forms (A[r][c], B[r][c]) as
+    tuples, and each minor is the determinant of the polynomial elimination.
+    """
     ncols = len(first)
     nrows = slot_degree + 1
-    coeff = [[f.coeffs if not f.is_zero else (0,) * nrows for f in fam] for fam in (first, second)]
-    entries = [
-        [BinaryForm(field, (coeff[0][c][r], coeff[1][c][r])) for c in range(ncols)]
-        for r in range(nrows)
-    ]
+    coeff = [[f or (0,) * nrows for f in fam] for fam in (first, second)]
+    entries = [[form((coeff[0][c][r], coeff[1][c][r]), q) for c in range(ncols)] for r in range(nrows)]
     for size in range(1, min(nrows, ncols) + 1):
         minors = []
         for rsel in itertools.combinations(range(nrows), size):
             for csel in itertools.combinations(range(ncols), size):
-                det = form_determinant(
-                    [[entries[r][c] for c in csel] for r in rsel], field, [0] * size, [1] * size
-                )
-                if not det.is_zero:
+                minor = [[entries[r][c] for c in csel] for r in rsel]
+                det = bareiss_determinant(minor, q, [0] * size, [1] * size)
+                if det:
                     minors.append(det)
         if not minors:
             return size - 1
-        if vanishing_divisor_degree(minors) >= 1:
+        if vanishing_divisor_degree(minors, q) >= 1:
             return size - 1
     return min(nrows, ncols)
 
@@ -202,11 +196,11 @@ def draw_pencil(rng, kind, a, t, field):
     """Two families of t forms of degree a - 1, drawn to reach rank drops."""
     q = field.q
 
-    def form(coeffs):
-        return BinaryForm(field, tuple(coeffs))
+    def draw(coeffs):
+        return form(coeffs, q)
 
     def uniform(zero_prob=0.0):
-        return form(0 if rng.random() < zero_prob else rng.randrange(q) for _ in range(a))
+        return draw(0 if rng.random() < zero_prob else rng.randrange(q) for _ in range(a))
 
     if kind == "generic":
         return [uniform() for _ in range(t)], [uniform() for _ in range(t)]
@@ -214,13 +208,13 @@ def draw_pencil(rng, kind, a, t, field):
         return [uniform(0.7) for _ in range(t)], [uniform(0.7) for _ in range(t)]
     if kind == "equal-pair":
         first = [uniform() for _ in range(t)]
-        second = [scale(f, rng.randrange(q)) if rng.random() < 0.7 else uniform() for f in first]
+        second = [scale(f, rng.randrange(q), q) if rng.random() < 0.7 else uniform() for f in first]
         return first, second
 
     def combo(basis):
-        acc = BinaryForm(field, ())
+        acc = ()
         for b in basis:
-            acc = add(acc, scale(b, rng.randrange(q)))
+            acc = add(acc, scale(b, rng.randrange(q), q), q)
         return acc
 
     if kind == "low-rank":
@@ -236,12 +230,12 @@ def draw_pencil(rng, kind, a, t, field):
         basis = [uniform() for _ in range(rng.randrange(min(a, t)))]
         return [uniform() for _ in range(t)], [combo(basis) for _ in range(t)]
     # shared linear factor: every form is L * h with h of degree a - 2
-    linear = form((rng.randrange(q), rng.randrange(q)))
-    if a < 2 or linear.is_zero:
+    linear = draw((rng.randrange(q), rng.randrange(q)))
+    if a < 2 or not linear:
         return [uniform() for _ in range(t)], [uniform() for _ in range(t)]
 
     def multiple():
-        return mul(linear, form(rng.randrange(q) for _ in range(a - 1)))
+        return mul(linear, draw(rng.randrange(q) for _ in range(a - 1)), q)
 
     return [multiple() for _ in range(t)], [multiple() for _ in range(t)]
 
@@ -261,7 +255,7 @@ class TestPencilMinRankEquivalence:
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from(DRAW_KINDS),
-        st.sampled_from([2, 3, 5, 7, 101]),
+        st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1]),
         st.integers(1, 5),
         st.integers(1, 5),
     )
@@ -270,8 +264,8 @@ class TestPencilMinRankEquivalence:
         rng = random.Random(seed)
         field = PrimeField(q)
         first, second = draw_pencil(rng, kind, a, t, field)
-        expected = all_minors_min_rank(first, second, a - 1, field)
-        assert pencil_min_rank(first, second, a - 1, field) == expected
+        expected = all_minors_min_rank(first, second, a - 1, q)
+        assert pencil_min_rank(families(first, second, a - 1), field) == expected
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -284,9 +278,8 @@ class TestPencilMinRankEquivalence:
         # the upward sweep
         field = PrimeField(q)
         first, second = draw_pencil(random.Random(seed), kind, 6, 6, field)
-        assert pencil_min_rank(first, second, 5, field) == all_minors_min_rank(
-            first, second, 5, field
-        )
+        want = all_minors_min_rank(first, second, 5, q)
+        assert pencil_min_rank(families(first, second, 5), field) == want
 
 
 class TestPencilMinRankOrder:
@@ -326,17 +319,41 @@ class TestPencilMinRankOrder:
         # (0 : 1), and the 1 x 1 minors b + c and b share no zero, so the
         # 2 x 2 minor is never computed
         field = PrimeField(7)
-        x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
-        z = BinaryForm(field, ())
         sizes = self.counted(monkeypatch)
-        assert pencil_min_rank([x, y], [x, z], 1, field) == 1
+        assert pencil_min_rank(families([X, Y], [X, ()], 1), field) == 1
         assert sizes and set(sizes) == {1}
+
+    def test_profile_is_checked_once_per_pencil(self, monkeypatch):
+        # the pencil's profile is checked once, not once per minor: every
+        # binding of check_profile counts its calls, on a = t = 5 draws whose
+        # minors of the bound's size share a zero, so the sweep goes below it
+        calls = []
+        real = exactmath.check_profile
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (exactmath, delta, cohsys.bundles, cohsys.stability):
+            monkeypatch.setattr(module, "check_profile", counted)
+        sizes = self.counted(monkeypatch)
+        swept = 0
+        for seed in range(40):
+            first, second = draw_pencil(random.Random(seed), "equal-pair", 5, 5, PrimeField(7))
+            calls.clear()
+            sizes.clear()
+            pencil_min_rank(families(first, second, 4), PrimeField(7))
+            assert len(calls) <= 1
+            if len(set(sizes)) > 1:
+                swept += 1
+                assert len(sizes) > 1 == len(calls)
+        assert swept
 
 
 def per_point_min_rank(inp):
     """Reference: the rational scan ``delta_bruteforce`` replaces, one rank per point."""
     q = inp.field.q
-    A, B = _pencil_coefficient_matrices(inp.g, inp.g_prime, inp.a - 1)
+    A, B = inp.forms.transpose(0, 2, 1)
     least = inp.t
     for b, c in [(1, c) for c in range(q)] + [(0, 1)]:
         least = min(least, FieldMatrix(inp.field, (b * A + c * B) % q).rank())
@@ -373,7 +390,7 @@ class TestStackedScanEquivalence:
     def test_matches_per_point_scan(self, seed, kind, q, a, t):
         field = PrimeField(q)
         first, second = draw_pencil(random.Random(seed), kind, a, t, field)
-        inp = DeltaInput(a, t, tuple(first), tuple(second))
+        inp = delta_input(field, a, t, first, second)
         with mock.patch.object(exactmath, "STACK_CELLS", 128 * a * t):
             assert delta_bruteforce(inp) == per_point_min_rank(inp)
 
@@ -390,7 +407,7 @@ class TestStackedScanEquivalence:
         # rank, and no stack above the budget or one point's a x t entries
         field = PrimeField(q)
         first, second = draw_pencil(random.Random(seed), kind, a, t, field)
-        inp = DeltaInput(a, t, tuple(first), tuple(second))
+        inp = delta_input(field, a, t, first, second)
         want = per_point_min_rank(inp)
         for cells in (1, 40, exactmath.STACK_CELLS):
             with mock.patch.object(exactmath, "STACK_CELLS", cells):
@@ -403,9 +420,7 @@ class TestStackedScanEquivalence:
         # a budget of 257 matrices of 2 x 2 puts it alone in a short last stack
         q = 257
         field = PrimeField(q)
-        x, y = BinaryForm(field, (1, 0)), BinaryForm(field, (0, 1))
-        z = BinaryForm(field, ())
-        inp = DeltaInput(2, 2, (x, y), (z, z))
+        inp = delta_input(field, 2, 2, [X, Y], [(), ()])
         with mock.patch.object(exactmath, "STACK_CELLS", 257 * 4):
             least, lengths = stack_lengths(lambda: delta_bruteforce(inp))
         assert lengths == [257, 1]
@@ -418,7 +433,7 @@ class TestScanCostGuard:
     def vanishing_at_one_one(q):
         # a = t = 1: b * 1 + c * (q - 1) vanishes at (1 : 1), in the first stack
         field = PrimeField(q)
-        return DeltaInput(1, 1, (BinaryForm(field, (1,)),), (BinaryForm(field, (q - 1,)),))
+        return delta_input(field, 1, 1, [(1,)], [(q - 1,)])
 
     def test_bound_counts_points(self):
         # the scan visits the q + 1 lines of F_q^2, the unit the guard bounds
