@@ -16,7 +16,8 @@ the dimension of a pair's endomorphism algebra from the nullity of one
 linear system (the reference for a simplicity test of stable pairs), the
 tuple-by-tuple generator of echelon bases, the candidate walk that reads
 every basis's saturation, the verdict and critical weights from ``Fraction``
-slopes, the lock-step kernel scan that never settles a map from one count
+slopes, the stable interval from a verdict in every cell between critical
+weights, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
 determinants over GF(q)[t], the fraction-free elimination over F_q[x, y]
 whose ranks and determinants the integer elimination of
@@ -44,7 +45,9 @@ from cohsys.stability import (
     Candidate,
     StabilityReport,
     SystemInstance,
+    critical_alphas,
     echelon_stacks,
+    is_alpha_stable,
     subsystem_candidates,
 )
 
@@ -406,6 +409,27 @@ def fraction_verdict(inst, alpha) -> StabilityReport:
     semistable = not any(slope > mu and rational for slope, rational, _ in violators)
     witness = max(violators, key=lambda v: v[:2])[2] if violators else None
     return StabilityReport(alpha, not violators, semistable, mu, witness)
+
+
+def sampled_interval(inst) -> AlphaInterval:
+    """``stability_interval(inst)`` from a verdict in every cell between critical weights.
+
+    The cells are cut by 0 and the positive critical weights; each is sampled
+    at its midpoint, the unbounded last one at its lower end plus 1.  The
+    stable cells must be contiguous, and the interval runs from the first
+    one's lower end to the last one's upper end.
+    """
+    boundaries = [Fraction(0)] + [c for c in critical_alphas(inst) if c > 0]
+    samples = [(lo + hi) / 2 for lo, hi in zip(boundaries, boundaries[1:])]
+    samples.append(boundaries[-1] + 1)
+    stable_cells = [i for i, s in enumerate(samples) if is_alpha_stable(inst, s).stable]
+    if not stable_cells:
+        return AlphaInterval.EMPTY
+    first, last = stable_cells[0], stable_cells[-1]
+    if stable_cells != list(range(first, last + 1)):
+        raise AssertionError("stable cells are not contiguous")
+    upper = None if last == len(boundaries) - 1 else boundaries[last + 1]
+    return AlphaInterval.open_interval(boundaries[first], upper)
 
 
 def closed_form_interval(inst) -> AlphaInterval:

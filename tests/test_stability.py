@@ -53,6 +53,7 @@ from oracles import (
     per_basis_candidates,
     per_basis_saturations,
     rows_rank,
+    sampled_interval,
     scale,
     section_forms,
     span_saturation,
@@ -383,6 +384,48 @@ class TestStabilityInterval:
             inst = sample_instance(n, d, k, 101, rng.randrange(10**6))
             iv = stability_interval(inst)
             assert iv.issubset(necessary_region(n, d, k))
+
+    @staticmethod
+    def assert_matches_both_references(inst):
+        iv = stability_interval(inst)
+        assert iv == sampled_interval(inst)
+        assert iv == closed_form_interval(inst)
+
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 7, 101]),
+        st.sampled_from(["balanced", "generated", "any type"]),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_both_references(self, n, q, kind, data, seed):
+        # every k the cost guard admits at q
+        top = max(k for k in range(1, 10) if _subspace_count(k, q) <= COST_GUARD_MAX_SUBSPACES)
+        if kind == "any type":
+            degrees = data.draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+            inst = random_instance(degrees, data.draw(st.integers(1, top)), q, seed)
+            if inst is None:
+                return
+        elif kind == "balanced":
+            k = data.draw(st.integers(1, top))
+            # h0 = d + n once d >= 0
+            d = data.draw(st.integers(max(0, k - n), max(0, k - n) + 2 * n + 2))
+            inst = sample_instance(n, d, k, q, seed)
+        else:
+            assume(n + 1 <= top)
+            k = data.draw(st.integers(n + 1, top))
+            d = data.draw(st.integers(k - n, k + n))
+            inst = sample_generating_instance(n, d, k, q, seed)
+        self.assert_matches_both_references(inst)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 101])
+    @pytest.mark.parametrize("n,d,k", [(2, 2, 2), (2, 3, 2), (4, 4, 2), (4, 6, 2), (4, 7, 2), (3, 3, 3)])
+    def test_matches_both_references_on_closure_cells(self, n, d, k, q):
+        # k = 2 on an even-rank balanced type carries closure candidates, of
+        # D = 0 (t >= 1) or N = 0 (t = 0); (3, 3, 3) has gcd(n, d, k) = 3
+        for seed in range(3):
+            self.assert_matches_both_references(sample_instance(n, d, k, q, seed))
 
 
 class TestClosedFormInterval:
