@@ -402,10 +402,9 @@ class SectionPairing:
         three points of ``point_values`` settle it, and the Bareiss
         elimination decides the rest.  The values of ``stack_size(3 * w * n)``
         spans, three w x n matrices each, are built in one combination and
-        ranked in one elimination.  The sections of the spans left to the
-        elimination are combined ``stack_size(w * n * (m + 1))`` spans at a
-        time, as form matrices, so no array holds more than ``STACK_CELLS``
-        entries or one span.
+        ranked in one elimination, so no array holds more than ``STACK_CELLS``
+        entries or one span.  Each span left to the elimination is combined
+        alone, as its w x n form matrix.
         """
         count, w, _ = bases.shape
         n, q = self.e.rank, self.field.q
@@ -416,13 +415,9 @@ class SectionPairing:
             values = stacked_combination(bases[start : start + size], self._point_values, q)
             values = values.transpose(0, 2, 1, 3).reshape(-1, w, n)
             ranks += stacked_rank(self.field, values).reshape(-1, 3).max(axis=1).tolist()
-        fallback = [m for m in range(count) if ranks[m] < min(w, n)]
-        size = stack_size(w * self.sections[0].size)
-        for start in range(0, len(fallback), size):
-            spans = fallback[start : start + size]
-            # (N, w, n, m + 1): one w x n form matrix per span
-            forms = stacked_combination(bases[spans], self.sections, q)
-            for m, coeffs in zip(spans, forms):
+        for m in range(count):
+            if ranks[m] < min(w, n):
+                coeffs = stacked_combination(bases[m], self.sections, q)
                 ranks[m] = _bareiss(coeffs, [0] * w, self.e.degrees, q)[0]
         return ranks
 

@@ -302,8 +302,8 @@ def _table_rows(n_values, d_values, k_values) -> list[dict]:
     for n in n_values:
         for d in d_values:
             for k in k_values:
+                verdict = classify(n, d, k)  # refuses k < 1 before decompose refuses k < 0
                 num = decompose(n, d, k)
-                verdict = classify(n, d, k)
                 lo, hi = _interval_cells(verdict.stable_interval)
                 status = verdict.status.value
                 values = (n, d, k, num.beta, num.a, num.t, num.l, num.m, lo, hi, status)

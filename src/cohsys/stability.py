@@ -4,7 +4,8 @@ An instance is a split bundle type together with k independent global
 sections, held once as the (k, n, m + 1) form matrix of profile [0] * k,
 splitting (see ``exactmath``).  ``is_alpha_stable`` decides
 stability at an exact rational weight by enumerating destabilization
-candidates; ``stability_interval`` assembles the full stable range.
+candidates; ``stability_interval`` finds the one cell between critical
+weights where the instance is stable.
 
 Why enumerating F_q-rational section subspaces suffices
 -------------------------------------------------------
@@ -36,7 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -116,9 +117,9 @@ class SystemInstance:
     def q(self) -> int:
         return self.field.q
 
-    def combine(self, coeffs: Sequence[int]) -> np.ndarray:
-        """The section sum(coeffs[j] * sections[j]), as an (n, m + 1) row of forms."""
-        return stacked_combination([coeffs], self.sections, self.q)[0]
+    def combine(self, basis: np.ndarray) -> np.ndarray:
+        """The w sections basis @ sections of a w x k basis, as a (w, n, m + 1) form matrix."""
+        return stacked_combination(basis, self.sections, self.q)
 
     def to_json_dict(self) -> dict:
         degrees = self.splitting.degrees
@@ -328,11 +329,9 @@ def _saturations(
     enumeration order.  A saturation may come again from a later stack.
     """
     stacks = echelon_stacks(inst.k, w, inst.q)
-    if w in (0, inst.k):  # one subspace: its single matrix is ranked alone
+    if w in (0, inst.k):  # one subspace: its sections are combined and saturated alone
         ((basis,),) = stacks
-        sections = np.array([inst.combine(row) for row in basis.tolist()], dtype=np.int64)
-        sections = sections.reshape(w, *inst.sections.shape[1:])  # w = 0 gives no rows
-        yield basis, saturate(inst.field, inst.splitting, sections)
+        yield basis, saturate(inst.field, inst.splitting, inst.combine(basis))
         return
     for stack in stacks:
         distinct, index = pairing.saturate_stack(stack)
@@ -464,34 +463,29 @@ def critical_alphas(inst: SystemInstance) -> list[Fraction]:
     crits: set[Fraction] = set()
     for num, den, cand in _constraints(inst):
         if cand.basis is None:
-            continue  # closure candidates have proportional invariants: no crossing
+            continue  # a closure candidate has D = 0, or N = 0: it cuts no cell above 0
         if den and num * den >= 0:
             crits.add(Fraction(num, den))
     return sorted(crits)
 
 
 def stability_interval(inst: SystemInstance) -> AlphaInterval:
-    """The set of weights where the instance is stable, as one open interval.
+    """The set of weights where the instance is stable: one cell between critical weights.
 
-    Candidate constraints are linear in the weight, so the stable set is an
-    intersection of open half-lines: a single open interval (or empty).  One
-    sample inside each cell cut out by the critical weights decides it.
+    A candidate violates at alpha exactly when N >= alpha D (``_constraints``),
+    so the stable set is the open interval (max(0, L), U), with L the largest
+    N / D over D > 0 and U the smallest N / D over D < 0; it is empty when
+    some D = 0 has N >= 0.  Every rational N / D >= 0 is a critical weight,
+    and a closure candidate has D = 0 or N = 0, so no critical weight lies
+    inside the interval: it is the first cell, cut by 0 and the positive
+    critical weights, whose sample is stable.
     """
     boundaries = [Fraction(0)] + [c for c in critical_alphas(inst) if c > 0]
-    samples = [
-        (boundaries[i] + boundaries[i + 1]) / 2 for i in range(len(boundaries) - 1)
-    ]
-    samples.append(boundaries[-1] + 1)
-    flags = [is_alpha_stable(inst, s).stable for s in samples]
-    stable_cells = [i for i, f in enumerate(flags) if f]
-    if not stable_cells:
-        return AlphaInterval.EMPTY
-    first, last = stable_cells[0], stable_cells[-1]
-    if stable_cells != list(range(first, last + 1)):
-        raise RuntimeError("stable cells are not contiguous; checker bug")
-    lower = boundaries[first]
-    upper = None if last == len(boundaries) - 1 else boundaries[last + 1]
-    return AlphaInterval.open_interval(lower, upper)
+    for lower, upper in zip(boundaries, boundaries[1:] + [None]):
+        sample = lower + 1 if upper is None else (lower + upper) / 2
+        if is_alpha_stable(inst, sample).stable:
+            return AlphaInterval.open_interval(lower, upper)
+    return AlphaInterval.EMPTY
 
 
 def check_global_generation(inst: SystemInstance) -> bool:

@@ -201,9 +201,8 @@ def padded_sections(inst) -> list:
 
 def span_saturation(inst, basis):
     """``saturate`` of the span of the sections ``inst.combine`` makes from the rows of basis."""
-    rows = [inst.combine(row) for row in np.asarray(basis).tolist()]
-    sections = np.array(rows, dtype=np.int64).reshape(len(rows), *inst.sections.shape[1:])
-    return saturate(inst.field, inst.splitting, sections)
+    basis = np.asarray(basis, dtype=np.int64).reshape(-1, inst.k)  # () for w = 0
+    return saturate(inst.field, inst.splitting, inst.combine(basis))
 
 
 # -- bundles and numerology ----------------------------------------------------

@@ -25,7 +25,7 @@ from cohsys.stability import (
     sample_instance,
     stability_interval,
 )
-from oracles import form, pack
+from oracles import form, pack, sampled_interval
 
 Q = 101
 
@@ -285,7 +285,9 @@ def test_criterion_9_instance_intervals_are_open_and_contained():
         k = rng.randrange(1, 3)
         d = rng.randrange(1, 13)
         inst = sample_instance(n, d, k, Q, rng.randrange(10**6))
-        iv = stability_interval(inst)  # raises if not a single open interval
+        iv = stability_interval(inst)
+        # the per-cell reference raises if the stable cells are not contiguous
+        assert iv == sampled_interval(inst)
         if not iv.empty:
             assert iv.lower_open and (iv.upper is None or iv.upper_open)
         assert iv.issubset(necessary_region(n, d, k))

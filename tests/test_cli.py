@@ -102,6 +102,12 @@ class TestTableCommand:
         code, _, _ = run_cli(capsys, "table", "--n", "5..2", "--k", "1", "--d", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_k_below_one_names_its_bound(self, capsys, k):
+        code, _, err = run_cli(capsys, "table", "--n", "2", "--d", "1", "--k", k)
+        assert_one_line_error(code, err)
+        assert "k must be >= 1" in err
+
 
 class TestVerifyCommand:
     def test_small_agreeing_campaign(self, capsys):

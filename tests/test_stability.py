@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from cohsys import bundles, exactmath
+from cohsys import bundles, exactmath, stability
 from cohsys.bundles import SectionPairing, cohomology, max_subbundle_degree, saturate
 from cohsys.classification import necessary_region
 from cohsys.exactmath import (
@@ -125,6 +125,20 @@ class TestSystemInstance:
             assert len({inst, SystemInstance.from_json_dict(inst.to_json_dict())}) == 1
             assert inst != inst.to_json_dict()
         assert not inst.sections.flags.writeable
+
+    @pytest.mark.parametrize("q", [2, 2**31 - 1])
+    def test_combine_matches_the_row_by_row_sum(self, q):
+        # a w x k basis combines in one call, for every w from 0 to k
+        inst = random_instance([3, 2, 0, -1], 4, q, 7)
+        rng = random.Random(q)
+        sections = section_forms(inst)
+        for w in range(inst.k + 1):
+            basis = [[rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(inst.k)] for _ in range(w)]
+            got = inst.combine(np.array(basis, dtype=np.int64).reshape(w, inst.k))
+            assert got.shape == (w, *inst.sections.shape[1:])
+            assert unpack(got, [0] * w, inst.splitting.degrees) == tuple(
+                componentwise_sum(sections, row, q) for row in basis
+            )
 
 
 def stacked_bases(k, w, q):
@@ -339,7 +353,7 @@ class TestIsAlphaStable:
             w = rep.witness
             if w is None or w.rank != 1 or w.sections_dim != 1:
                 continue
-            (combo,) = unpack(inst.combine(w.basis[0])[None], [0], inst.splitting.degrees)
+            (combo,) = unpack(inst.combine(w.basis[:1]), [0], inst.splitting.degrees)
             assert w.degree == vanishing_divisor_degree([f for f in combo if f], 101)
             checked += 1
         assert checked > 0
@@ -384,6 +398,15 @@ class TestStabilityInterval:
             inst = sample_instance(n, d, k, 101, rng.randrange(10**6))
             iv = stability_interval(inst)
             assert iv.issubset(necessary_region(n, d, k))
+
+    def test_stops_at_the_stable_cell(self):
+        # of the cells (0, 1/2), (1/2, 5) and (5, inf) the second is stable,
+        # so the third is never sampled
+        inst = sample_instance(3, 5, 2, 101, 0)
+        with mock.patch.object(stability, "is_alpha_stable", wraps=is_alpha_stable) as spy:
+            iv = stability_interval(inst)
+        assert (iv.lower, iv.upper) == (Fraction(1, 2), 5)
+        assert spy.call_count == 2
 
     @staticmethod
     def assert_matches_both_references(inst):
