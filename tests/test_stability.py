@@ -133,7 +133,9 @@ class TestSystemInstance:
         rng = random.Random(q)
         sections = section_forms(inst)
         for w in range(inst.k + 1):
-            basis = [[rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(inst.k)] for _ in range(w)]
+            basis = [
+                [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(inst.k)] for _ in range(w)
+            ]
             got = inst.combine(np.array(basis, dtype=np.int64).reshape(w, inst.k))
             assert got.shape == (w, *inst.sections.shape[1:])
             assert unpack(got, [0] * w, inst.splitting.degrees) == tuple(
@@ -423,21 +425,25 @@ class TestStabilityInterval:
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_both_references(self, n, q, kind, data, seed):
-        # every k the cost guard admits at q
+        # every k the cost guard admits at q; past 30,000 subspaces (the top k
+        # at q = 2, 3 and 7) a rank-4 draw takes up to 12 s and a rank-1 draw
+        # under one
         top = max(k for k in range(1, 10) if _subspace_count(k, q) <= COST_GUARD_MAX_SUBSPACES)
+        k = data.draw(st.integers(1, top))
+        if _subspace_count(k, q) > 30_000:
+            n = 1
         if kind == "any type":
             degrees = data.draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
-            inst = random_instance(degrees, data.draw(st.integers(1, top)), q, seed)
+            inst = random_instance(degrees, k, q, seed)
             if inst is None:
                 return
         elif kind == "balanced":
-            k = data.draw(st.integers(1, top))
             # h0 = d + n once d >= 0
             d = data.draw(st.integers(max(0, k - n), max(0, k - n) + 2 * n + 2))
             inst = sample_instance(n, d, k, q, seed)
         else:
-            assume(n + 1 <= top)
-            k = data.draw(st.integers(n + 1, top))
+            assume(k >= 2)
+            n = min(n, k - 1)  # k >= n + 1 generating sections
             d = data.draw(st.integers(k - n, k + n))
             inst = sample_generating_instance(n, d, k, q, seed)
         self.assert_matches_both_references(inst)
