@@ -22,8 +22,8 @@ from .exactmath import (
     PrimeField,
     _bareiss,
     check_profile,
-    form_determinant,
     generic_rank,
+    minor_divisor_degree,
     multiplication_matrix,
     pack_bits,
     packed_rank,
@@ -31,7 +31,6 @@ from .exactmath import (
     stack_size,
     stacked_combination,
     stacked_rank,
-    vanishing_divisor_degree,
 )
 
 
@@ -121,27 +120,19 @@ def _twist_matrix(
     return data
 
 
-def _twist_kernel_dimension(
-    field: PrimeField | None, stack: np.ndarray, cols: int | None = None
-) -> np.ndarray:
+def _twist_kernel_dimension(field: PrimeField, stack: np.ndarray, cols: int) -> np.ndarray:
     """dim ker of each twist matrix in a stack of N matrices with cols columns.
 
-    The stack is an int64 array of shape (N, rows, cols); or, over F_2 and
-    with cols given, bit rows packed by ``pack_bits``, of shape
+    A uint64 stack holds bit rows over F_2, packed by ``pack_bits``, of shape
     (N, rows, words), which ``packed_rank`` ranks at any N.  An int64 stack
-    of one goes through ``FieldMatrix.rank``, which reduces a small matrix on
-    Python ints and hands a large one back to ``stacked_rank``; the field may
-    be None when the matrices have no rows or no columns.
+    has shape (N, rows, cols).  A stack of one goes through
+    ``FieldMatrix.rank``, which reduces a small matrix on Python ints and
+    hands a large one back to ``stacked_rank``; any other goes to
+    ``stacked_rank``.
     """
-    count, rows, width = stack.shape
-    packed = cols is not None
-    if not packed:
-        cols = width
-    if not (rows and cols):
-        return np.full(count, cols, dtype=np.int64)
-    if packed:
+    if stack.dtype == np.uint64:
         return cols - packed_rank(stack)
-    if count == 1:
+    if len(stack) == 1:
         return np.array([cols - FieldMatrix(field, stack[0]).rank()])
     return cols - stacked_rank(field, stack)
 
@@ -289,10 +280,10 @@ def kernel_splitting(
     a line kernel, read from its maximal minors (Cramer's rule; the graded
     Hilbert-Burch setting).  The minor m_c with column c left out has degree
     deg(target) - deg(source) + source_c, and the signed minors span the
-    kernel, so N = O(deg(source) - deg(target) + deg gcd(m_c)).  The minors
-    are slices of the checked matrix, made one at a time, and
-    ``vanishing_divisor_degree`` stops at a constant gcd, so a generic map
-    makes two.  Every other kernel
+    kernel, so N = O(deg(source) - deg(target) + deg gcd(m_c)).  One
+    ``minor_divisor_degree`` call of size rank(target) reads that gcd from
+    slices of the checked matrix, made one at a time until it is constant,
+    so a generic map takes two.  Every other kernel
     N = O(b_1) + ... + O(b_rho) is recovered by ``_count_scan`` from the
     section counts of its twists.
     """
@@ -301,17 +292,12 @@ def kernel_splitting(
     if source.rank == 0:
         return SplittingType(())
     if rho == 1 and source.rank == target.rank + 1 >= 2:
-        minors = (
-            form_determinant(
-                np.delete(coeffs, c, axis=1), field, target.degrees, cols[:c] + cols[c + 1 :]
-            )
-            for c in range(source.rank)
-        )
-        degree = vanishing_divisor_degree(minors, field.q)
+        degree = minor_divisor_degree(coeffs, field, target.degrees, cols, target.rank)
         return SplittingType((source.degree - target.degree + degree,))
 
     def probe(live: list[int], j: int) -> np.ndarray:
-        return _twist_kernel_dimension(field, _twist_matrix(source, target, coeffs, j)[None])
+        twist = _twist_matrix(source, target, coeffs, j)
+        return _twist_kernel_dimension(field, twist[None], twist.shape[1])
 
     (degrees,) = _count_scan(source, target, [rho], probe)
     return SplittingType(tuple(degrees))
@@ -445,7 +431,7 @@ class SectionPairing:
             pairing = self.at(j)
             _, rows, width = pairing.shape
             # over F_2 the rows are packed: width counts words, cols bit columns
-            cols = cohomology(self.e.dual(), j)[0] if q == 2 else None
+            cols = cohomology(self.e.dual(), j)[0]
             size = stack_size(w * rows * width)
             out = []
             for start in range(0, len(live), size):

@@ -284,40 +284,8 @@ def classify(n: int, d: int, k: int) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    left: str
-    right: str
-    agree: bool
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    n: int
-    d: int
-    entries: tuple[CheckEntry, ...]
-    exceptional_pair: bool
-
-    @property
-    def all_agree(self) -> bool:
-        return all(e.agree for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "all_agree": self.all_agree,
-            "exceptional_pair": self.exceptional_pair,
-            "checks": [
-                {"name": e.name, "left": e.left, "right": e.right, "agree": e.agree}
-                for e in self.entries
-            ],
-        }
-
-
-def cross_check(n: int, d: int) -> CrossCheckReport:
-    """Consistency of the overlapping case rules on a fixed (n, d).
+def cross_check(n: int, d: int) -> dict:
+    """Consistency of the overlapping case rules on a fixed (n, d), as the JSON report.
 
     Where the exact k = 1 and k = 2 rules overlap the k = n - 1 family
     (n = 2 and n = 3), both must be non-empty exactly when d >= n, with upper
@@ -326,17 +294,18 @@ def cross_check(n: int, d: int) -> CrossCheckReport:
     """
     if n < 2:
         raise ValueError("rank n must be >= 2")
-    entries = []
-    lhs = beta_nonnegative_threshold(n, 2)
-    rhs = k2_degree_bound(n)
-    entries.append(
-        CheckEntry("k2-degree-thresholds", str(lhs), str(rhs), lhs == rhs)
-    )
+    lhs, rhs = beta_nonnegative_threshold(n, 2), k2_degree_bound(n)
+    checks = [("k2-degree-thresholds", str(lhs), str(rhs), lhs == rhs)]
     if n in (2, 3):
         exact = classify(n, d, n - 1).stable_interval
         left = "empty" if exact.empty else str(exact.upper)
         right = str(d) if d >= n else "empty"
-        entries.append(
-            CheckEntry(f"k{n - 1}-upper-vs-k-eq-n-minus-1", left, right, left == right)
-        )
-    return CrossCheckReport(n, d, tuple(entries), exceptional_pair=(n, d) == (4, 6))
+        checks.append((f"k{n - 1}-upper-vs-k-eq-n-minus-1", left, right, left == right))
+    checks = [dict(zip(("name", "left", "right", "agree"), check)) for check in checks]
+    return {
+        "n": n,
+        "d": d,
+        "all_agree": all(check["agree"] for check in checks),
+        "exceptional_pair": (n, d) == (4, 6),
+        "checks": checks,
+    }

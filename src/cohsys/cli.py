@@ -374,8 +374,8 @@ def _cmd_check_instance(args: argparse.Namespace) -> int:
 
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     report = cross_check(args.n, args.d)
-    print(json.dumps(report.to_json_dict(), indent=2))
-    return 0 if report.all_agree else 1
+    print(json.dumps(report, indent=2))
+    return 0 if report["all_agree"] else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,6 @@ formula, for ``cohsys delta-check`` and ``scripts/delta_survey.py``.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,11 +31,10 @@ from .exactmath import (
     FieldMatrix,
     PrimeField,
     check_profile,
-    form_determinant,
+    minor_divisor_degree,
     stack_size,
     stacked_combination,
     stacked_rank,
-    vanishing_divisor_degree,
 )
 
 
@@ -121,8 +119,9 @@ def pencil_min_rank(families: np.ndarray, field: PrimeField) -> int:
     vanishes somewhere: the bound drops by one with no determinant computed.
     The minors of the bound's size are tested first; with no common zero the
     bound is the minimum, which for a generic pencil takes two minors.
-    Otherwise the smaller sizes are swept upward.  Each size's minors are
-    computed only until their gcd is settled.
+    Otherwise the smaller sizes are swept upward.  Each size is one
+    ``minor_divisor_degree`` call, which computes its minors only until their
+    gcd is settled.
     """
     A, B = np.transpose(families, (0, 2, 1))
     nrows, ncols = A.shape
@@ -135,12 +134,7 @@ def pencil_min_rank(families: np.ndarray, field: PrimeField) -> int:
     check_profile(pencil, [0] * nrows, [1] * ncols)
 
     def common_zero(size: int) -> bool:
-        minors = (
-            form_determinant(pencil[np.ix_(rsel, csel)], field, [0] * size, [1] * size)
-            for rsel in itertools.combinations(range(nrows), size)
-            for csel in itertools.combinations(range(ncols), size)
-        )
-        return vanishing_divisor_degree(minors, field.q) >= 1
+        return minor_divisor_degree(pencil, field, [0] * nrows, [1] * ncols, size) >= 1
 
     if not common_zero(bound):
         return bound

@@ -43,6 +43,7 @@ skips it when the values at (1 : 0), (0 : 1) or (1 : 1) have full rank.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -542,3 +543,31 @@ def form_determinant(
     if not 0 <= det < 1 << bits * size:
         raise RuntimeError("determinant exceeds its digit bound")
     return tuple((((det >> bits * i) & mask) - half) % q for i in range(size))
+
+
+def minor_divisor_degree(
+    coeffs: np.ndarray,
+    field: PrimeField,
+    row_degrees: Sequence[int],
+    col_degrees: Sequence[int],
+    size: int,
+) -> int:
+    """``vanishing_divisor_degree`` of the size x size minors of a form matrix.
+
+    The minors take the row sets, then the column sets, in
+    ``itertools.combinations`` order.  Each is an ``np.ix_`` slice whose
+    ``form_determinant`` is taken only when the gcd read asks for it, so the
+    read stops at a constant gcd.  The caller checks the profile, once for
+    the whole matrix.
+    """
+    minors = (
+        form_determinant(
+            coeffs[np.ix_(rows, cols)],
+            field,
+            [row_degrees[i] for i in rows],
+            [col_degrees[j] for j in cols],
+        )
+        for rows in itertools.combinations(range(len(row_degrees)), size)
+        for cols in itertools.combinations(range(len(col_degrees)), size)
+    )
+    return vanishing_divisor_degree(minors, field.q)

@@ -346,19 +346,15 @@ def _rational_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     pairing = SectionPairing(inst.field, inst.splitting, inst.sections)
     best: dict[tuple[int, int], Candidate] = {}
     for w in range(k + 1):
-        # an equal saturation gives equal degrees for every r, so it never
-        # displaces the first basis that reached them
-        seen: set[SaturationResult] = set()
         for basis, sat in _saturations(inst, pairing, w):
-            if sat in seen:
-                continue
-            seen.add(sat)
             for r in range(max(sat.rank, 1), n + 1):
                 if (r, w) == (n, k):
                     continue
                 e = sat.degree + max_subbundle_degree(sat.quotient_type, r - sat.rank)
                 key = (r, w)
                 cur = best.get(key)
+                # a saturation met again in a later stack gives equal degrees,
+                # so the strict > keeps the first basis that reached them
                 if cur is None or e > cur.degree:
                     best[key] = Candidate(r, e, w, tuple(map(tuple, basis.tolist())))
     return tuple(best[key] for key in sorted(best))

@@ -19,7 +19,8 @@ every basis's saturation, the verdict and critical weights from ``Fraction``
 slopes, the stable interval from a verdict in every cell between critical
 weights, the lock-step kernel scan that never settles a map from one count
 (and ``kernel_splitting`` through it, with no maximal-minor read), sympy
-determinants over GF(q)[t], the fraction-free elimination over F_q[x, y]
+determinants over GF(q)[t] and the common divisor of every minor of one
+size from them, the fraction-free elimination over F_q[x, y]
 whose ranks and determinants the integer elimination of
 ``exactmath._bareiss`` replaced, the row-swapping numpy elimination for
 ranks, and the term-by-term sum behind ``stacked_combination``.  Three
@@ -485,7 +486,7 @@ def lockstep_kernel(field, source, target, coeffs):
 
     def probe(live, j):
         twist = bundles._twist_matrix(source, target, coeffs, j)
-        return bundles._twist_kernel_dimension(field, twist[None])
+        return bundles._twist_kernel_dimension(field, twist[None], twist.shape[1])
 
     (degrees,) = lockstep_scan(source, target, [rho], probe)
     return SplittingType(tuple(degrees))
@@ -532,6 +533,28 @@ def sympy_det(entries, q):
     while coeffs and not coeffs[0]:
         coeffs.pop(0)
     return coeffs
+
+
+def sympy_minor_divisor_degree(entries, row_degrees, col_degrees, size, q):
+    """Degree of the common divisor of every size x size minor; None when all vanish.
+
+    Every minor is a ``sympy_det``, whether or not the answer is settled.
+    The minor on rows R and columns C is a form of degree D, the sum of
+    their degrees, so the power of y dividing it is D less the degree of its
+    f(t, 1).  The divisor is the least such power plus the degree of the gcd
+    of the f(t, 1) over GF(q).
+    """
+    dets = []
+    for rows in itertools.combinations(range(len(row_degrees)), size):
+        for cols in itertools.combinations(range(len(col_degrees)), size):
+            det = sympy_det([[entries[i][j] for j in cols] for i in rows], q)
+            if det:
+                total = sum(row_degrees[i] for i in rows) + sum(col_degrees[j] for j in cols)
+                dets.append((total - (len(det) - 1), det))
+    if not dets:
+        return None
+    gcd = functools.reduce(Poly.gcd, (Poly(det, T, modulus=q) for _, det in dets))
+    return min(y_power for y_power, _ in dets) + gcd.degree()
 
 
 def _poly_mul_sub(a, b, c, d, q: int) -> list[int]:

@@ -271,7 +271,7 @@ def test_criterion_8_exact_identities_exhaustive():
                 num = decompose(3, d, 2)
                 upper = Fraction(d, 1) - Fraction(num.m * 3, 2)
                 assert upper == Fraction(d)
-                assert cross_check(3, d).all_agree
+                assert cross_check(3, d)["all_agree"]
     elapsed = time.time() - t0
     print(f"criterion 8: PASS - exact identities on {count} triples, {elapsed:.0f}s")
 

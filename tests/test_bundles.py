@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cohsys import bundles
+from cohsys import bundles, exactmath
 from cohsys.bundles import (
     _count_scan,
     _missing_summands,
@@ -23,6 +23,7 @@ from cohsys.exactmath import (
     PrimeField,
     check_profile,
     generic_rank,
+    minor_divisor_degree,
     pack_bits,
     stacked_combination,
     unpack_bits,
@@ -47,6 +48,7 @@ from oracles import (
     section_forms,
     shatz_embedding_exists,
     splitting_type,
+    sympy_minor_divisor_degree,
     unpack,
 )
 
@@ -529,7 +531,7 @@ def probe_count(run):
     calls = []
     real = bundles._twist_kernel_dimension
 
-    def counted(field, stack, cols=None):
+    def counted(field, stack, cols):
         calls.append(len(stack))
         return real(field, stack, cols)
 
@@ -769,23 +771,11 @@ class TestMinorRead:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_lockstep_scan(self, profile, n, q, kind, seed):
-        # "saturate": the pairing E* -> O^(n-1) against n - 1 sections;
-        # "generation": the evaluation O^(n+1) -> E.  Zero entries, and under
-        # "y-multiple" and "shared-root" a common factor of every entry, which
-        # lifts the kernel above its floor
+        # zero entries, and under "y-multiple" and "shared-root" a common
+        # factor of every entry, which lifts the kernel above its floor
         field = PrimeField(q)
-        rng = random.Random(seed)
-        t = splitting_type(*(rng.randrange(0, 5) for _ in range(n)))
-        k = n - 1 if profile == "saturate" else n + 1
-        sections = shared_root_sections(field, t, k, rng, kind)
-        if profile == "saturate":
-            source, target = t.dual(), SplittingType((0,) * k)
-            entries = [[sec[n - 1 - i] for i in range(n)] for sec in sections]
-        else:
-            source, target = SplittingType((0,) * k), t
-            entries = [[sec[i] for sec in sections] for i in range(n)]
+        source, target, coeffs = self.onto_map(profile, n, field, random.Random(seed), kind)
         cols = [-s for s in source]
-        coeffs = pack(entries, target.degrees, cols)
         assume(generic_rank(coeffs, field, target.degrees, cols) == target.rank)
         got, probes = probe_count(lambda: kernel_splitting(field, source, target, coeffs))
         assert probes == []
@@ -805,6 +795,73 @@ class TestMinorRead:
         assert probes == []
         assert got == lockstep_kernel(field, source, target, coeffs)
         assert (got.degree == -80) == (kind == "uniform")
+
+    @given(
+        st.sampled_from(["saturate", "generation"]),
+        st.integers(2, 4),
+        st.sampled_from([2, 3, 5, 101]),
+        st.sampled_from(["uniform", "y-multiple", "shared-root"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_minor_divisor_degree_matches_every_minor(self, profile, n, q, kind, seed):
+        # the r x (r + 1) maps of the lockstep test, of any generic rank:
+        # every maximal minor is a sympy determinant, and their common
+        # divisor a sympy gcd
+        field = PrimeField(q)
+        source, target, coeffs = self.onto_map(profile, n, field, random.Random(seed), kind)
+        cols = [-s for s in source]
+        entries = unpack(coeffs, target.degrees, cols)
+        want = sympy_minor_divisor_degree(entries, target.degrees, cols, target.rank, q)
+        if want is None:
+            with pytest.raises(ValueError, match="all forms are zero"):
+                minor_divisor_degree(coeffs, field, target.degrees, cols, target.rank)
+        else:
+            assert minor_divisor_degree(coeffs, field, target.degrees, cols, target.rank) == want
+
+    @pytest.mark.parametrize("kind", ["uniform", "shared-root"])
+    def test_minor_divisor_degree_at_degree_40(self, kind):
+        # the three 2 x 2 minors of O^3 -> O(40)^2, forms of degree 80
+        field = PrimeField(101)
+        target = splitting_type(40, 40)
+        sections = shared_root_sections(field, target, 3, random.Random(40), kind)
+        entries = [[sec[i] for sec in sections] for i in range(2)]
+        coeffs = pack(entries, target.degrees, [0] * 3)
+        want = sympy_minor_divisor_degree(entries, target.degrees, [0] * 3, 2, 101)
+        assert minor_divisor_degree(coeffs, field, target.degrees, [0] * 3, 2) == want
+        assert (want == 0) == (kind == "uniform")
+
+    def test_a_generic_map_takes_two_minors(self):
+        # the first maximal minor of a generic evaluation O^3 -> O(2)^2 has
+        # positive degree, and the second leaves a constant gcd
+        field = PrimeField(101)
+        source, target = SplittingType((0,) * 3), splitting_type(2, 2)
+        real = exactmath.form_determinant
+        for seed in range(5):
+            rng = random.Random(seed)
+            entries = [[form([rng.randrange(101) for _ in range(3)], 101) for _ in range(3)] for _ in range(2)]
+            coeffs = pack(entries, target.degrees, [0] * 3)
+            with mock.patch.object(exactmath, "form_determinant", side_effect=real) as det:
+                assert kernel_splitting(field, source, target, coeffs) == SplittingType((-4,))
+            assert det.call_count == 2
+
+    @staticmethod
+    def onto_map(profile, n, field, rng, kind):
+        """(source, target, coeffs) of a map with one source summand more than the target.
+
+        "saturate": the pairing E* -> O^(n-1) against n - 1 sections;
+        "generation": the evaluation O^(n+1) -> E.
+        """
+        t = splitting_type(*(rng.randrange(0, 5) for _ in range(n)))
+        k = n - 1 if profile == "saturate" else n + 1
+        sections = shared_root_sections(field, t, k, rng, kind)
+        if profile == "saturate":
+            source, target = t.dual(), SplittingType((0,) * k)
+            entries = [[sec[n - 1 - i] for i in range(n)] for sec in sections]
+        else:
+            source, target = SplittingType((0,) * k), t
+            entries = [[sec[i] for sec in sections] for i in range(n)]
+        return source, target, pack(entries, target.degrees, [-s for s in source])
 
     @pytest.mark.parametrize("constant", [7, 0])
     def test_a_degree_1000_summand_takes_no_probe(self, constant):

@@ -16,6 +16,16 @@ from cohsys.numerology import decompose
 from oracles import valid_degrees_k1
 
 
+def open_iv(lower, upper):
+    """The open interval (lower, upper), with None for +infinity."""
+    return AlphaInterval.open_interval(Fraction(lower), None if upper is None else Fraction(upper))
+
+
+def closed_iv(lower, upper):
+    """The closed interval [lower, upper]."""
+    return AlphaInterval.closed_interval(Fraction(lower), Fraction(upper))
+
+
 class TestAlphaInterval:
     def test_degenerate_open_normalizes_to_empty(self):
         assert AlphaInterval.open_interval(Fraction(2), Fraction(2)).empty
@@ -35,9 +45,49 @@ class TestAlphaInterval:
         assert not big.issubset(small)
         assert AlphaInterval.EMPTY.issubset(small)
 
+    @pytest.mark.parametrize(
+        "inner,outer,want",
+        [
+            # an unbounded interval inside a bounded one, and inside an unbounded one
+            (open_iv(1, None), open_iv(0, 5), False),
+            (open_iv(1, None), open_iv(0, None), True),
+            # a larger upper end, and a smaller one
+            (open_iv(1, 6), open_iv(0, 5), False),
+            (open_iv(1, 4), open_iv(0, 5), True),
+            # equal upper ends: closed inside open, open inside closed
+            (AlphaInterval(Fraction(1), Fraction(5), True, False), open_iv(0, 5), False),
+            (open_iv(1, 5), AlphaInterval(Fraction(0), Fraction(5), True, False), True),
+            # equal ends on both sides
+            (closed_iv(1, 5), open_iv(1, 5), False),
+            (open_iv(1, 5), closed_iv(1, 5), True),
+            (closed_iv(1, 5), closed_iv(1, 5), True),
+            # the empty interval lies in every interval, and none lies in it
+            (AlphaInterval.EMPTY, open_iv(1, 2), True),
+            (open_iv(1, 2), AlphaInterval.EMPTY, False),
+        ],
+    )
+    def test_subset_table(self, inner, outer, want):
+        assert inner.issubset(outer) == want
+
     def test_midpoint(self):
         assert AlphaInterval.open_interval(Fraction(1), Fraction(3)).midpoint() == 2
         assert AlphaInterval.open_interval(Fraction(1), None).midpoint() == 2
+
+    def test_empty_contains_nothing_and_has_no_midpoint(self):
+        # EMPTY stores the lower end 0, which it must not contain
+        for x in (Fraction(0), Fraction(1, 2), Fraction(7)):
+            assert not AlphaInterval.EMPTY.contains(x)
+        with pytest.raises(ValueError, match="no midpoint"):
+            AlphaInterval.EMPTY.midpoint()
+
+    @pytest.mark.parametrize(
+        "lower,upper,empty", [(3, 1, True), (Fraction(5, 2), 2, True), (2, 2, False), (1, 3, False)]
+    )
+    def test_closed_interval_is_empty_only_when_its_ends_cross(self, lower, upper, empty):
+        iv = AlphaInterval.closed_interval(Fraction(lower), Fraction(upper))
+        assert iv.empty == empty
+        assert (iv is AlphaInterval.EMPTY) == empty
+        assert iv.contains(Fraction(lower)) != empty
 
     def test_json_round_trip_strings(self):
         iv = AlphaInterval.open_interval(Fraction(1), Fraction(7, 2))
@@ -213,14 +263,14 @@ class TestCrossCheck:
     def test_n3_upper_bounds_agree(self):
         for d in range(1, 30):
             rep = cross_check(3, d)
-            assert rep.all_agree
+            assert rep["all_agree"]
 
     def test_threshold_identity_all_n(self):
         for n in range(2, 12):
             rep = cross_check(n, 7)
-            entry = next(e for e in rep.entries if e.name == "k2-degree-thresholds")
-            assert entry.agree
+            entry = next(e for e in rep["checks"] if e["name"] == "k2-degree-thresholds")
+            assert entry["agree"]
 
     def test_exceptional_flag(self):
-        assert cross_check(4, 6).exceptional_pair
-        assert not cross_check(4, 7).exceptional_pair
+        assert cross_check(4, 6)["exceptional_pair"]
+        assert not cross_check(4, 7)["exceptional_pair"]

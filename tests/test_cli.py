@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohsys
+from cohsys.classification import AlphaInterval
 from cohsys.cli import (
     TABLE_HEADER,
     VerifyCampaignConfig,
@@ -289,6 +290,26 @@ class TestVerifyCommand:
         assert cell["status"] == "Empty"
         assert "skipped" in cell and "agree" not in cell
         assert not report["all_agree"]
+
+    def test_interval_outside_the_verdict_is_a_violation(self, capsys, monkeypatch):
+        # (2, 3, 1) is ExactNonEmpty on (1, 3); a draw read stable on (0, inf)
+        # leaves it, so the cell disagrees and the campaign exits 1
+        import cohsys.cli as cli_mod
+
+        unbounded = AlphaInterval.open_interval(Fraction(0), None)
+        monkeypatch.setattr(cli_mod, "stability_interval", lambda inst: unbounded)
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--d", "3", "--k", "1", "--trials", "1",
+            "--alpha-rule", "cell-midpoints",
+        )
+        assert code == 1
+        report = json.loads(out)
+        (cell,) = report["cells"]
+        assert cell["status"] == "ExactNonEmpty"
+        assert cell["intervals"] == ["(0, inf)"]
+        assert cell["violations"] == 1
+        assert cell["agree"] is False
+        assert report["all_agree"] is False
 
     def test_containment_rule(self, capsys):
         code, out, _ = run_cli(
@@ -667,6 +688,19 @@ class TestExitCodes:
         code = main(["verify", "--n", "2", "--d", "2", "--k", "1"])
         capsys.readouterr()
         assert code == 1
+
+    def test_a_key_error_is_a_bug_and_propagates(self, capsys, monkeypatch):
+        # no input raises KeyError, so one from inside a command is a program
+        # bug: it is not turned into a usage error with exit 2
+        import cohsys.cli as cli_mod
+
+        def broken(n, d, k):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli_mod, "classify", broken)
+        with pytest.raises(KeyError, match="x"):
+            main(["classify", "2", "3", "1"])
+        assert capsys.readouterr().err == ""
 
     def test_missing_alphas_for_explicit_rule_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--d", "2", "--k", "1",

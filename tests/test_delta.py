@@ -21,10 +21,19 @@ from cohsys.exactmath import (
     COST_GUARD_MAX_SUBSPACES,
     FieldMatrix,
     PrimeField,
-    form_determinant,
+    minor_divisor_degree,
     vanishing_divisor_degree,
 )
-from oracles import add, bareiss_determinant, form, mul, pack, scale
+from oracles import (
+    add,
+    bareiss_determinant,
+    form,
+    mul,
+    pack,
+    scale,
+    sympy_minor_divisor_degree,
+    unpack,
+)
 
 F = PrimeField(101)
 X, Y = (1, 0), (0, 1)
@@ -282,18 +291,46 @@ class TestPencilMinRankEquivalence:
         assert pencil_min_rank(families(first, second, 5), field) == want
 
 
+class TestPencilMinors:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(DRAW_KINDS),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_minor_divisor_degree_matches_every_minor(self, seed, kind, q, a, t, data):
+        # the a x t pencil of degree-1 forms in (b, c), at a size drawn up to
+        # min(a, t); low-rank and deficient draws make every minor of the
+        # larger sizes vanish, which leaves no divisor to read
+        field = PrimeField(q)
+        first, second = draw_pencil(random.Random(seed), kind, a, t, field)
+        pencil = families(first, second, a - 1).transpose(2, 1, 0)
+        rows, cols = [0] * a, [1] * t
+        size = data.draw(st.integers(1, min(a, t)))
+        want = sympy_minor_divisor_degree(unpack(pencil, rows, cols), rows, cols, size, q)
+        if want is None:
+            with pytest.raises(ValueError, match="all forms are zero"):
+                minor_divisor_degree(pencil, field, rows, cols, size)
+        else:
+            assert minor_divisor_degree(pencil, field, rows, cols, size) == want
+
+
 class TestPencilMinRankOrder:
     @staticmethod
     def counted(monkeypatch):
-        import cohsys.delta as delta_mod
-
+        # every minor of the sweep is one form_determinant, called through
+        # exactmath's own binding by minor_divisor_degree
         sizes = []
+        real = exactmath.form_determinant
 
         def wrapper(entries, *args):
             sizes.append(len(entries))
-            return form_determinant(entries, *args)
+            return real(entries, *args)
 
-        monkeypatch.setattr(delta_mod, "form_determinant", wrapper)
+        monkeypatch.setattr(exactmath, "form_determinant", wrapper)
         return sizes
 
     def test_generic_square_pencil_takes_two_minors(self, monkeypatch):

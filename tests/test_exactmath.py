@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from cohsys import bundles, exactmath
+from cohsys import exactmath
 from cohsys.bundles import SplittingType, kernel_splitting
 from cohsys.exactmath import (
     FieldMatrix,
@@ -901,7 +901,7 @@ class TestFormDeterminant:
         entries = [[X, Y, ZERO], [ZERO, X, mul(Y, Y, 101)]]
         matrix = pack(entries, [0, 0], [1, 1, 1])
         source = SplittingType((-1, -1, -1))
-        with mock.patch.object(bundles, "form_determinant") as det:
+        with mock.patch.object(exactmath, "form_determinant") as det:
             with pytest.raises(ValueError, match="past its degree"):
                 kernel_splitting(F101, source, SplittingType((0, 0)), matrix)
         assert not det.called

@@ -794,8 +794,8 @@ def packed_probe_widths(run):
     widths = []
     real = bundles._twist_kernel_dimension
 
-    def recorded(field, stack, cols=None):
-        if cols is not None:
+    def recorded(field, stack, cols):
+        if stack.dtype == np.uint64:
             widths.append(cols)
         return real(field, stack, cols)
 
@@ -1074,8 +1074,8 @@ class TestStackBudget:
         lone = []
         real = bundles._twist_kernel_dimension
 
-        def recorded(field, stack, cols=None):
-            lone.append((len(stack), cols is not None))
+        def recorded(field, stack, cols):
+            lone.append((len(stack), stack.dtype == np.uint64))
             return real(field, stack, cols)
 
         want = _rational_candidates.__wrapped__(inst)
