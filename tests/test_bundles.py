@@ -789,12 +789,17 @@ class TestMinorRead:
         field = PrimeField(101)
         source, target = SplittingType((0,) * 3), splitting_type(40, 40)
         sections = shared_root_sections(field, target, 3, random.Random(40), kind)
-        coeffs = pack([[sec[i] for sec in sections] for i in range(2)], target.degrees, [0] * 3)
+        entries = [[sec[i] for sec in sections] for i in range(2)]
+        coeffs = pack(entries, target.degrees, [0] * 3)
         assert generic_rank(coeffs, field, target.degrees, [0] * 3) == 2
         got, probes = probe_count(lambda: kernel_splitting(field, source, target, coeffs))
         assert probes == []
         assert got == lockstep_kernel(field, source, target, coeffs)
         assert (got.degree == -80) == (kind == "uniform")
+        # the minor sweep itself against sympy's minors and gcd
+        want = sympy_minor_divisor_degree(entries, target.degrees, [0] * 3, 2, 101)
+        assert minor_divisor_degree(coeffs, field, target.degrees, [0] * 3, 2) == want
+        assert want == got.degree + 80
 
     @given(
         st.sampled_from(["saturate", "generation"]),
@@ -819,18 +824,6 @@ class TestMinorRead:
         else:
             assert minor_divisor_degree(coeffs, field, target.degrees, cols, target.rank) == want
 
-    @pytest.mark.parametrize("kind", ["uniform", "shared-root"])
-    def test_minor_divisor_degree_at_degree_40(self, kind):
-        # the three 2 x 2 minors of O^3 -> O(40)^2, forms of degree 80
-        field = PrimeField(101)
-        target = splitting_type(40, 40)
-        sections = shared_root_sections(field, target, 3, random.Random(40), kind)
-        entries = [[sec[i] for sec in sections] for i in range(2)]
-        coeffs = pack(entries, target.degrees, [0] * 3)
-        want = sympy_minor_divisor_degree(entries, target.degrees, [0] * 3, 2, 101)
-        assert minor_divisor_degree(coeffs, field, target.degrees, [0] * 3, 2) == want
-        assert (want == 0) == (kind == "uniform")
-
     def test_a_generic_map_takes_two_minors(self):
         # the first maximal minor of a generic evaluation O^3 -> O(2)^2 has
         # positive degree, and the second leaves a constant gcd
@@ -839,7 +832,7 @@ class TestMinorRead:
         real = exactmath.form_determinant
         for seed in range(5):
             rng = random.Random(seed)
-            entries = [[form([rng.randrange(101) for _ in range(3)], 101) for _ in range(3)] for _ in range(2)]
+            entries = [[rand_form(rng, 2) for _ in range(3)] for _ in range(2)]
             coeffs = pack(entries, target.degrees, [0] * 3)
             with mock.patch.object(exactmath, "form_determinant", side_effect=real) as det:
                 assert kernel_splitting(field, source, target, coeffs) == SplittingType((-4,))
