@@ -76,7 +76,7 @@ def main() -> int:
     ok &= run(
         VerifyCampaignConfig(
             n_values=(2,),
-            d_values=tuple(range(2, 7)),
+            d_values=tuple(range(2, min(6, args.d_max) + 1)),
             k_values=(2,),
             q=args.q,
             trials=args.trials,
@@ -88,7 +88,7 @@ def main() -> int:
         ok &= run(
             VerifyCampaignConfig(
                 n_values=(n,),
-                d_values=(n,),
+                d_values=(n,) if n <= args.d_max else (),
                 k_values=(n + 1,),
                 q=q,
                 trials=min(args.trials, 10),

@@ -6,6 +6,11 @@ near k = n return partial knowledge, everything else only the necessary
 region.  Exact rules take precedence on overlapping k, and ``cross_check``
 asserts the overlaps agree.
 
+Every range of weights a verdict states is open, cut out by critical values,
+and is an ``AlphaInterval``.  The only closed ranges are the semistable notes
+of the k = 2 exceptions, such as 1 <= alpha <= 3 for (4, 6); each note holds
+its closed ends as a (lower, upper) pair.
+
 All interval endpoints are exact rationals; the half-integer degree bound in
 the k = 2 rule makes floating point genuinely unsafe here.
 """
@@ -22,17 +27,15 @@ from .numerology import beta_nonnegative_threshold, brill_noether, decompose
 
 @dataclass(frozen=True)
 class AlphaInterval:
-    """Interval of weights with exact rational endpoints and openness flags.
+    """The open interval (lower, upper) of weights, with exact rational ends.
 
     The lower end is always a number; an ``upper`` of None means +infinity.
-    Degenerate open intervals normalize to the canonical empty interval.
+    The interval is empty when its ends cross (upper <= lower);
+    ``open_interval`` normalizes every such pair to the canonical ``EMPTY``.
     """
 
     lower: Fraction
     upper: Fraction | None
-    lower_open: bool = True
-    upper_open: bool = True
-    empty: bool = False
 
     EMPTY: ClassVar["AlphaInterval"]
 
@@ -40,41 +43,21 @@ class AlphaInterval:
     def open_interval(lower: Fraction, upper: Fraction | None) -> "AlphaInterval":
         if upper is not None and lower >= upper:
             return AlphaInterval.EMPTY
-        return AlphaInterval(lower, upper, True, True)
+        return AlphaInterval(lower, upper)
 
-    @staticmethod
-    def closed_interval(lower: Fraction, upper: Fraction) -> "AlphaInterval":
-        if lower > upper:
-            return AlphaInterval.EMPTY
-        return AlphaInterval(lower, upper, False, False)
+    @property
+    def empty(self) -> bool:
+        return self.upper is not None and self.upper <= self.lower
 
     def contains(self, x: Fraction) -> bool:
-        if self.empty:
-            return False
-        if x < self.lower or (self.lower_open and x == self.lower):
-            return False
-        if self.upper is not None:
-            if x > self.upper or (self.upper_open and x == self.upper):
-                return False
-        return True
+        return self.lower < x and (self.upper is None or x < self.upper)
 
     def issubset(self, other: "AlphaInterval") -> bool:
         if self.empty:
             return True
-        if other.empty:
+        if other.upper is not None and (self.upper is None or self.upper > other.upper):
             return False
-        if self.lower < other.lower:
-            return False
-        if self.lower == other.lower and other.lower_open and not self.lower_open:
-            return False
-        if other.upper is not None:
-            if self.upper is None:
-                return False
-            if self.upper > other.upper:
-                return False
-            if self.upper == other.upper and other.upper_open and not self.upper_open:
-                return False
-        return True
+        return self.lower >= other.lower
 
     def midpoint(self) -> Fraction:
         """A representative interior point (lower + 1 when unbounded above)."""
@@ -87,24 +70,26 @@ class AlphaInterval:
     def to_json_dict(self) -> dict:
         if self.empty:
             return {"empty": True}
-        return {
-            "empty": False,
-            "lower": str(self.lower),
-            "lower_open": self.lower_open,
-            "upper": None if self.upper is None else str(self.upper),
-            "upper_open": self.upper_open,
-        }
+        return _ends_json(self.lower, self.upper, is_open=True)
 
     def __str__(self) -> str:
         if self.empty:
             return "empty"
-        hi = "inf" if self.upper is None else str(self.upper)
-        lb = "(" if self.lower_open else "["
-        rb = ")" if self.upper_open or self.upper is None else "]"
-        return f"{lb}{self.lower}, {hi}{rb}"
+        return f"({self.lower}, {'inf' if self.upper is None else self.upper})"
 
 
-AlphaInterval.EMPTY = AlphaInterval(Fraction(0), Fraction(0), True, True, empty=True)
+AlphaInterval.EMPTY = AlphaInterval(Fraction(0), Fraction(0))
+
+
+def _ends_json(lower: Fraction, upper: Fraction | None, is_open: bool) -> dict:
+    """The JSON layout of a non-empty range of weights, open or closed at both ends."""
+    return {
+        "empty": False,
+        "lower": str(lower),
+        "lower_open": is_open,
+        "upper": None if upper is None else str(upper),
+        "upper_open": is_open,
+    }
 
 
 class Status(str, enum.Enum):
@@ -131,7 +116,7 @@ class Verdict:
     stable_interval: AlphaInterval
     necessary_region: AlphaInterval
     beta: int
-    semistable_notes: tuple[tuple[AlphaInterval, str], ...] = ()
+    semistable_notes: tuple[tuple[tuple[Fraction, Fraction], str], ...] = ()
     remarks: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -144,8 +129,8 @@ class Verdict:
             "stable_interval": self.stable_interval.to_json_dict(),
             "necessary_region": self.necessary_region.to_json_dict(),
             "semistable_notes": [
-                {"interval": iv.to_json_dict(), "note": text}
-                for iv, text in self.semistable_notes
+                {"interval": _ends_json(*ends, is_open=False), "note": text}
+                for ends, text in self.semistable_notes
             ],
             "remarks": list(self.remarks),
         }
@@ -187,19 +172,20 @@ def k2_degree_bound(n: int) -> Fraction:
     return Fraction(n * (n - 2), 2) + Fraction(3, 2)
 
 
-def _semistable_notes_k2(n: int, d: int) -> tuple[tuple[AlphaInterval, str], ...]:
+def _semistable_notes_k2(n: int, d: int) -> tuple[tuple[tuple[Fraction, Fraction], str], ...]:
+    """The closed weight ranges [lower, upper] of semistable pairs in the k = 2 exceptions."""
     notes = []
     if (n, d) == (4, 6):
         notes.append(
             (
-                AlphaInterval.closed_interval(Fraction(1), Fraction(3)),
+                (Fraction(1), Fraction(3)),
                 "semistable pairs exist exactly for 1 <= alpha <= 3; stable ones never",
             )
         )
     if (n, d) == (3, 2):
         notes.append(
             (
-                AlphaInterval.closed_interval(Fraction(2), Fraction(2)),
+                (Fraction(2), Fraction(2)),
                 "semistable only at alpha = 2; stable pairs never exist",
             )
         )
@@ -208,7 +194,7 @@ def _semistable_notes_k2(n: int, d: int) -> tuple[tuple[AlphaInterval, str], ...
         if d == 2 * r * (r - 1):
             notes.append(
                 (
-                    AlphaInterval.closed_interval(Fraction(0), Fraction(r)),
+                    (Fraction(0), Fraction(r)),
                     f"semistable exactly for 0 <= alpha <= {r}; stable pairs never exist",
                 )
             )

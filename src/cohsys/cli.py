@@ -353,7 +353,7 @@ def _cmd_delta_check(args: argparse.Namespace) -> int:
         "formula": formula,
         "observed_max": max(closure),
         "observed_min": min(closure),
-        "match_fraction": closure.count(formula) / args.trials,
+        "match_fraction": str(Fraction(closure.count(formula), args.trials)),
         "rational_scan_max": max(rational),
     }
     print(json.dumps(report, indent=2))

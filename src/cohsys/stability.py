@@ -25,7 +25,11 @@ whole pair (r*k = n*w and n*e = r*d), which forces k and n to share a factor.
 For k = 2 and even n on a balanced type the extremal such subobject has
 w = 1, r = n/2, and its degree comes from the minimal coefficient-pencil rank
 of the two sections; that minimum over the closure is computed exactly by
-``pencil_min_rank``, so those witnesses are restored without leaving F_q.
+``pencil_min_rank`` without leaving F_q.  The witness degree (n/2)a - delta
+ignores the O(a) components, though, so it can overstate the degree: a "not
+stable" verdict whose only violators are closure candidates is not
+certified.  ``sample_instance(4, 7, 2, 2, 5)`` is one: a closure witness of
+slope 3 reads it unstable at 2, where it is stable on (3/2, 5/2).
 Semistability verdicts use rational candidates alone, which is sound: any
 strict violation is witnessed by the (rational) maximal destabilizer.
 """
@@ -368,7 +372,10 @@ def _closure_candidates(inst: SystemInstance) -> tuple[Candidate, ...]:
     through one section combination has degree (n/2)a - delta with delta the
     minimal pencil rank of the two sections' degree-(a-1) components (of the
     full components when t = 0).  The minimizing point (b : c) may be
-    irrational, so this is computed by the exact closure oracle.
+    irrational, so this is computed by the exact closure oracle.  The degree
+    ignores the O(a) components, so it is an upper bound, not exact: a
+    witness here need not exist (the (4, 7, 2) replay in the module
+    docstring).
     """
     n, k = inst.n, inst.k
     if k != 2 or n % 2 != 0:
@@ -478,9 +485,9 @@ def stability_interval(inst: SystemInstance) -> AlphaInterval:
     """
     boundaries = [Fraction(0)] + [c for c in critical_alphas(inst) if c > 0]
     for lower, upper in zip(boundaries, boundaries[1:] + [None]):
-        sample = lower + 1 if upper is None else (lower + upper) / 2
-        if is_alpha_stable(inst, sample).stable:
-            return AlphaInterval.open_interval(lower, upper)
+        cell = AlphaInterval.open_interval(lower, upper)
+        if is_alpha_stable(inst, cell.midpoint()).stable:
+            return cell
     return AlphaInterval.EMPTY
 
 

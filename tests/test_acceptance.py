@@ -288,8 +288,8 @@ def test_criterion_9_instance_intervals_are_open_and_contained():
         iv = stability_interval(inst)
         # the per-cell reference raises if the stable cells are not contiguous
         assert iv == sampled_interval(inst)
-        if not iv.empty:
-            assert iv.lower_open and (iv.upper is None or iv.upper_open)
+        # open: no critical weight lies inside it
+        assert not any(iv.contains(c) for c in critical_alphas(inst))
         assert iv.issubset(necessary_region(n, d, k))
         checked += 1
     elapsed = time.time() - t0

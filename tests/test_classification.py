@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,28 @@ def open_iv(lower, upper):
     return AlphaInterval.open_interval(Fraction(lower), None if upper is None else Fraction(upper))
 
 
-def closed_iv(lower, upper):
-    """The closed interval [lower, upper]."""
-    return AlphaInterval.closed_interval(Fraction(lower), Fraction(upper))
+# drawn ends lie in [0, 8] with denominators up to 6, so two distinct ends
+# differ by at least 1/36: EPS is below every gap and FAR beyond every end
+ENDS = st.fractions(min_value=0, max_value=8, max_denominator=6)
+INTERVALS = st.builds(AlphaInterval.open_interval, ENDS, st.none() | ENDS) | st.just(
+    AlphaInterval.EMPTY
+)
+EPS = Fraction(1, 1000)
+FAR = Fraction(100)
+
+
+def inside_points(iv):
+    """Points just inside each end of a non-empty interval, and its midpoint."""
+    return [iv.lower + EPS, iv.midpoint(), FAR if iv.upper is None else iv.upper - EPS]
 
 
 class TestAlphaInterval:
+    def test_an_interval_is_its_two_ends(self):
+        # openness is a property of the type, and emptiness is read from the ends
+        assert [field.name for field in fields(AlphaInterval)] == ["lower", "upper"]
+        assert AlphaInterval(Fraction(3), Fraction(1)).empty
+        assert not AlphaInterval(Fraction(3), None).empty
+
     def test_degenerate_open_normalizes_to_empty(self):
         assert AlphaInterval.open_interval(Fraction(2), Fraction(2)).empty
         assert AlphaInterval.open_interval(Fraction(3), Fraction(2)).empty
@@ -35,8 +52,8 @@ class TestAlphaInterval:
         iv = AlphaInterval.open_interval(Fraction(1), Fraction(3))
         assert not iv.contains(Fraction(1))
         assert iv.contains(Fraction(2))
-        closed = AlphaInterval.closed_interval(Fraction(1), Fraction(3))
-        assert closed.contains(Fraction(1))
+        assert not iv.contains(Fraction(3))
+        assert not open_iv(1, None).contains(Fraction(1))
 
     def test_subset(self):
         small = AlphaInterval.open_interval(Fraction(1), Fraction(2))
@@ -54,13 +71,14 @@ class TestAlphaInterval:
             # a larger upper end, and a smaller one
             (open_iv(1, 6), open_iv(0, 5), False),
             (open_iv(1, 4), open_iv(0, 5), True),
-            # equal upper ends: closed inside open, open inside closed
-            (AlphaInterval(Fraction(1), Fraction(5), True, False), open_iv(0, 5), False),
-            (open_iv(1, 5), AlphaInterval(Fraction(0), Fraction(5), True, False), True),
+            # equal upper ends, with a smaller lower end and a larger one
+            (open_iv(0, 5), open_iv(1, 5), False),
+            (open_iv(1, 5), open_iv(0, 5), True),
+            # equal lower ends, with a larger upper end and a smaller one
+            (open_iv(1, 6), open_iv(1, 5), False),
+            (open_iv(1, 4), open_iv(1, 5), True),
             # equal ends on both sides
-            (closed_iv(1, 5), open_iv(1, 5), False),
-            (open_iv(1, 5), closed_iv(1, 5), True),
-            (closed_iv(1, 5), closed_iv(1, 5), True),
+            (open_iv(1, 5), open_iv(1, 5), True),
             # the empty interval lies in every interval, and none lies in it
             (AlphaInterval.EMPTY, open_iv(1, 2), True),
             (open_iv(1, 2), AlphaInterval.EMPTY, False),
@@ -80,14 +98,32 @@ class TestAlphaInterval:
         with pytest.raises(ValueError, match="no midpoint"):
             AlphaInterval.EMPTY.midpoint()
 
+    @given(INTERVALS, INTERVALS)
+    @settings(max_examples=300)
+    def test_contains_and_issubset_match_a_point_oracle(self, inner, outer):
+        # two open intervals nest exactly when the outer one holds the points
+        # just inside each end of the inner one
+        if inner.empty:
+            assert inner is AlphaInterval.EMPTY
+            assert inner.issubset(outer)
+            assert not any(inner.contains(x) for x in [inner.lower, EPS, FAR])
+            return
+        points = inside_points(inner)
+        assert all(inner.contains(x) for x in points)
+        outside = [inner.lower, inner.lower - EPS]
+        if inner.upper is not None:
+            outside += [inner.upper, inner.upper + EPS]
+        assert not any(inner.contains(x) for x in outside)
+        assert inner.issubset(outer) == all(outer.contains(x) for x in points)
+
     @pytest.mark.parametrize(
-        "lower,upper,empty", [(3, 1, True), (Fraction(5, 2), 2, True), (2, 2, False), (1, 3, False)]
+        "lower,upper,empty", [(3, 1, True), (Fraction(5, 2), 2, True), (2, 2, True), (1, 3, False)]
     )
-    def test_closed_interval_is_empty_only_when_its_ends_cross(self, lower, upper, empty):
-        iv = AlphaInterval.closed_interval(Fraction(lower), Fraction(upper))
-        assert iv.empty == empty
+    def test_open_interval_is_empty_when_its_ends_meet_or_cross(self, lower, upper, empty):
+        iv = AlphaInterval.open_interval(Fraction(lower), Fraction(upper))
+        assert AlphaInterval(Fraction(lower), Fraction(upper)).empty == empty
         assert (iv is AlphaInterval.EMPTY) == empty
-        assert iv.contains(Fraction(lower)) != empty
+        assert iv.contains((Fraction(lower) + Fraction(upper)) / 2) != empty
 
     def test_json_round_trip_strings(self):
         iv = AlphaInterval.open_interval(Fraction(1), Fraction(7, 2))
@@ -99,7 +135,6 @@ class TestNecessaryRegion:
     def test_example_5_13_2(self):
         iv = necessary_region(5, 13, 2)
         assert (iv.lower, iv.upper) == (Fraction(1), Fraction(7, 2))
-        assert iv.lower_open and iv.upper_open
 
     def test_example_l_zero(self):
         assert necessary_region(3, 7, 1).empty
@@ -135,7 +170,6 @@ class TestSlopeBounds:
         if not iv.empty:
             assert iv.lower == Fraction(num.t, k)
             assert iv.upper - iv.lower == Fraction(n * num.l, k)
-            assert iv.lower_open and iv.upper_open
 
     @given(st.integers(2, 40), st.integers(-200, 2000), st.data())
     @settings(max_examples=300)
@@ -170,24 +204,25 @@ class TestClassify:
     def test_k2_exceptional_4_6(self):
         v = classify(4, 6, 2)
         assert v.status is Status.EMPTY
-        (iv, note), = v.semistable_notes
-        assert (iv.lower, iv.upper, iv.lower_open, iv.upper_open) == (1, 3, False, False)
+        # the closed range 1 <= alpha <= 3, as its two ends
+        (ends, note), = v.semistable_notes
+        assert ends == (1, 3)
 
     def test_k2_exceptional_3_2(self):
         v = classify(3, 2, 2)
         assert v.status is Status.EMPTY
-        (iv, _), = v.semistable_notes
-        assert iv.lower == iv.upper == 2
+        (ends, _), = v.semistable_notes
+        assert ends == (2, 2)
 
     def test_k2_balanced_family_note(self):
         v = classify(4, 4, 2)
         assert v.status is Status.EMPTY
-        (iv, _), = v.semistable_notes
-        assert (iv.lower, iv.upper) == (0, 2)
+        (ends, _), = v.semistable_notes
+        assert ends == (0, 2)
         v = classify(6, 12, 2)
         assert v.status is Status.EMPTY
-        (iv, _), = v.semistable_notes
-        assert (iv.lower, iv.upper) == (0, 3)
+        (ends, _), = v.semistable_notes
+        assert ends == (0, 3)
 
     def test_k2_generic(self):
         v = classify(5, 13, 2)
@@ -242,10 +277,8 @@ class TestClassify:
             for d in range(-10, 41):
                 for k in range(1, 11):
                     v = classify(n, d, k)
-                    assert v.stable_interval.issubset(v.necessary_region) or (
-                        # proven-sufficient regions may *equal* the necessary region
-                        v.stable_interval.to_json_dict() == v.necessary_region.to_json_dict()
-                    )
+                    # a proven-sufficient region may equal the necessary one
+                    assert v.stable_interval.issubset(v.necessary_region)
                     if v.status is Status.EMPTY:
                         assert v.stable_interval.empty
 
@@ -255,8 +288,8 @@ class TestClassify:
                 for k in (1, 2):
                     v = classify(n, d, k)
                     if v.status is Status.EXACT:
-                        assert v.stable_interval.lower_open
-                        assert v.stable_interval.upper is None or v.stable_interval.upper_open
+                        # the open region of the slope bounds, ends excluded
+                        assert v.stable_interval == slope_bounds(n, d, k)
 
 
 class TestCrossCheck:

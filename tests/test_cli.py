@@ -403,7 +403,7 @@ class TestDeltaCheckCommand:
         report = json.loads(out)
         assert report["formula"] == expected
         assert report["observed_max"] == expected
-        assert report["match_fraction"] >= 0.9
+        assert Fraction(report["match_fraction"]) >= Fraction(9, 10)
 
     def test_zero_trials_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "delta-check", "3", "2", "--trials", "0")

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,22 @@ def test_script_runs_from_any_directory(argv, tmp_path):
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_campaigns_stay_within_d_max():
+    # every family caps its degrees at --d-max; one left with none says so
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_campaigns.py", "--trials", "1", "--d-max", "2"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    cells = [tuple(map(int, m)) for m in re.findall(r"\((-?\d+),(-?\d+),(-?\d+)\)", proc.stdout)]
+    assert cells and max(d for _, d, _ in cells) <= 2
+    for n in (3, 4):
+        assert f"[k=n+1 n={n}] not run: its first degree is above --d-max" in proc.stdout
 
 
 @pytest.mark.parametrize(
