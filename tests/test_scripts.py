@@ -128,6 +128,17 @@ def test_bad_argument_exits_2(argv):
             "verify_n3_d1-8_k1-4_q3_trials2_cell_midpoints.json",
             0,
         ),
+        # generated pairs over F_2, 17 interval cells: their spans' generic
+        # ranks and twist probes take the packed bit-row path
+        (
+            [
+                "-m", "cohsys", "verify", "--n", "2..4", "--d", "2..4", "--k", "3..5",
+                "--trials", "2", "--q", "2", "--alpha-rule", "cell-midpoints",
+                "--require-generation",
+            ],
+            "verify_n2-4_d2-4_k3-5_q2_trials2_cell_midpoints_generated.json",
+            0,
+        ),
         # the k = 2 exceptions with their closed semistable notes, a generic
         # k = 2 verdict and a k = n + 1 one, as printed before the weight
         # interval lost its closed form
