@@ -23,6 +23,8 @@ from .exactmath import (
     _bareiss,
     check_profile,
     generic_rank,
+    left_kernel,
+    matmul_mod,
     minor_divisor_degree,
     multiplication_matrix,
     pack_bits,
@@ -350,6 +352,9 @@ class SectionPairing:
     eliminations of at most ``STACK_CELLS`` entries.  Over F_2, M_j(V) is
     packed into bit rows once per twist, and each row block of M_j(W) is the
     XOR of the packed blocks its row of B picks, so no int64 stack is built.
+    A span's values B X at a point have rank w - m + rank(L - L[:, piv] B),
+    L the m x k left kernel of the sections' values X there, for B in reduced
+    row echelon form with pivot columns piv, as every basis must be.
     """
 
     def __init__(self, field: PrimeField, e: SplittingType, sections: np.ndarray) -> None:
@@ -361,9 +366,19 @@ class SectionPairing:
 
     @functools.cached_property
     def _point_values(self) -> np.ndarray:
-        """Shape (k, 3, n): section l's ``point_values``, built when a span of w >= 2 needs them."""
+        """Shape (k, 3, n): section l's ``point_values``, built with the point kernels."""
         k, q = len(self.sections), self.field.q
         return point_values(self.sections, [0] * k, self.e.degrees, q).transpose(1, 0, 2)
+
+    @functools.cached_property
+    def _point_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shape (3, m_max, k): each point's ``left_kernel``, zero rows padding
+        it to the largest dimension m_max, and the dimensions m."""
+        k, q = len(self.sections), self.field.q
+        kernels = [left_kernel(x, q) for x in self._point_values.transpose(1, 0, 2).tolist()]
+        dims = [len(kern) for kern in kernels]
+        padded = [kern + [[0] * k] * (max(dims) - len(kern)) for kern in kernels]
+        return np.array(padded, dtype=np.int64).reshape(3, max(dims), k), np.array(dims)
 
     def at(self, j: int) -> np.ndarray:
         """M_j(V), shape (k, max(0, j + 1), cols) with cols = h0(E*(j)).
@@ -384,28 +399,41 @@ class SectionPairing:
     def _generic_ranks(self, bases: np.ndarray) -> list[int]:
         """Generic rank of the w x n form matrix of each span.
 
-        As in ``generic_rank``, values of full rank min(w, n) at one of the
-        three points of ``point_values`` settle it, and the Bareiss
-        elimination decides the rest.  The values of ``stack_size(3 * w * n)``
-        spans, three w x n matrices each, are built in one combination and
-        ranked in one elimination, so no array holds more than ``STACK_CELLS``
-        entries or one span.  Each span left to the elimination is combined
-        alone, as its w x n form matrix.
+        As in ``generic_rank``, full rank min(w, n) at one of the three points
+        of ``point_values`` settles it, and Bareiss decides the rest, each
+        span combined alone.  At values X with left kernel L (m x k), an
+        echelon basis B with pivot columns piv has rank(B X) =
+        w - m + rank(L - L[:, piv] B), as x lies in the span exactly when
+        x = x[piv] B; generated sections have m = k - n.  The residuals of
+        ``stack_size(3 * m_max * k)`` spans are one ``matmul_mod``, ranked
+        transposed (k x m) in one elimination.  A basis whose pivot columns,
+        each row's first nonzero one, do not hold the identity raises ValueError.
         """
-        count, w, _ = bases.shape
+        count, w, k = bases.shape
         n, q = self.e.rank, self.field.q
-        ranks: list[int] = []
-        size = stack_size(3 * w * n)
+        bases = np.remainder(bases, q)
+        piv = (bases != 0).argmax(axis=2)
+        # [s, i, j] reads bases[s, i, piv[s, j]]
+        flat = k * np.arange(count * w).reshape(count, w, 1) + piv[:, None, :]
+        if (bases.ravel()[flat] != np.eye(w, dtype=np.int64)).any():
+            raise ValueError("a basis is not in reduced row echelon form")
+        kernels, dims = self._point_kernels
+        m = kernels.shape[1]
+        ranks = np.empty(count, dtype=np.int64)
+        size = stack_size(3 * m * k)
         for start in range(0, count, size):
-            # (N, w, 3, n) -> (N, 3, w, n): one w x n value matrix per span and point
-            values = stacked_combination(bases[start : start + size], self._point_values, q)
-            values = values.transpose(0, 2, 1, 3).reshape(-1, w, n)
-            ranks += stacked_rank(self.field, values).reshape(-1, 3).max(axis=1).tolist()
-        for m in range(count):
-            if ranks[m] < min(w, n):
-                coeffs = stacked_combination(bases[m], self.sections, q)
-                ranks[m] = _bareiss(coeffs, [0] * w, self.e.degrees, q)[0]
-        return ranks
+            chunk = slice(start, start + size)
+            # (N, 3, m, w) @ (N, 1, w, k); entries in (-q, q), which the elimination reduces
+            picked = kernels[:, :, piv[chunk]].transpose(2, 0, 1, 3)
+            residual = kernels - matmul_mod(picked, bases[chunk, None], q)
+            # explicit sizes: m may be 0, where -1 cannot be inferred
+            residual = residual.transpose(0, 1, 3, 2).reshape(3 * len(residual), k, m)
+            rank = stacked_rank(self.field, residual).reshape(-1, 3)
+            ranks[chunk] = (w - dims + rank).max(axis=1)
+        for s in np.flatnonzero(ranks < min(w, n)).tolist():
+            coeffs = stacked_combination(bases[s], self.sections, q)
+            ranks[s] = _bareiss(coeffs, [0] * w, self.e.degrees, q)[0]
+        return ranks.tolist()
 
     def saturate_stack(self, bases: np.ndarray) -> tuple[list[SaturationResult], np.ndarray]:
         """``saturate`` of the span of B V, for each w x k basis B in the stack.
@@ -413,10 +441,11 @@ class SectionPairing:
         Returns the stack's distinct saturations, in order of first
         appearance, and for each basis the index of its saturation in that
         list.  For w = 1 the section must be nonzero: its kernel rank rho is
-        n - 1.  For w >= 2, rho is n minus the generic rank of the span.  Each
-        probe ranks the live twist matrices ``stack_size`` of them at a time,
-        building each chunk only when it is ranked, so a probe holds at most
-        ``STACK_CELLS`` entries or one matrix.
+        n - 1.  For w >= 2, rho is n minus the generic rank of the span
+        (``_generic_ranks``: each basis must be in reduced row echelon form).
+        Each probe ranks the live twist matrices ``stack_size`` of them at a
+        time, building each chunk only when it is ranked, so a probe holds at
+        most ``STACK_CELLS`` entries or one matrix.
         """
         bases = np.asarray(bases, dtype=np.int64)
         count, w, _ = bases.shape

@@ -21,9 +21,10 @@ pivoting: the pivot of a column is the first row that is nonzero there.  Over
 an exact field there is no stability concern, and the pivot rule keeps runs
 reproducible.  ``FieldMatrix.rank`` reduces a matrix of at most
 ``SMALL_RANK_ENTRIES`` entries on Python ints, each pivot row scaled by its
-inverse, and ranks a larger one as a stack of one.  ``stacked_rank`` ranks a
+inverse, and ranks a larger one as a stack of one; ``left_kernel`` runs
+that elimination on X extended by the identity.  ``stacked_rank`` ranks a
 whole stack of matrices of one shape, which its callers build with
-``stacked_combination`` (one int64 matrix product per chunk of terms), in one
+``matmul_mod`` (one int64 matrix product per chunk of terms), in one
 numpy elimination that moves no row: each pivot row clears its column and is
 zeroed with it.  Callers size their stacks by entries, not by matrix count:
 ``stack_size`` gives how many matrices of a shape fit the budget of
@@ -107,7 +108,7 @@ class FieldMatrix:
         """
         if self.data.size > SMALL_RANK_ENTRIES:
             return int(stacked_rank(self.field, self.data[None])[0])
-        return _small_rank(self.data.tolist(), self.field.q)
+        return _small_rank(self.data.tolist(), self.field.q)[0]
 
 
 # ``FieldMatrix.rank`` reduces a matrix of at most this many entries on Python
@@ -119,16 +120,17 @@ class FieldMatrix:
 SMALL_RANK_ENTRIES = 432
 
 
-def _small_rank(rows: list[list[int]], q: int) -> int:
-    """Rank of a matrix of residues, as lists of Python ints; the lists are consumed.
+def _small_rank(rows: list[list[int]], q: int, keep: int = 0) -> tuple[int, list[list[int]]]:
+    """Rank of a matrix of residues but its last keep columns, and the rows left.
 
-    Each step takes the first column left.  Its pivot is the first row that
-    is nonzero there: that row is removed and scaled by the inverse of its
-    entry, and every other row with a nonzero entry there subtracts that
-    multiple of it.  Then every row drops the column.
+    The rows are lists of Python ints, consumed.  Each step takes the first
+    column left.  Its pivot is the first row that is nonzero there: that row
+    is removed and scaled by the inverse of its entry, and every other row
+    with a nonzero entry there subtracts that multiple of it.  Then every
+    row drops the column.
     """
     rank = 0
-    while rows and rows[0]:
+    while rows and len(rows[0]) > keep:
         for i, row in enumerate(rows):
             if row[0]:
                 top = rows.pop(i)
@@ -140,7 +142,18 @@ def _small_rank(rows: list[list[int]], q: int) -> int:
             lead = row.pop(0)
             if lead:  # every lead is zero in a column with no pivot
                 rows[n] = [(v - lead * t) % q for v, t in zip(row, top)]
-    return rank
+    return rank, rows
+
+
+def left_kernel(rows: list[list[int]], q: int) -> list[list[int]]:
+    """A basis of {c : c X = 0} for a k x n matrix X of residues, as lists of Python ints.
+
+    ``_small_rank`` clears the n columns of X extended by the identity; the
+    k - rank X rows left hold independent c, zero on X.
+    """
+    k = len(rows)
+    extended = [row + [int(i == l) for i in range(k)] for l, row in enumerate(rows)]
+    return _small_rank(extended, q, k)[1]
 
 
 # Stacked callers rank their matrices at most this many entries at a time,
@@ -165,21 +178,27 @@ COST_GUARD_MAX_SUBSPACES = 2_000_000
 def stacked_combination(bases: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     """sum over l of bases[..., l] * mats[l], mod q, for a stack of bases.
 
-    mats holds residues and the bases are reduced on entry, so a term is at
-    most (q - 1)**2.  The sum is one int64 matrix product per chunk of terms,
-    each chunk as long as its sum stays below 2**63: all k terms for small q,
-    two at q = 2**31 - 1.  Each chunk's product is reduced before it is added.
-    """
+    mats holds residues and the bases are reduced on entry: one ``matmul_mod``."""
     k = len(mats)
     lead, tail = np.shape(bases)[:-1], np.shape(mats)[1:]
     b = np.remainder(np.asarray(bases, dtype=np.int64), q).reshape(math.prod(lead), k)
     m = np.reshape(mats, (k, math.prod(tail)))
+    return matmul_mod(b, m, q).reshape(lead + tail)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q for int64 residues, stacks broadcast as by ``np.matmul``.
+
+    A term is at most (q - 1)**2.  The sum is one product per chunk of terms,
+    each chunk as long as its sum stays below 2**63: all terms for small q,
+    two at q = 2**31 - 1.  Each chunk's product is reduced before it is added.
+    """
     chunk = (2**63 - 1) // (q - 1) ** 2
-    out = b[:, :chunk] @ m[:chunk] % q
-    for start in range(chunk, k, chunk):
-        out += b[:, start : start + chunk] @ m[start : start + chunk] % q
+    out = a[..., :chunk] @ b[..., :chunk, :] % q
+    for start in range(chunk, a.shape[-1], chunk):
+        out += a[..., start : start + chunk] @ b[..., start : start + chunk, :] % q
         out %= q
-    return out.reshape(lead + tail)
+    return out
 
 
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)

@@ -23,7 +23,10 @@ determinants over GF(q)[t] and the common divisor of every minor of one
 size from them, the fraction-free elimination over F_q[x, y]
 whose ranks and determinants the integer elimination of
 ``exactmath._bareiss`` replaced, the row-swapping numpy elimination for
-ranks, and the term-by-term sum behind ``stacked_combination``.  Three
+ranks, the reduced echelon basis of a span, the generic ranks of a span
+stack from its values at three points, which the one-residual read of
+``SectionPairing._generic_ranks`` replaced, and the term-by-term sum behind
+``stacked_combination``.  Three
 references take another route altogether: the stable interval in closed form
 from the candidates' linear constraints, a rank-2 verdict over GF(q^m) that
 enumerates line subsheaves instead of section subspaces, and the closed-form
@@ -41,7 +44,14 @@ from sympy.polys.matrices import DomainMatrix
 from cohsys import bundles
 from cohsys.bundles import SectionPairing, SplittingType, max_subbundle_degree, saturate
 from cohsys.classification import AlphaInterval
-from cohsys.exactmath import FieldMatrix, _leading_zeros, _poly_divmod
+from cohsys.exactmath import (
+    FieldMatrix,
+    _bareiss,
+    _leading_zeros,
+    _poly_divmod,
+    stacked_combination,
+    stacked_rank,
+)
 from cohsys.stability import (
     Candidate,
     StabilityReport,
@@ -664,6 +674,48 @@ def row_swap_rank(q: int, data) -> int:
             a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % q
         r += 1
     return r
+
+
+def reduced_echelon(q: int, rows) -> list:
+    """The reduced row-echelon basis of the span of rows over F_q; zero rows drop out.
+
+    Each column takes the first row left that is nonzero there, scaled to a
+    leading 1, and clears the column in every other row, the basis made so
+    far included.
+    """
+    rows = [[v % q for v in row] for row in rows]
+    basis = []
+    for c in range(len(rows[0]) if rows else 0):
+        top = next((row for row in rows if row[c]), None)
+        if top is None:
+            continue
+        rows.remove(top)
+        inv = pow(top[c], q - 2, q)
+        top = [v * inv % q for v in top]
+        basis = [[(v - row[c] * t) % q for v, t in zip(row, top)] for row in basis]
+        rows = [[(v - row[c] * t) % q for v, t in zip(row, top)] for row in rows]
+        basis.append(top)
+    return basis
+
+
+def three_point_generic_ranks(pairing, bases) -> list:
+    """``SectionPairing._generic_ranks`` from each span's values at the three points.
+
+    Each span's w x n values at the three points of ``point_values`` are
+    combined from the sections' values and ranked in one stacked
+    elimination, all spans at once.  A span of full rank min(w, n) at none
+    of them goes to ``exactmath._bareiss``, combined alone.
+    """
+    count, w, _ = np.shape(bases)
+    n, q = pairing.e.rank, pairing.field.q
+    values = stacked_combination(bases, pairing._point_values, q)
+    values = values.transpose(0, 2, 1, 3).reshape(-1, w, n)
+    ranks = stacked_rank(pairing.field, values).reshape(-1, 3).max(axis=1).tolist()
+    for m in range(count):
+        if ranks[m] < min(w, n):
+            coeffs = stacked_combination(bases[m], pairing.sections, q)
+            ranks[m] = _bareiss(coeffs, [0] * w, pairing.e.degrees, q)[0]
+    return ranks
 
 
 def termwise_combination(bases, mats, q: int):

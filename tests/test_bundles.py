@@ -30,7 +30,7 @@ from cohsys.exactmath import (
     vanishing_divisor_degree,
 )
 from cohsys.numerology import decompose
-from cohsys.stability import sample_instance
+from cohsys.stability import echelon_stacks, sample_instance
 from oracles import (
     bareiss_rank,
     componentwise_sum,
@@ -43,12 +43,14 @@ from oracles import (
     mul,
     pack,
     per_basis_saturations,
+    reduced_echelon,
     row_swap_rank,
     rows_rank,
     section_forms,
     shatz_embedding_exists,
     splitting_type,
     sympy_minor_divisor_degree,
+    three_point_generic_ranks,
     unpack,
 )
 
@@ -328,6 +330,29 @@ def span_sections(field, t, vectors, basis):
     return out
 
 
+def point_kind_sections(t, k, q, rng, kind):
+    """k random sections of type t, of one kind at the three points of ``point_values``.
+
+    "uniform" draws each component; under "vanishing" every component is a
+    multiple of x*y*(x - y), so the values at (1 : 0), (0 : 1) and (1 : 1)
+    are zero, and under "one-component" only the first component is drawn,
+    so every span has values of rank <= 1.
+    """
+    three_points = form((0, 1, q - 1, 0), q)
+
+    def component(i, a):
+        if a < 0 or rng.random() < 0.2 or (kind == "one-component" and i > 0):
+            return ()
+        if kind == "vanishing":
+            if a < 3:
+                return ()
+            cofactor = form([rng.randrange(q) for _ in range(a - 2)], q)
+            return mul(three_points, cofactor, q)
+        return form([rng.randrange(q) for _ in range(a + 1)], q)
+
+    return [tuple(component(i, a) for i, a in enumerate(t)) for _ in range(k)]
+
+
 class TestSectionPairing:
     """The stacked saturation against ``saturate`` of each span on its own."""
 
@@ -345,10 +370,15 @@ class TestSectionPairing:
         rng = random.Random(seed)
         h0 = sum(max(0, a + 1) for a in t)
         vectors = [[rng.randrange(q) for _ in range(h0)] for _ in range(k)]
-        # arbitrary coefficient rows, dependent ones included; at q = 2**31 - 1
-        # their large residues exercise the overflow rule of the combination
-        bases = [[[rng.randrange(q) for _ in range(k)] for _ in range(w)] for _ in range(6)]
-        spans = [span_sections(field, t, vectors, basis) for basis in bases]
+        # arbitrary coefficient rows, each span given by its echelon basis and
+        # the dependent ones dropped; at q = 2**31 - 1 their large residues
+        # exercise the overflow rule of the combination
+        drawn = [[[rng.randrange(q) for _ in range(k)] for _ in range(w)] for _ in range(6)]
+        spans = [span_sections(field, t, vectors, rows) for rows in drawn]
+        bases = [reduced_echelon(q, rows) for rows in drawn]
+        keep = [i for i, basis in enumerate(bases) if len(basis) == w]
+        bases = [bases[i] for i in keep]
+        spans = [spans[i] for i in keep]
         if w == 1:  # rho = n - 1 needs a nonzero section
             keep = [i for i, (sec,) in enumerate(spans) if any(sec)]
             bases = [bases[i] for i in keep]
@@ -485,34 +515,81 @@ class TestSectionPairing:
     )
     @settings(max_examples=150, deadline=None)
     def test_generic_ranks_match_generic_rank(self, kind, degrees, q, k, w, seed):
-        # "vanishing": every component is a multiple of x*y*(x - y), so the
-        # values at (1 : 0), (0 : 1) and (1 : 1) are zero and generic_rank
-        # decides; "one-component": every span has rank <= 1 < min(w, n)
+        # "vanishing": generic_rank decides at no point; "one-component":
+        # every span has rank <= 1 < min(w, n) at the three points
         field = PrimeField(q)
         t = splitting_type(*degrees)
         rng = random.Random(seed)
-        three_points = form((0, 1, q - 1, 0), q)
+        sections = point_kind_sections(t, k, q, rng, kind)
+        # each span by its echelon basis, the dependent draws dropped
+        drawn = [[[rng.randrange(q) for _ in range(k)] for _ in range(w)] for _ in range(5)]
+        drawn = [rows for rows in drawn if len(reduced_echelon(q, rows)) == w]
+        if not drawn:
+            return
+        want = [
+            bareiss_rank(
+                [componentwise_sum(sections, row, q) for row in rows], [0] * w, t.degrees, q
+            )
+            for rows in drawn
+        ]
+        bases = np.array([reduced_echelon(q, rows) for rows in drawn])
+        pairing = SectionPairing(field, t, sections_matrix(t, sections))
+        assert pairing._generic_ranks(bases) == want
 
-        def component(i, a):
-            if a < 0 or rng.random() < 0.2 or (kind == "one-component" and i > 0):
-                return ()
-            if kind == "vanishing":
-                if a < 3:
-                    return ()
-                cofactor = form([rng.randrange(q) for _ in range(a - 2)], q)
-                return mul(three_points, cofactor, q)
-            return form([rng.randrange(q) for _ in range(a + 1)], q)
-
-        sections = [tuple(component(i, a) for i, a in enumerate(t)) for _ in range(k)]
-        bases = [[[rng.randrange(q) for _ in range(k)] for _ in range(w)] for _ in range(5)]
+    @given(
+        st.sampled_from(["uniform", "vanishing", "one-component"]),
+        st.lists(st.integers(-1, 5), min_size=1, max_size=4),
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(kind="vanishing", degrees=[4, 3], q=3, k=4, w=2, negate=False, seed=0)
+    @example(kind="one-component", degrees=[2, 2, 1], q=2**31 - 1, k=3, w=2, negate=True, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_generic_ranks_match_the_three_point_reference(
+        self, kind, degrees, q, k, w, negate, seed
+    ):
+        # "vanishing": each point's left kernel has m = k rows and every
+        # span goes to Bareiss; "one-component": m >= k - 1.  The spans are
+        # echelon bases of one stack, their free entries negated under
+        # negate, which keeps them echelon and makes them large residues
+        assume(w <= k and (q < 2**31 - 1 or w * (k - w) <= 2))
+        field = PrimeField(q)
+        t = splitting_type(*degrees)
+        rng = random.Random(seed)
+        sections = point_kind_sections(t, k, q, rng, kind)
+        stack = next(echelon_stacks(k, w, q))
+        bases = stack[sorted(rng.sample(range(len(stack)), min(8, len(stack))))]
+        if negate:
+            bases = np.where(bases == 1, 1, -bases % q)
+        pairing = SectionPairing(field, t, sections_matrix(t, sections))
         want = [
             bareiss_rank(
                 [componentwise_sum(sections, row, q) for row in basis], [0] * w, t.degrees, q
             )
-            for basis in bases
+            for basis in bases.tolist()
         ]
-        pairing = SectionPairing(field, t, sections_matrix(t, sections))
-        assert pairing._generic_ranks(np.array(bases)) == want
+        assert pairing._generic_ranks(bases) == three_point_generic_ranks(pairing, bases) == want
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [[1, 1, 0], [0, 1, 0]],  # a pivot column with a second nonzero entry
+            [[2, 0, 0], [0, 1, 0]],  # a pivot of 2
+            [[1, 0, 0], [0, 0, 0]],  # a zero row
+            [[0, 1, 1], [0, 1, 1]],  # dependent rows, one pivot column twice
+        ],
+    )
+    def test_non_echelon_basis_raises(self, basis):
+        t = splitting_type(2, 1)
+        sections = [(X2, X), (Y2, Y), (XY, X)]
+        pairing = SectionPairing(F, t, sections_matrix(t, sections))
+        echelon = [[1, 0, 0], [0, 1, 0]]
+        assert pairing._generic_ranks(np.array([echelon])) == [2]
+        with pytest.raises(ValueError, match="echelon"):
+            pairing._generic_ranks(np.array([echelon, basis]))
 
     def test_generic_rank_above_every_point_rank(self):
         # det [[x^2 - x*y, 0], [0, y]] = x*y*(x - y): rank 1 at all three
@@ -523,7 +600,9 @@ class TestSectionPairing:
             values = [[evaluate(f, b, c, 101) for f in sec] for sec in sections]
             assert rows_rank(F, values) == 1
         pairing = SectionPairing(F, t, sections_matrix(t, sections))
-        assert pairing._generic_ranks(np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]]])) == [2, 2]
+        # the plane F^2 by its echelon basis, reached from two spanning sets
+        bases = [reduced_echelon(101, rows) for rows in ([[1, 0], [0, 1]], [[1, 1], [0, 1]])]
+        assert pairing._generic_ranks(np.array(bases)) == [2, 2]
 
 
 def probe_count(run):
@@ -683,6 +762,9 @@ class TestLastSummandRead:
         early = [[rng.randrange(q) for _ in range(k - 1)] + [0] for _ in range(5 * w)]
         bases = [early[i : i + w] for i in range(0, 5 * w, w)]
         bases.insert(rng.randrange(6), [[rng.randrange(q) for _ in range(k)] for _ in range(w)])
+        # each span by its echelon basis, the dependent draws dropped
+        bases = [reduced_echelon(q, rows) for rows in bases]
+        bases = [basis for basis in bases if len(basis) == w]
         matrix = sections_matrix(t, sections)
         if w == 1:  # rho = n - 1 needs a nonzero section
             bases = [b for b in bases if stacked_combination(b, matrix, q).any()]

@@ -20,6 +20,8 @@ from cohsys.exactmath import (
     check_profile,
     form_determinant,
     generic_rank,
+    left_kernel,
+    matmul_mod,
     multiplication_matrix,
     pack_bits,
     packed_rank,
@@ -275,6 +277,34 @@ class TestKernelDimension:
         with mock.patch.object(exactmath, "stacked_rank", counted):
             assert FieldMatrix(F101, data).rank() == 1
         assert calls == ([] if entries == SMALL_RANK_ENTRIES else [(1, 1, entries)])
+
+
+class TestLeftKernel:
+    @given(
+        st.sampled_from([2, 3, 7, 101, 2**31 - 1]),
+        st.integers(0, 6),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_a_basis_of_the_left_kernel(self, q, k, n, bound, seed):
+        # k x n matrices of rank at most bound, the zero and the empty one included
+        rng = np.random.default_rng(seed)
+        left = rng.integers(0, q, size=(k, bound))
+        right = q - 1 - rng.integers(0, 3, size=(bound, n))
+        data = termwise_combination(left, right, q)
+        rows = data.tolist()
+        kernel = left_kernel(data.tolist(), q)
+        assert len(kernel) == k - row_swap_rank(q, data)
+        for c in kernel:
+            assert len(c) == k and all(0 <= v < q for v in c)
+            assert all(sum(v * row[j] for v, row in zip(c, rows)) % q == 0 for j in range(n))
+        assert rows_rank(PrimeField(q), kernel) == len(kernel)
+
+    def test_generated_values_have_a_one_row_kernel(self):
+        # three values of O(1)^2 at one point, the third the sum of the first two
+        assert left_kernel([[1, 0], [0, 1], [1, 1]], 101) == [[100, 100, 1]]
 
 
 def per_matrix_ranks(field, stack):
@@ -556,6 +586,26 @@ class TestStackedCombination:
         got = stacked_combination(bases, mats, q)
         assert got.shape == (*lead, *tail)
         assert (got == termwise_combination(bases, mats, q)).all()
+
+    @given(
+        st.sampled_from([2, 3, 101, 2**31 - 1]),
+        st.integers(0, 5),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matmul_mod_broadcasts_stacks(self, q, terms, count, seed):
+        # a stack of (3, 1, terms) left factors against a stack of
+        # (1, terms, 4) right ones, with residues near q
+        rng = np.random.default_rng(seed)
+        a = q - 1 - rng.integers(0, 2, size=(count, 3, 1, terms))
+        b = q - 1 - rng.integers(0, 2, size=(count, 1, terms, 4))
+        got = matmul_mod(a, b, q)
+        assert got.shape == (count, 3, 1, 4)
+        want = [
+            [termwise_combination(a[s, p], b[s, 0], q) for p in range(3)] for s in range(count)
+        ]
+        assert (got == np.array(want, dtype=np.int64).reshape(got.shape)).all()
 
     @pytest.mark.parametrize("q", [3, 101, 2**31 - 1])
     def test_top_residues(self, q):

@@ -128,6 +128,13 @@ def test_bad_argument_exits_2(argv):
             "verify_n3_d1-8_k1-4_q3_trials2_cell_midpoints.json",
             0,
         ),
+        # the k = 2 exceptions with their closed semistable notes, a generic
+        # k = 2 verdict and a k = n + 1 one, as printed before the weight
+        # interval lost its closed form
+        *(
+            (["-m", "cohsys", "classify", *map(str, triple)], "classify_%d_%d_%d.json" % triple, 0)
+            for triple in ((4, 6, 2), (3, 2, 2), (6, 12, 2), (5, 13, 2), (3, 3, 4))
+        ),
         # generated pairs over F_2, 17 interval cells: their spans' generic
         # ranks and twist probes take the packed bit-row path
         (
@@ -138,13 +145,6 @@ def test_bad_argument_exits_2(argv):
             ],
             "verify_n2-4_d2-4_k3-5_q2_trials2_cell_midpoints_generated.json",
             0,
-        ),
-        # the k = 2 exceptions with their closed semistable notes, a generic
-        # k = 2 verdict and a k = n + 1 one, as printed before the weight
-        # interval lost its closed form
-        *(
-            (["-m", "cohsys", "classify", *map(str, triple)], "classify_%d_%d_%d.json" % triple, 0)
-            for triple in ((4, 6, 2), (3, 2, 2), (6, 12, 2), (5, 13, 2), (3, 3, 4))
         ),
     ],
 )

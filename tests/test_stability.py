@@ -1178,28 +1178,30 @@ class TestStackBudget:
         assert any(held > cells // 2 for held, _ in calls)  # chunks fill the budget
 
     def test_default_budget_bounds_the_generic_ranks_of_a_plane_stack(self):
-        # the 10303 planes of F_101^3 fit one stack of bases; their values at
-        # three points, 2 x 6 each, would fill one 370908-entry array, so
-        # they are built, like the sections of the spans left to Bareiss, a
-        # budget at a time.  A budget that holds the whole stack gives the
-        # same ranks
-        inst = sample_instance(6, 30, 3, 101, 1)
+        # the 10303 planes of F_101^3 fit one stack of bases.  Three sections
+        # of a rank-2 bundle have values of rank 2 at each of the three
+        # points, so each point's left kernel is one row, and a plane's
+        # residuals against them are 3 x 3.  Those of the whole stack would
+        # fill one 92727-entry array, so they are built and ranked a budget
+        # at a time.  A budget that holds the whole stack gives the same ranks
+        inst = sample_instance(2, 30, 3, 101, 1)
         (bases,) = echelon_stacks(3, 2, 101)
         sizes = []
-        real = bundles.stacked_combination
+        real = bundles.stacked_rank
 
-        def recorded(*args):
-            out = real(*args)
-            sizes.append(out.size)
-            return out
+        def recorded(field, stack):
+            sizes.append(stack.size)
+            return real(field, stack)
 
         def ranks():
             return SectionPairing(inst.field, inst.splitting, inst.sections)._generic_ranks(bases)
 
-        with mock.patch.object(bundles, "stacked_combination", recorded):
+        with mock.patch.object(bundles, "stacked_rank", recorded):
             got = ranks()
-        span = 2 * max(3 * inst.n, inst.sections[0].size)
+        kernels, _ = SectionPairing(inst.field, inst.splitting, inst.sections)._point_kernels
+        assert kernels.shape == (3, 1, 3)
+        span = kernels.size
         assert len(bases) == 10303 and len(sizes) > 1
         assert max(sizes) <= max(exactmath.STACK_CELLS, span)
-        with mock.patch.object(exactmath, "STACK_CELLS", 3 * 2 * 6 * len(bases)):
+        with mock.patch.object(exactmath, "STACK_CELLS", span * len(bases)):
             assert got == ranks()
